@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from ..binary.inference import engine_for_backend
+from ..engine.backends import available_backends
 from ..features.downsample import to_network_input
 from ..litho.fullchip import apply_edits, synthesize_chip, synthesize_edit_trace
 from ..litho.raster import rasterize_plane
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--edits", type=int, default=6)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--backends", nargs="+",
-                        default=["packed", "float", "compiled"])
+                        default=available_backends())
     parser.add_argument("--chaos", action="store_true",
                         help="run the durability (kill/resume, retry, "
                              "quarantine) gate instead of the parity checks")

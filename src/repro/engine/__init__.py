@@ -11,7 +11,7 @@ The engine package splits inference into four stages:
    (``run_pipeline``): batch-norm folding into fused threshold convs,
    compile-time scale hoisting, buffer-liveness marking;
 4. :mod:`~repro.engine.backends` — named compilers from IR to kernels
-   (``float``, ``packed``, ``compiled``; registry: ``get_backend`` /
+   (``float``, ``packed``; registry: ``get_backend`` /
    ``available_backends``);
 5. :mod:`~repro.engine.executor` — runs compiled kernels with
    activation-buffer reuse and optional per-op timing hooks.

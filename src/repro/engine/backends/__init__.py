@@ -93,8 +93,6 @@ class Backend:
         :func:`_batchnorm_kernel`, then this backend's own binary-conv
         kernel on the anchor convolution — so any backend is
         automatically bit-identical across {passes on, passes off}.
-        Backends with a genuinely fused kernel (``compiled``) override
-        this.
         """
         conv = self.compile_binary_conv(_unfused_conv(node))
         if node.bn_scale is None:
@@ -284,4 +282,3 @@ def _dense_kernel(node: ir.DenseOp) -> Kernel:
 # run on package import (each module is one self-contained backend).
 from . import float as float_backend  # noqa: E402,F401
 from . import packed as packed_backend  # noqa: E402,F401
-from . import compiled as compiled_backend  # noqa: E402,F401

@@ -1,404 +1,15 @@
-"""Compiled backend: genuinely fused kernels for the pass-pipeline IR.
+"""Numba availability probe (``HAVE_NUMBA``).
 
-Where the ``packed`` backend executes a fused node by *replaying* its
-sources (materialize batch-norm, then the packed convolution), this
-backend compiles one kernel per :class:`~repro.engine.ir.\
-FusedBinaryConvOp` that never materializes the batch-norm output:
-
-* **Threshold binarization.**  ``fl(fl(x*s) + b) >= 0  ⟺  fl(x*s) >= -b``
-  (float addition of values straddling zero is exact — Hauser's lemma —
-  and rounding is monotone and sign-preserving), so the sign bits come
-  from one compare per channel against the hoisted threshold ``-b``.
-  The Eq. 15 ``|x|`` map, which *does* need batch-norm values, reuses
-  the same ``t = x*s`` product (``t += b`` reproduces the batch-norm
-  output bit-for-bit) — one pass over the input total.
-
-* **Exact single-precision GEMM.**  The channel-summed binary dots are
-  integers bounded by ``c*k*k < 2**24``, and every partial product of a
-  {-1,+1} filter row with a {0,1} activation column is ``0`` or ``±1``
-  — so float32 BLAS accumulates them *exactly*, regardless of blocking
-  or FMA contraction.  With activations as 0/1 bits (bit 0 = −1, so
-  zero padding is the −1 padding of the binary domain) the true dot is
-  ``2*(W @ B) - rowsum(W)``, also exact.  The result is cast to float64
-  (exact for these integers) and scaled in the reference expression
-  order, which is what keeps this backend bit-identical to ``float``
-  and ``packed``.
-
-* **Per-shape dot strategy.**  The threshold bits feed whichever dot
-  kernel wins at that layer's geometry: receptive fields that fit one
-  16-bit word (the 1-channel 3×3 stem) use the shared 65536-entry dot
-  table of :func:`repro.binary.bitpack.packed_conv_dots`; other small
-  receptive fields (up to ``REPRO_COMPILED_GEMM_MAX_BITS`` column rows,
-  default 72 — the stage-1 3×3 layers) use the SGEMM.  Both fused
-  paths amortize their per-row gather over spatial positions, so they
-  win only on large output maps: below ``REPRO_COMPILED_MIN_POSITIONS``
-  output cells per image (default 1024) the kernel dispatches, per
-  call, to the reference replay (materialized batch-norm + packed
-  popcount conv) — measured on the plane-scan workload, the replay is
-  faster at every such layer, and a fused kernel that loses to the
-  unfused path would make "compiled" a downgrade at depth.  All paths
-  produce the same exact integer dots and the same float expression
-  order, so the dispatch is invisible to parity.
-
-* **Workspace arena.**  Every scratch buffer (padded bit plane, column
-  matrix, GEMM accumulator, output) is pooled per kernel per thread —
-  steady-state execution performs no large allocations, which on the
-  plane-scan path (hundreds of same-shaped chunks) removes the page-
-  fault traffic that dominated per-op times.
-
-* **Shape-keyed autotuned tiling.**  The column fill + GEMM is tiled
-  over the batch axis (column order is batch-major, so batch tiles are
-  contiguous column blocks); the tile size is picked per (node, input
-  shape) by timing each candidate once on real calls.  Tiling never
-  changes results — every column is independent and exact — so the
-  autotuner is invisible to parity.  ``REPRO_COMPILED_AUTOTUNE=0``
-  pins the first candidate (full batch) instead.
-
-When Numba is importable the two Python gather loops (column fill, word
-pack) are njit-compiled at import; the NumPy implementations are the
-fallback and the reference — both orderings produce identical bits, so
-parity holds either way.  The container this repo ships in has no
-Numba; nothing here imports it unconditionally.
-
-Channelwise-scaled convolutions (Eq. 14 needs channel-resolved partial
-dots, which defeats the channel-summed GEMM) and all non-fused nodes
-delegate to the ``packed`` backend's kernels unchanged.
+No backend uses Numba: the ``float`` reference and the served
+``packed`` backend are pure NumPy.  The flag stays importable because
+benchmark provenance (``perfbench/run.py``) records whether Numba was
+present on the host that produced the numbers.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
+import importlib.util
 
-import numpy as np
+__all__ = ["HAVE_NUMBA"]
 
-from ...binary import bitpack, quantize
-from .. import ir
-from ..executor import Kernel
-from . import register_backend
-from .packed import PackedBackend
-
-__all__ = ["CompiledBackend", "HAVE_NUMBA"]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _fill_cols_numpy(
-    cols: np.ndarray,
-    bits: np.ndarray,
-    n0: int,
-    n1: int,
-    k: int,
-    stride: int,
-    oh: int,
-    ow: int,
-) -> None:
-    """Gather 0/1 activation columns for one batch tile.
-
-    ``cols`` is ``(c*k*k, (n1-n0)*oh*ow)`` float32; row order is
-    channel-major then kernel row-major, matching
-    ``w_binary.reshape(c_out, -1)``.
-    """
-    nb = n1 - n0
-    span = nb * oh * ow
-    c = bits.shape[1]
-    row = 0
-    for ch in range(c):
-        plane = bits[n0:n1, ch]
-        for dy in range(k):
-            for dx in range(k):
-                # cols[row, :span] is a contiguous 1-D view, so the
-                # reshape is a view too and the write lands in cols
-                cols[row, :span].reshape(nb, oh, ow)[...] = plane[
-                    :, dy : dy + stride * oh : stride,
-                    dx : dx + stride * ow : stride,
-                ]
-                row += 1
-
-
-def _pack_words16_numpy(
-    words: np.ndarray,
-    bits: np.ndarray,
-    k: int,
-    stride: int,
-    oh: int,
-    ow: int,
-) -> None:
-    """Pack thresholded bits into uint16 activation words.
-
-    Bit order is ``(dy, dx, ch)`` — the layout of
-    ``bitpack._pack_activation_columns`` and ``bitpack.pack_filters``,
-    so the words index the same shared dot table.
-    """
-    words.fill(0)
-    c = bits.shape[1]
-    index = 0
-    for dy in range(k):
-        for dx in range(k):
-            for ch in range(c):
-                window = bits[
-                    :, ch, dy : dy + stride * oh : stride,
-                    dx : dx + stride * ow : stride,
-                ]
-                words |= window.astype(np.uint16) << np.uint16(index)
-                index += 1
-
-
-if HAVE_NUMBA:  # pragma: no cover - numba absent in the CI container
-
-    @numba.njit(cache=True)
-    def _fill_cols_jit(cols, bits, n0, n1, k, stride, oh, ow):
-        c = bits.shape[1]
-        for ch in range(c):
-            for dy in range(k):
-                for dx in range(k):
-                    row = (ch * k + dy) * k + dx
-                    for n in range(n0, n1):
-                        base = (n - n0) * oh * ow
-                        for oy in range(oh):
-                            for ox in range(ow):
-                                cols[row, base + oy * ow + ox] = bits[
-                                    n, ch, dy + stride * oy, dx + stride * ox
-                                ]
-
-    @numba.njit(cache=True)
-    def _pack_words16_jit(words, bits, k, stride, oh, ow):
-        n, c = bits.shape[0], bits.shape[1]
-        for i in range(n):
-            for oy in range(oh):
-                for ox in range(ow):
-                    v = np.uint16(0)
-                    index = 0
-                    for dy in range(k):
-                        for dx in range(k):
-                            for ch in range(c):
-                                if bits[i, ch, dy + stride * oy,
-                                        dx + stride * ox]:
-                                    v |= np.uint16(1) << np.uint16(index)
-                                index += 1
-                    words[i, oy, ox] = v
-
-    _fill_cols = _fill_cols_jit
-    _pack_words16 = _pack_words16_jit
-else:
-    _fill_cols = _fill_cols_numpy
-    _pack_words16 = _pack_words16_numpy
-
-
-class _Workspace(threading.local):
-    """Per-thread buffer pool: one named, shape-keyed scratch arena.
-
-    A kernel's scratch (and its output buffer — dead by the time the
-    same node runs again, since the chain consumed it) is reused across
-    calls instead of reallocated, keyed by ``(tag, shape)`` so varying
-    batch sizes coexist.
-    """
-
-    def __init__(self) -> None:
-        self.buffers: dict[tuple, np.ndarray] = {}
-
-    def get(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype).str)
-        buf = self.buffers.get(key)
-        if buf is None:
-            buf = np.zeros(shape, dtype=dtype)
-            self.buffers[key] = buf
-        return buf
-
-
-class _BatchTiler:
-    """Shape-keyed autotuned batch-tile size for the column fill + GEMM.
-
-    Candidates are tried once each on real calls (first candidate
-    first, so the untuned behavior is "no tiling"); afterwards the
-    fastest sticks.  Tiling choice cannot affect results — columns are
-    independent and the GEMM is exact — only speed.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._state: dict[tuple, dict] = {}
-        self._autotune = os.environ.get(
-            "REPRO_COMPILED_AUTOTUNE", "1"
-        ) != "0"
-
-    def candidates(self, n: int) -> list[int]:
-        cands = [n]
-        for tn in (64, 16):
-            if tn < n:
-                cands.append(tn)
-        return cands
-
-    def pick(self, key: tuple, n: int) -> int:
-        if not self._autotune:
-            return n
-        with self._lock:
-            state = self._state.setdefault(key, {"timings": {}})
-            if "best" in state:
-                return state["best"]
-            for tn in self.candidates(n):
-                if tn not in state["timings"]:
-                    return tn
-            state["best"] = min(state["timings"], key=state["timings"].get)
-            return state["best"]
-
-    def report(self, key: tuple, tn: int, seconds: float) -> None:
-        if not self._autotune:
-            return
-        with self._lock:
-            state = self._state.setdefault(key, {"timings": {}})
-            if "best" not in state:
-                state["timings"].setdefault(tn, seconds)
-
-
-@register_backend("compiled")
-class CompiledBackend(PackedBackend):
-    """Fused threshold-compare + exact-SGEMM kernels over the pass IR.
-
-    Subclasses :class:`~repro.engine.backends.packed.PackedBackend`, so
-    unfused binary ops (a program run with ``passes="none"``) and the
-    dense layers execute the packed kernels unchanged — the fusion win
-    lives entirely in :meth:`compile_fused_conv`.
-    """
-
-    def __init__(self) -> None:
-        self._tiler = _BatchTiler()
-
-    def compile_fused_conv(self, node: ir.FusedBinaryConvOp) -> Kernel:
-        if node.scaling == "channelwise":
-            # Eq. 14 needs channel-resolved partial dots; the summed
-            # GEMM cannot express it, so replay the reference path.
-            return super().compile_fused_conv(node)
-        return self._fused_kernel(node)
-
-    def _fused_kernel(self, node: ir.FusedBinaryConvOp) -> Kernel:
-        k, stride, padding = node.kernel_size, node.stride, node.padding
-        c_in, c_out = node.in_channels, node.out_channels
-        xnor = node.scaling == "xnor"
-        if node.w_binary is not None:
-            w_binary, alpha_w = node.w_binary, node.alpha_w
-        else:
-            w_binary, alpha_w = quantize.binarize_weights(node.weight)
-        bn_scale, bn_shift = node.bn_scale, node.bn_shift
-        # thresholds: fl(t + b) >= 0  ⟺  t >= -b (negation is exact)
-        thresholds = None if bn_shift is None else -bn_shift
-        n_bits = c_in * k * k
-        use_table16 = n_bits <= 16 and c_out <= 64
-        gemm_max_bits = int(
-            os.environ.get("REPRO_COMPILED_GEMM_MAX_BITS", "72")
-        )
-        # fused gathers amortize over spatial positions; below this
-        # many output cells per image the reference replay is faster
-        min_positions = int(
-            os.environ.get("REPRO_COMPILED_MIN_POSITIONS", "1024")
-        )
-        fallback = super().compile_fused_conv(node)
-        if not use_table16 and n_bits > gemm_max_bits:
-            # wide receptive fields: no fused kernel beats the packed
-            # popcount path at any map size — replay wins outright
-            return fallback
-        if use_table16:
-            w_packed = bitpack.pack_filters(w_binary)
-        else:
-            w_mat32 = np.ascontiguousarray(
-                w_binary.reshape(c_out, n_bits), dtype=np.float32
-            )
-            w_rowsum32 = w_mat32.sum(axis=1, dtype=np.float32)
-        alpha_w4 = alpha_w[:, None, None, None]
-        workspace = _Workspace()
-        tiler = self._tiler
-        name = node.name
-
-        def run(x: np.ndarray) -> np.ndarray:
-            n, _, h, w = x.shape
-            oh = (h + 2 * padding - k) // stride + 1
-            ow = (w + 2 * padding - k) // stride + 1
-            if oh * ow < min_positions:
-                # small map: the gather-per-row fused paths lose to the
-                # reference replay here (bit-identical either way)
-                return fallback.fn(x)
-            # zeros-allocated and only the interior ever written, so the
-            # padding border stays 0 (= −1, the binary domain's "empty")
-            bits = workspace.get(
-                "bits", (n, c_in, h + 2 * padding, w + 2 * padding), bool
-            )
-            interior = bits[:, :, padding : padding + h,
-                            padding : padding + w]
-            a = workspace.get("a", (n, 1, h, w), np.float64) if xnor else None
-            if bn_scale is None:
-                np.greater_equal(x, 0.0, out=interior)
-                if xnor:
-                    # same sequential accumulation as input_scale_xnor
-                    np.abs(x[:, 0], out=a[:, 0])
-                    for ch in range(1, c_in):
-                        t2 = workspace.get("t2", (n, h, w), np.float64)
-                        np.abs(x[:, ch], out=t2)
-                        a[:, 0] += t2
-            else:
-                # one channel slice at a time stays cache-resident
-                # across the 4 passes (the maps here are large)
-                t = workspace.get("t", (n, h, w), np.float64)
-                t2 = workspace.get("t2", (n, h, w), np.float64) if xnor else None
-                for ch in range(c_in):
-                    np.multiply(x[:, ch], bn_scale[ch], out=t)
-                    np.greater_equal(t, thresholds[ch], out=interior[:, ch])
-                    if xnor:
-                        # t += b reproduces the batch-norm output exactly
-                        t += bn_shift[ch]
-                        if ch == 0:
-                            np.abs(t, out=a[:, 0])
-                        else:
-                            np.abs(t, out=t2)
-                            a[:, 0] += t2
-            if xnor:
-                if c_in > 1:
-                    a /= c_in
-                alpha4 = quantize.box_mean(a, k, k, stride, padding)
-            out = workspace.get("out", (n, c_out, oh, ow), np.float64)
-            out_t = out.transpose(1, 0, 2, 3)
-            if use_table16:
-                words = workspace.get("w16", (n, oh, ow), np.uint16)
-                _pack_words16(words, bits, k, stride, oh, ow)
-                dots = bitpack.packed_conv_dots(
-                    words.reshape(1, -1), w_packed, n_bits
-                )
-                np.multiply(
-                    dots.reshape(c_out, n, oh, ow), alpha_w4, out=out_t
-                )
-            else:
-                key = (name, n, h, w)
-                tn = tiler.pick(key, n)
-                start = time.perf_counter()
-                cols = workspace.get(
-                    "cols", (n_bits, tn * oh * ow), np.float32
-                )
-                dots = workspace.get("G", (c_out, n * oh * ow), np.float32)
-                for n0 in range(0, n, tn):
-                    n1 = min(n0 + tn, n)
-                    span = (n1 - n0) * oh * ow
-                    _fill_cols(cols, bits, n0, n1, k, stride, oh, ow)
-                    np.matmul(
-                        w_mat32,
-                        cols[:, :span],
-                        out=dots[:, n0 * oh * ow : n0 * oh * ow + span],
-                    )
-                # true ±1 dot from the 0/1 GEMM; every value an exact
-                # integer < 2**24, so float32 holds it exactly
-                np.multiply(dots, np.float32(2.0), out=dots)
-                dots -= w_rowsum32[:, None]
-                tiler.report(key, tn, time.perf_counter() - start)
-                np.multiply(
-                    dots.reshape(c_out, n, oh, ow), alpha_w4, out=out_t
-                )
-            if xnor:
-                out *= alpha4
-            return out
-
-        return Kernel(node, run)
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None

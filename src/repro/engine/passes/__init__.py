@@ -2,8 +2,9 @@
 
 Lowering (:mod:`repro.engine.lower`) emits a *verbatim* program — one
 node per source layer, executed as written.  The passes here rewrite
-that program into the fused form the ``compiled`` backend exploits,
-under one inviolable contract: **a pass never changes an output bit**.
+that program into a fused form (threshold-compare binarization,
+hoisted weight constants, in-place buffer licenses) under one
+inviolable contract: **a pass never changes an output bit**.
 Every rewrite is value-preserving (the batch-norm→binarize fold relies
 on float addition near zero being exact and rounding being monotone;
 scale hoisting only moves compile-time-constant computation), and the
@@ -20,8 +21,8 @@ FusedBinaryConvOp` nodes whose binarization is a threshold compare.
    them on the fused nodes.
 3. ``liveness`` — drop identity ops and mark fused nodes whose input
    buffer dies at the node (never the head of a residual branch, whose
-   input is shared with a sibling), licensing in-place kernel variants
-   and per-node workspace reuse in the compiled backend.
+   input is shared with a sibling), licensing in-place kernel
+   variants.
 
 ``hoist-scales`` and ``liveness`` touch disjoint fields and commute;
 ``fold-bn`` must run before both (they only act on fused nodes) — the

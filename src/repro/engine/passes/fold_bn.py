@@ -17,8 +17,8 @@ affine's constants onto a :class:`~repro.engine.ir.FusedBinaryConvOp`
 verbatim, with no arithmetic of its own.
 
 Lone binary convolutions (no preceding batch-norm) are wrapped into
-fused nodes too, so downstream passes and the compiled backend see one
-node type for the whole Eq. 8 family.
+fused nodes too, so downstream passes and the backends see one node
+type for the whole Eq. 8 family.
 """
 
 from __future__ import annotations

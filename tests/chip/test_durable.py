@@ -15,9 +15,11 @@ from repro.chip import (
     ChipScanner,
     DurableChipScan,
     JournalCorruptError,
+    JournalMismatchError,
     RetryPolicy,
     ScanPreemptedError,
     read_journal,
+    snapshot_journal,
 )
 from repro.chip.tiling import TileSpec
 from repro.litho.fullchip import synthesize_chip
@@ -128,6 +130,16 @@ class TestDurableScan:
     ):
         path = tmp_path / "scan.journal"
         durable(engine, layout, path).run()
+        # the same records under a header recording a backend that no
+        # longer exists: a different scan configuration, not replayed
+        contents = read_journal(path)
+        old = snapshot_journal(
+            tmp_path / "old.journal",
+            dict(contents.header, backend="compiled"),
+            list(contents.tiles.values()),
+        )
+        with pytest.raises(JournalMismatchError, match="backend"):
+            durable(engine, layout, old, resume=True).run()
         data = bytearray(path.read_bytes())
         data[-40] ^= 0xFF  # inside the last record's score payload
         path.write_bytes(bytes(data))

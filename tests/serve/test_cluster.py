@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.engine import available_backends
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.serve import (
@@ -146,7 +147,7 @@ class TestProvenanceAndHealth:
         replicas = stats["cluster"]["replicas"]
         for replica in replicas.values():
             prov = replica["provenance"]["default"]
-            assert prov["backend"] in ("packed", "float", "compiled")
+            assert prov["backend"] in available_backends()
             assert "fallback_reason" in prov
             assert prov["version"] == 1
         fleet = stats["cluster"]["fleet"]["default"]

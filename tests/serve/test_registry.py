@@ -144,8 +144,14 @@ class TestExplicitBackend:
         )
 
     def test_unknown_backend_raises_listing_available(self):
-        with pytest.raises(ValueError, match="packed"):
-            compile_engine(make_model(), backend="turbo")
+        # "compiled" names a backend that no longer exists
+        for name in ("turbo", "compiled"):
+            with pytest.raises(ValueError, match="available: float, packed"):
+                compile_engine(make_model(), backend=name)
+            with pytest.raises(ValueError, match="available: float, packed"):
+                ModelRegistry().register(
+                    "m", make_model(), image_size=16, backend=name
+                )
 
     def test_explicit_packed_is_strict_on_unloweredable(self):
         model = Sequential(Unsupported(), Dense(4, 2,
@@ -189,10 +195,10 @@ class TestFallbackReason:
 
 
 class TestBackendMeta:
-    def _save(self, tmp_path, backend="packed"):
+    def _save(self, tmp_path, backend="packed", name="ck"):
         model = make_model(seed=2)
         model.forward(make_images(seed=7), training=True)
-        return save_model(model, tmp_path / "ck", meta={
+        return save_model(model, tmp_path / name, meta={
             "image_size": 16, "base_width": 4, "scaling": "xnor",
             "stem_stride": 1, "backend": backend,
         })
@@ -211,6 +217,18 @@ class TestBackendMeta:
         with pytest.warns(UserWarning, match="records backend 'packed'"):
             entry = registry.load_checkpoint("m", path, prefer_packed=False)
         assert entry.backend == "float"
+        # a checkpoint recording a backend that no longer exists still
+        # loads, with the same warning, and serves packed bit-identically
+        old = self._save(tmp_path, backend="compiled", name="old")
+        with pytest.warns(UserWarning, match="records backend 'compiled'"):
+            entry = registry.load_checkpoint("old", old)
+        assert entry.backend == "packed"
+        packed = registry.load_checkpoint("m", path)
+        images = make_images(seed=8)
+        np.testing.assert_array_equal(
+            entry.engine.predict_logits(images),
+            packed.engine.predict_logits(images),
+        )
 
     def test_explicit_backend_mismatch_warns(self, tmp_path):
         path = self._save(tmp_path, backend="float")
