@@ -79,7 +79,7 @@ def _timed_scan(service, request):
     return report, time.perf_counter() - start
 
 
-def test_scan_plane_speedup():
+def test_scan_plane_speedup(monkeypatch):
     """Plane-compiled scan vs per-window scan through the service."""
     size = scan_layout_size()
     layout = dense_layout(size)
@@ -89,8 +89,10 @@ def test_scan_plane_speedup():
     request = ScanRequest(layout, window=WINDOW, stride=STRIDE)
 
     with HotspotService.from_model(model, IMAGE_SIZE,
-                                   workers=WORKERS) as service:
-        service._plane_scale = lambda *args: None  # force per-window
+                                   workers=WORKERS) as service, \
+            monkeypatch.context() as patch:
+        patch.setattr("repro.serve.service.plane_scan_scale",
+                      lambda *args: None)  # force per-window
         baseline, baseline_s = _timed_scan(service, request)
 
     # track the peak packed-column buffer while the plane path runs

@@ -160,7 +160,7 @@ def test_serving_scaleout(iccad_benchmark, epochs, benchmark):
     assert scaleout >= min_scaleout
 
 
-def test_scan_cache_effectiveness(iccad_benchmark, epochs):
+def test_scan_cache_effectiveness(iccad_benchmark, epochs, monkeypatch):
     """Full-layout sliding-window scan: raster cache and determinism."""
     bench = subsample(iccad_benchmark, n_train=120, n_test=32)
     model = _trained_model(bench, epochs)
@@ -178,8 +178,10 @@ def test_scan_cache_effectiveness(iccad_benchmark, epochs):
     # which the plane-compiled scan (benchmarked in bench_scan_plane.py)
     # bypasses entirely
     with HotspotService.from_model(model, bench.image_size,
-                                   workers=4) as service:
-        service._plane_scale = lambda *args: None
+                                   workers=4) as service, \
+            monkeypatch.context() as patch:
+        patch.setattr("repro.serve.service.plane_scan_scale",
+                      lambda *args: None)
         report = service.scan(request)
         stats = service.stats()
     with HotspotService.from_model(model, bench.image_size,

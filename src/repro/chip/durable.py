@@ -34,14 +34,13 @@ four properties in CI.
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..litho.geometry import Clip
+from ..train.run import preemption_signals
 from .journal import JournalCorruptError, ScanJournal, journal_header
 from .scanner import DEFAULT_TILE_BUDGET, ChipScanJob, ChipScanResult
 from .tiling import TileSpec, split_tile
@@ -204,26 +203,6 @@ class DurableChipScan:
         self._preempt_reason = reason
         self._preempted = True
 
-    def _install_signal_handlers(self):
-        if not self.handle_signals:
-            return []
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        installed = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            def handler(sig, frame, _name=signal.Signals(signum).name):
-                self.request_preemption(f"received {_name}")
-            try:
-                installed.append((signum, signal.signal(signum, handler)))
-            except (ValueError, OSError):  # pragma: no cover - platform
-                break
-        return installed
-
-    @staticmethod
-    def _restore_signal_handlers(handlers) -> None:
-        for signum, previous in handlers:
-            signal.signal(signum, previous)
-
     def _check_preempt(self, progress: _Progress) -> None:
         if self._preempted:
             raise ScanPreemptedError(
@@ -286,11 +265,11 @@ class DurableChipScan:
             progress.replayed += 1
         resumed = progress.replayed > 0
         self._score_fn = job.score_tile
-        handlers = self._install_signal_handlers()
         try:
-            self._scan_pending(job, pending, progress, parallel)
+            with preemption_signals(self.handle_signals,
+                                    self.request_preemption):
+                self._scan_pending(job, pending, progress, parallel)
         finally:
-            self._restore_signal_handlers(handlers)
             journal.close()
         return ChipScanResult(
             layout=self.layout, heatmap=job.heatmap(progress.scores),

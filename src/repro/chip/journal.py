@@ -52,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from ..litho.geometry import Clip
+from ..train.checkpoint import fsync_directory
 from .tiling import TileGrid
 
 __all__ = [
@@ -304,18 +305,6 @@ def read_journal(
     )
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Make a create/rename in ``directory`` durable (best effort)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _check_binding(header: dict, expected: dict, path: Path) -> None:
     mismatched = [
         f"{key}: journal={header.get(key)!r} != job={expected.get(key)!r}"
@@ -360,7 +349,7 @@ class ScanJournal:
         journal = cls(path, dict(header), handle)
         payload = json.dumps(header, sort_keys=True).encode("utf-8")
         journal._append(_KIND_HEADER, payload)
-        _fsync_directory(path.parent)
+        fsync_directory(path.parent)
         return journal
 
     @classmethod
@@ -456,5 +445,5 @@ def snapshot_journal(
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
     return path

@@ -55,7 +55,6 @@ from .errors import (
     RolloutError,
     ServeError,
     ServiceOverloaded,
-    ShardError,
     WorkerCrashError,
 )
 from .faults import FaultInjector, FaultRule, FrameFaults, InjectedFault
@@ -85,7 +84,6 @@ __all__ = [
     "ServeError",
     "DeadlineExceeded",
     "ServiceOverloaded",
-    "ShardError",
     "CheckpointError",
     "FrameIntegrityError",
     "WorkerCrashError",

@@ -142,36 +142,24 @@ def measure_cluster_serving(
 
     results: dict[str, ModeResult] = {}
     request_set = list(images)
-    with HotspotService.from_model(
-        model, image_size, prefer_packed=True,
-        max_batch=max_batch, max_wait_ms=2.0,
-    ) as service:
-        service.classify_many(request_set[:2])  # warm-up
-        started = time.perf_counter()
-        predictions = service.classify_many(request_set)
-        seconds = time.perf_counter() - started
-    results["single-process"] = ModeResult(
-        mode="single-process", backend=predictions[0].backend,
-        clips=len(predictions), seconds=seconds,
-        mean_batch_size=float(min(max_batch, len(request_set))),
-        labels=np.array([p.label for p in predictions], dtype=np.int64),
-        scores=np.array([p.score for p in predictions]),
-    )
-
-    with ClusterService.from_model(
-        model, image_size, processes=processes, max_batch=max_batch,
-    ) as service:
-        service.classify_many(request_set[:2])  # warm-up (compiles fleet)
-        started = time.perf_counter()
-        predictions = service.classify_many(request_set)
-        seconds = time.perf_counter() - started
-    results[f"cluster-{processes}"] = ModeResult(
-        mode=f"cluster-{processes}", backend=predictions[0].backend,
-        clips=len(predictions), seconds=seconds,
-        mean_batch_size=float(min(max_batch, len(request_set))),
-        labels=np.array([p.label for p in predictions], dtype=np.int64),
-        scores=np.array([p.score for p in predictions]),
-    )
+    for mode, cls, knobs in (
+        ("single-process", HotspotService, {}),
+        (f"cluster-{processes}", ClusterService, {"processes": processes}),
+    ):
+        with cls.from_model(
+            model, image_size, max_batch=max_batch, **knobs
+        ) as service:
+            service.classify_many(request_set[:2])  # warm-up (and fleet)
+            started = time.perf_counter()
+            predictions = service.classify_many(request_set)
+            seconds = time.perf_counter() - started
+        results[mode] = ModeResult(
+            mode=mode, backend=predictions[0].backend,
+            clips=len(predictions), seconds=seconds,
+            mean_batch_size=float(min(max_batch, len(request_set))),
+            labels=np.array([p.label for p in predictions], dtype=np.int64),
+            scores=np.array([p.score for p in predictions]),
+        )
     return results
 
 

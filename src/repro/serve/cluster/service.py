@@ -1,13 +1,21 @@
 """Supervised multi-process serving: router, worker fleet, failover.
 
-:class:`ClusterService` serves the :class:`~repro.serve.service.\
-HotspotService` request surface (classify / classify_many / scan,
-plus health / stats / close) from a fleet of **crash-isolated worker
-processes**.  The router owns admission and batching; workers own
-scoring.  Division of labour:
+:class:`ClusterService` is the second shard executor of the one
+serving request path.  Model selection, request normalisation,
+deadlines, prediction and report assembly, ``health()`` and
+``stats()`` come from the base class it shares with
+:class:`~repro.serve.service.HotspotService`; this module only decides
+where the scoring runs — on a fleet of **crash-isolated worker
+processes**.  What still differs from the in-process executor: the
+fleet admits tasks (one ``max_batch``-row frame or one scan band), not
+single requests, so ``queue_depth`` counts tasks (default 256, vs 1024
+requests in-process); and unaligned scans and chip scans run
+in-process only.  The fleet buys crash isolation and rollout, not
+throughput — the only recorded scale-out is 0.567x on a 1-CPU host
+(``BENCH_serve_scaleout.json``).  Division of labour:
 
-* The **router** (this class, in the caller's process) prepares inputs
-  through the shared raster/plane caches, writes them into
+* The **router** (this class, in the caller's process) writes the
+  prepared inputs and the cached scan plane into
   shared-memory frames (:mod:`.shm`, SHA-256 verified), shards scans
   into contiguous origin-band tasks, load-balances tasks over READY
   replicas, and reassembles results in task order — so worker count
@@ -53,9 +61,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ...features.downsample import downsample_binary, to_network_input
-from ...litho.geometry import Clip
-from ..cache import PlaneCache, RasterCache
+from ...features.downsample import to_network_input
 from ..errors import (
     DeadlineExceeded,
     FrameIntegrityError,
@@ -64,19 +70,9 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..faults import FaultInjector
-from ..metrics import ServiceMetrics
-from ..pool import shard_slices
+from ..pool import ShardOutcome, shard_slices
 from ..registry import ModelEntry, ModelRegistry
-from ..service import plane_scan_scale, window_origins
-from ..types import (
-    ClipRequest,
-    HealthReport,
-    HealthState,
-    Prediction,
-    ScanHit,
-    ScanReport,
-    ScanRequest,
-)
+from ..service import _remaining, _ServiceBase, plane_scan_scale
 from .fleet import ReplicaState, WorkerHandle
 from .messages import (
     ClassifyTask,
@@ -92,6 +88,9 @@ from .shm import put_frame
 from .worker import worker_main
 
 __all__ = ["ClusterService"]
+
+#: compile knobs a worker applies when a model registered without them
+_DEFAULT_KNOBS = {"prefer_packed": True, "backend": None, "passes": "default"}
 
 
 class _FrameHolder:
@@ -174,7 +173,7 @@ class _Task:
         self.slot: int | None = None  #: current owner
 
 
-class ClusterService:
+class ClusterService(_ServiceBase):
     """Crash-isolated multi-process hotspot serving behind one router.
 
     Parameters mirror :class:`~repro.serve.service.HotspotService`
@@ -220,7 +219,8 @@ class ClusterService:
     faults / faults_in_respawn:
         Chaos injector.  It is deep-copied into every worker of the
         *initial* fleet (sites ``"worker"`` and ``"worker:<slot>"``
-        fire per task; ``"frame"`` fires router-side per frame write);
+        fire per task; ``"frame"`` fires router-side per frame write,
+        ``"raster"`` per request rasterization, as in-process);
         respawned workers get a clean injector unless
         ``faults_in_respawn=True`` — otherwise a deterministic
         kill-on-first-task rule would quarantine every slot instead of
@@ -253,12 +253,10 @@ class ClusterService:
     ):
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        if overflow not in ("block", "shed"):
-            raise ValueError(
-                f"overflow must be 'block' or 'shed', got {overflow!r}"
-            )
+        super().__init__(
+            registry, default_model, max_batch, queue_depth, overflow,
+            default_timeout_s, cache_capacity, plane_cache_capacity, faults,
+        )
         if task_retries < 0 or frame_retries < 0:
             raise ValueError("task_retries/frame_retries must be >= 0")
         if task_timeout_s is not None and task_timeout_s <= 0:
@@ -269,13 +267,7 @@ class ClusterService:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {quarantine_after}"
             )
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.default_model = default_model
         self.processes = processes
-        self.max_batch = max_batch
-        self.queue_depth = queue_depth
-        self.overflow = overflow
-        self.default_timeout_s = default_timeout_s
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.task_timeout_s = task_timeout_s
@@ -286,11 +278,7 @@ class ClusterService:
         self.respawn_backoff_max_s = respawn_backoff_max_s
         self.quarantine_after = quarantine_after
         self.scan_shards = scan_shards
-        self.faults = faults
         self.faults_in_respawn = faults_in_respawn
-        self.metrics = ServiceMetrics()
-        self.cache = RasterCache(capacity=cache_capacity)
-        self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
         # fork shares the parent's imported modules and model weights
         # copy-on-write, so workers start in well under a second; spawn
         # is the fallback where fork does not exist
@@ -307,23 +295,10 @@ class ClusterService:
         self._knobs: dict[str, dict[str, object]] = {}
         self._load_results: dict[tuple, object] = {}
         self._started = False
-        self._closed = False
         self._stop = threading.Event()
         self._supervisor: threading.Thread | None = None
 
     # -- model management ------------------------------------------------
-
-    @classmethod
-    def from_model(cls, model, image_size: int, name: str = "default",
-                   prefer_packed: bool = True, decision_bias: float = 0.0,
-                   backend: str | None = None, **kwargs) -> "ClusterService":
-        """Convenience: one live model, ready-to-serve cluster."""
-        service = cls(default_model=name, **kwargs)
-        service.register(
-            name, model, image_size=image_size, prefer_packed=prefer_packed,
-            decision_bias=decision_bias, backend=backend,
-        )
-        return service
 
     def register(self, name: str, model, image_size: int,
                  prefer_packed: bool = True, decision_bias: float = 0.0,
@@ -336,17 +311,15 @@ class ClusterService:
         spec is broadcast to every live replica *without* draining;
         use :meth:`rollout` for the guarded one-replica-at-a-time swap.
         """
-        entry = self.registry.register(
+        entry = super().register(
             name, model, image_size=image_size, prefer_packed=prefer_packed,
             decision_bias=decision_bias, meta=meta, backend=backend,
             passes=passes,
         )
         with self._cond:
             self._versions.setdefault(name, 1)
-            self._knobs[name] = {
-                "prefer_packed": prefer_packed, "backend": backend,
-                "passes": passes,
-            }
+            self._knobs[name] = dict(prefer_packed=bool(prefer_packed),
+                                     backend=backend, passes=passes)
             live = [h for h in self._handles if h.alive] if self._started \
                 else []
             spec = self._spec(name) if live else None
@@ -357,38 +330,25 @@ class ClusterService:
                 pass
         return entry
 
+    @staticmethod
+    def _make_spec(name: str, entry: ModelEntry, knobs: dict | None,
+                   version: int) -> ModelSpec:
+        """The worker-bound spec of ``entry`` compiled under ``knobs``."""
+        return ModelSpec(
+            name=name, model=entry.model, image_size=entry.image_size,
+            decision_bias=entry.decision_bias, version=version,
+            **{**_DEFAULT_KNOBS, **(knobs or {})},
+        )
+
     def _spec(self, name: str) -> ModelSpec:
         """Build the worker-bound spec of a registered model (locked)."""
-        entry = self.registry.get(name)
-        knobs = self._knobs.get(name, {})
-        return ModelSpec(
-            name=name,
-            model=entry.model,
-            image_size=entry.image_size,
-            decision_bias=entry.decision_bias,
-            prefer_packed=bool(knobs.get("prefer_packed", True)),
-            backend=knobs.get("backend"),
-            passes=knobs.get("passes", "default"),
-            version=self._versions.get(name, 1),
+        return self._make_spec(
+            name, self.registry.get(name), self._knobs.get(name),
+            self._versions.get(name, 1),
         )
 
     def _specs(self) -> tuple[ModelSpec, ...]:
         return tuple(self._spec(name) for name in self.registry.names())
-
-    def _entry(self, model: str | None) -> ModelEntry:
-        if self._closed:
-            raise RuntimeError("service is closed")
-        name = model or self.default_model
-        if name is None:
-            names = self.registry.names()
-            if len(names) == 1:
-                name = names[0]
-            else:
-                raise ValueError(
-                    "no model selected: pass model= or set default_model "
-                    f"(registered: {names or 'none'})"
-                )
-        return self.registry.get(name)
 
     # -- fleet lifecycle -------------------------------------------------
 
@@ -785,7 +745,9 @@ class ClusterService:
 
     def _submit_locked(self, msg, holder: _FrameHolder,
                        pin_slot: int | None = None,
-                       deadline: float | None = None) -> _Task:
+                       deadline: float | None = None,
+                       timeout: float | None = None) -> _Task:
+        """Admit one task (``deadline`` bounds a blocked admission)."""
         if self._closed:
             raise RuntimeError("service is closed")
         self._ensure_fleet_locked()
@@ -799,21 +761,12 @@ class ClusterService:
                     f"admission queue full ({self.queue_depth} tasks "
                     f"outstanding) and overflow policy is 'shed'"
                 )
-            remaining = (
-                None if deadline is None
-                else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                self.metrics.record_timeout()
-                raise DeadlineExceeded(
-                    "admission queue stayed full past the deadline",
-                    stage="queue",
-                )
-            if not self._cond.wait(timeout=remaining):
-                self.metrics.record_timeout()
-                raise DeadlineExceeded(
-                    "admission queue stayed full past the deadline",
-                    stage="queue",
+            remaining = _remaining(deadline)
+            if remaining == 0 or not self._cond.wait(timeout=remaining):
+                raise self._deadline_exceeded(
+                    "queue", timeout,
+                    f"admission queue stayed full past the {timeout}s "
+                    f"deadline",
                 )
             if self._closed:
                 raise RuntimeError("service is closed")
@@ -838,64 +791,20 @@ class ClusterService:
                 except ValueError:
                     pass
 
-    def _await(self, tasks: list[_Task], deadline: float | None,
-               stage: str) -> None:
-        for task in tasks:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            if not task.event.wait(timeout=remaining):
-                with self._cond:
-                    self._abandon_locked(tasks)
-                self.metrics.record_timeout()
-                raise DeadlineExceeded(
-                    f"{stage} did not complete within the deadline",
-                    stage=stage,
-                )
+    # -- scoring hooks ---------------------------------------------------
 
-    # -- classify path ---------------------------------------------------
+    def _score_clips(self, entry, inputs, timeout, deadline):
+        """Score prepared inputs as ``max_batch``-row frames on the fleet.
 
-    def _as_request(self, item) -> ClipRequest:
-        if isinstance(item, ClipRequest):
-            return item
-        if isinstance(item, Clip):
-            return ClipRequest(clip=item)
-        return ClipRequest(image=np.asarray(item))
-
-    def _prepare(self, request: ClipRequest, entry: ModelEntry) -> np.ndarray:
-        if request.clip is not None:
-            image = self.cache.get(request.clip, entry.image_size, "binary")
-        else:
-            image = np.asarray(request.image, dtype=np.float64)
-            if image.shape[-1] != entry.image_size:
-                image = downsample_binary(image, entry.image_size)
-        return to_network_input(image[None])
-
-    def classify(self, request, model: str | None = None,
-                 timeout: float | None = None) -> Prediction:
-        """Classify one clip on some replica (bit-identical on any)."""
-        return self.classify_many([request], model=model, timeout=timeout)[0]
-
-    def classify_many(self, requests, model: str | None = None,
-                      timeout: float | None = None) -> list[Prediction]:
-        """Classify clips: batch into frames, fan out across replicas.
-
-        Requests are prepared router-side (raster cache, downsampling,
-        the {-1,+1} mapping), packed into shared-memory frames in
-        ``max_batch``-sized chunks, and the chunks dispatched to the
-        least-loaded READY replicas.  Results reassemble in request
-        order; which replica served a chunk never changes a score.
+        The inputs are packed into shared-memory frames in
+        ``max_batch``-sized chunks and dispatched to the least-loaded
+        READY replicas; rows come back in input order once every chunk
+        has finished, and which replica served a chunk never changes a
+        score.
         """
-        entry = self._entry(model)
-        if timeout is None:
-            timeout = self.default_timeout_s
-        started = time.perf_counter()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        reqs = [self._as_request(item) for item in requests]
-        prepared = [self._prepare(request, entry) for request in reqs]
+        prepared = list(inputs)
         if not prepared:
-            return []
+            return
         version = self._versions.get(entry.name, 1)
         tasks: list[_Task] = []
         try:
@@ -909,32 +818,23 @@ class ClusterService:
                         task_id=-1, model=entry.name, version=version,
                         frame=holder.ref,
                     )
-                    tasks.append(
-                        self._submit_locked(msg, holder, deadline=deadline)
-                    )
+                    tasks.append(self._submit_locked(
+                        msg, holder, deadline=deadline, timeout=timeout,
+                    ))
         except Exception:
             with self._cond:
                 self._abandon_locked(tasks)
             raise
-        self._await(tasks, deadline, stage="classify")
+        for task in tasks:
+            if not task.event.wait(timeout=_remaining(deadline)):
+                with self._cond:
+                    self._abandon_locked(tasks)
+                raise self._deadline_exceeded("classify", timeout)
         for task in tasks:
             if task.error is not None:
                 raise task.error
-        logits = np.concatenate([task.logits for task in tasks])
-        scores = logits[:, 1] - logits[:, 0]
-        latency_ms = (time.perf_counter() - started) * 1e3
-        predictions = []
-        for request, score in zip(reqs, scores):
-            self.metrics.record_request(latency_ms)
-            predictions.append(Prediction(
-                request_id=request.request_id,
-                label=int(score > entry.decision_bias),
-                score=float(score),
-                model=entry.name,
-                backend=entry.backend,
-                latency_ms=latency_ms,
-            ))
-        return predictions
+        for task in tasks:
+            yield from task.logits
 
     # -- scan path -------------------------------------------------------
 
@@ -944,9 +844,8 @@ class ClusterService:
         ready = sum(1 for h in self._handles if h.accepts_work)
         return max(2, 2 * max(1, ready))
 
-    def scan(self, request: ScanRequest, model: str | None = None,
-             timeout: float | None = None) -> ScanReport:
-        """Sweep a layout across the fleet; one plane, many band shards.
+    def _score_scan(self, request, entry, origins, timeout):
+        """One plane frame, many band tasks across the fleet.
 
         The layout is rasterized **once** (plane cache) and shipped to
         the fleet as a single shared-memory frame; each shard is a
@@ -956,20 +855,12 @@ class ClusterService:
         once per band.  Window independence (the plane-scan contract)
         makes the result bit-identical to a single-process sweep, no
         matter how shards land on replicas or how often they fail over.
-
-        Failure semantics match the in-process scan: a shard that
-        exhausts its failover/ retry budget degrades the report
-        (``failed_ranges``) instead of discarding healthy shards; the
-        deadline abandons unfinished shards the same way.
+        A shard that exhausts its failover/retry budget, or is still
+        unfinished at the deadline, comes back as a failed outcome.
+        Geometry that is not pixel-aligned raises ``ValueError``: the
+        fleet has no per-window path.
         """
-        entry = self._entry(model)
-        if timeout is None:
-            timeout = self.default_timeout_s
-        started = time.perf_counter()
         deadline = None if timeout is None else time.monotonic() + timeout
-        origins = window_origins(
-            request.layout.size, request.window, request.stride
-        )
         scale = plane_scan_scale(
             request.layout.size, request.window, request.stride,
             entry.image_size,
@@ -1008,60 +899,39 @@ class ClusterService:
                         window_px=entry.image_size,
                         batch_size=self.max_batch,
                     )
-                    tasks.append(
-                        self._submit_locked(msg, holder, deadline=deadline)
-                    )
+                    tasks.append(self._submit_locked(
+                        msg, holder, deadline=deadline, timeout=timeout,
+                    ))
         except Exception:
             with self._cond:
                 self._abandon_locked(tasks)
             if holder is not None:
                 holder.release(len(slices) - len(tasks))
             raise
-        timed_out = False
         for task in tasks:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            if not task.event.wait(timeout=remaining):
-                timed_out = True
+            if not task.event.wait(timeout=_remaining(deadline)):
+                with self._cond:
+                    self._abandon_locked(tasks)
+                self.metrics.record_timeout()
                 break
-        if timed_out:
-            with self._cond:
-                self._abandon_locked(tasks)
-            self.metrics.record_timeout()
-        hits: list[ScanHit] = []
-        failed_ranges: list[tuple[int, int]] = []
-        retried = 0
+        outcomes = []
         for shard, task in zip(slices, tasks):
-            retried += task.crashes + task.errors + task.frame_retries
+            outcome = ShardOutcome(
+                shard.start, shard.stop,
+                retries=task.crashes + task.errors + task.frame_retries,
+            )
             if task.logits is None:
-                failed_ranges.append((shard.start, shard.stop))
-                continue
-            scores = task.logits[:, 1] - task.logits[:, 0]
-            for (x, y), score in zip(origins[shard], scores):
-                if score > entry.decision_bias:
-                    hits.append(ScanHit(
-                        x, y, x + request.window, y + request.window,
-                        float(score),
-                    ))
+                outcome.error = task.error or DeadlineExceeded(
+                    f"shard [{shard.start}:{shard.stop}) did not complete "
+                    f"within the {timeout}s scan deadline",
+                    timeout_s=timeout, stage="shard",
+                )
+            else:
+                logits = task.logits
+                outcome.results = (logits[:, 1] - logits[:, 0]).tolist()
+            outcomes.append(outcome)
         self._broadcast_release(holder)
-        latency_ms = (time.perf_counter() - started) * 1e3
-        failed_windows = sum(stop - start for start, stop in failed_ranges)
-        self.metrics.record_scan(
-            len(origins), latency_ms, plane=True,
-            failed_windows=failed_windows, retried_shards=retried,
-        )
-        return ScanReport(
-            request_id=request.request_id,
-            windows_scanned=len(origins),
-            hits=tuple(hits),
-            model=entry.name,
-            backend=entry.backend,
-            latency_ms=latency_ms,
-            degraded=bool(failed_ranges),
-            failed_ranges=tuple(failed_ranges),
-        )
+        return outcomes, True
 
     def _broadcast_release(self, holder: _FrameHolder | None) -> None:
         """Tell live workers to drop their cached plane attachments."""
@@ -1166,24 +1036,12 @@ class ClusterService:
         new_version = old_version + 1
         with self._cond:
             self._versions[name] = new_version
-            self._knobs[name] = {
-                "prefer_packed": prefer_packed, "backend": backend,
-                "passes": passes,
-            }
+            self._knobs[name] = dict(prefer_packed=bool(prefer_packed),
+                                     backend=backend, passes=passes)
             spec = self._spec(name)
-            old_spec = None
-            if old_entry is not None:
-                old_spec = ModelSpec(
-                    name=name, model=old_entry.model,
-                    image_size=old_entry.image_size,
-                    decision_bias=old_entry.decision_bias,
-                    prefer_packed=bool(
-                        (old_knobs or {}).get("prefer_packed", True)
-                    ),
-                    backend=(old_knobs or {}).get("backend"),
-                    passes=(old_knobs or {}).get("passes", "default"),
-                    version=old_version,
-                )
+            old_spec = None if old_entry is None else self._make_spec(
+                name, old_entry, old_knobs, old_version
+            )
         swapped: list[int] = []
         try:
             canary = (
@@ -1311,13 +1169,8 @@ class ClusterService:
         if old_entry is not None:
             self.registry.register(
                 name, old_entry.model, image_size=old_entry.image_size,
-                prefer_packed=bool((old_knobs or {}).get(
-                    "prefer_packed", True
-                )),
-                decision_bias=old_entry.decision_bias,
-                meta=old_entry.meta,
-                backend=(old_knobs or {}).get("backend"),
-                passes=(old_knobs or {}).get("passes", "default"),
+                decision_bias=old_entry.decision_bias, meta=old_entry.meta,
+                **{**_DEFAULT_KNOBS, **(old_knobs or {})},
             )
         for slot in swapped:
             handle = self._handles[slot]
@@ -1365,108 +1218,49 @@ class ClusterService:
                 rec["versions"].add(prov.get("version"))
         return agg
 
-    def health(self) -> HealthReport:
-        """Fleet health: DRAINING when closed, DEGRADED on any fault.
+    def _health_reasons(self) -> tuple[str, ...]:
+        """Fleet conditions that degrade health.
 
-        Reasons enumerate fault counters (as in the single-process
-        service) plus the cluster conditions: down or quarantined
-        slots, replicas draining for a rollout, and — the fleet
-        integrity check — models served with **mixed backends or mixed
-        versions** across replicas (a half-finished or half-rolled
-        fleet must announce itself; predictions are bit-identical
-        across built-in backends, but performance and reproducibility
-        metadata are not).
+        Down or quarantined slots, replicas draining for a rollout,
+        and — the fleet integrity check — models served with **mixed
+        backends or mixed versions** across replicas (a half-finished
+        or half-rolled fleet must announce itself; predictions are
+        bit-identical across built-in backends, but performance and
+        reproducibility metadata are not).
         """
+        reasons = []
         with self._cond:
-            if self._closed:
-                return HealthReport(
-                    HealthState.DRAINING, ("service is closed/draining",)
-                )
-            m = self.metrics
-            reasons = tuple(
-                f"{count} {what}"
-                for count, what in (
-                    (m.errors_total, "request errors"),
-                    (m.shed_total, "requests shed (queue full)"),
-                    (m.timeouts_total, "deadline timeouts"),
-                    (m.workers_reaped_total, "workers reaped"),
-                    (m.worker_timeouts_total, "worker heartbeat timeouts"),
-                    (m.tasks_failed_over_total, "tasks failed over"),
-                    (m.frame_retries_total, "frame integrity retries"),
-                    (m.degraded_scans_total, "degraded scans"),
-                    (m.rollout_failures_total, "rollout failures"),
-                )
-                if count
-            )
             if self._started:
                 for handle in self._handles:
                     if handle.state is ReplicaState.QUARANTINED:
-                        reasons += (
-                            f"slot {handle.slot} quarantined after "
-                            f"{handle.crashes} consecutive crashes",
-                        )
+                        reasons.append(f"slot {handle.slot} quarantined after "
+                                       f"{handle.crashes} consecutive crashes")
                     elif handle.state is ReplicaState.DEAD:
-                        reasons += (
-                            f"slot {handle.slot} down, respawn pending",
+                        reasons.append(
+                            f"slot {handle.slot} down, respawn pending"
                         )
                     elif handle.state is ReplicaState.DRAINING:
-                        reasons += (
-                            f"replica {handle.slot} draining (rollout)",
+                        reasons.append(
+                            f"replica {handle.slot} draining (rollout)"
                         )
             for model, rec in self._fleet_provenance_locked().items():
                 if len(rec["backends"]) > 1:
-                    reasons += (
+                    reasons.append(
                         f"model {model!r}: mixed-backend fleet "
-                        f"({', '.join(sorted(rec['backends']))})",
+                        f"({', '.join(sorted(rec['backends']))})"
                     )
                 if len(rec["versions"]) > 1:
-                    versions = ", ".join(
-                        str(v) for v in sorted(
-                            rec["versions"], key=lambda v: (v is None, v)
-                        )
-                    )
-                    reasons += (
-                        f"model {model!r}: mixed versions across replicas "
-                        f"({versions})",
-                    )
-            reasons += tuple(
-                f"model {name!r}: {entry.fallback_reason}"
-                for name in self.registry.names()
-                for entry in (self.registry.get(name),)
-                if entry.fallback_reason
-            )
-            if reasons:
-                return HealthReport(HealthState.DEGRADED, reasons)
-            return HealthReport(HealthState.READY)
+                    versions = ", ".join(str(v) for v in sorted(
+                        rec["versions"], key=lambda v: (v is None, v)
+                    ))
+                    reasons.append(f"model {model!r}: mixed versions across "
+                                   f"replicas ({versions})")
+        return tuple(reasons)
 
-    def stats(self) -> dict[str, object]:
-        """Metrics snapshot plus per-replica fleet state and provenance."""
-        snapshot = self.metrics.stats()
-        snapshot["health"] = self.health().state.value
-        snapshot["cache"] = {
-            "entries": len(self.cache),
-            "capacity": self.cache.capacity,
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "hit_rate": round(self.cache.hit_rate, 4),
-        }
-        snapshot["plane_cache"] = {
-            "entries": len(self.plane_cache),
-            "capacity": self.plane_cache.capacity,
-            "hits": self.plane_cache.hits,
-            "misses": self.plane_cache.misses,
-            "hit_rate": round(self.plane_cache.hit_rate, 4),
-        }
-        snapshot["models"] = {
-            name: {
-                "backend": self.registry.get(name).backend,
-                "pipeline": self.registry.get(name).pipeline,
-                "image_size": self.registry.get(name).image_size,
-                "fallback_reason": self.registry.get(name).fallback_reason,
-                "version": self._versions.get(name, 1),
-            }
-            for name in self.registry.names()
-        }
+    def _extend_stats(self, snapshot: dict[str, object]) -> None:
+        """Per-model served version plus per-replica fleet state."""
+        for name, record in snapshot["models"].items():
+            record["version"] = self._versions.get(name, 1)
         with self._cond:
             agg = self._fleet_provenance_locked()
             snapshot["cluster"] = {
@@ -1503,7 +1297,6 @@ class ClusterService:
                     for model, rec in agg.items()
                 },
             }
-        return snapshot
 
     def close(self, timeout: float | None = 10.0) -> None:
         """Stop the fleet: orderly shutdown, then force-kill stragglers."""
@@ -1538,9 +1331,3 @@ class ClusterService:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=1.0)
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -9,9 +9,6 @@ string-matching messages:
 * :class:`ServiceOverloaded` — the admission queue was full under the
   ``"shed"`` overflow policy; the request was rejected *before* any
   work was done, so retrying later is always safe.
-* :class:`ShardError` — one scan shard failed; carries the contiguous
-  ``[start, stop)`` item range so the failure is attributable to exact
-  window indices.
 * :class:`CheckpointError` — a checkpoint file is corrupt, truncated,
   or fails its content checksum (defined next to the serialization code
   in :mod:`repro.nn.serialization`, re-exported here).
@@ -36,7 +33,6 @@ __all__ = [
     "ServeError",
     "DeadlineExceeded",
     "ServiceOverloaded",
-    "ShardError",
     "CheckpointError",
     "FrameIntegrityError",
     "WorkerCrashError",
@@ -69,24 +65,6 @@ class ServiceOverloaded(ServeError):
     Raised at ``submit()`` time — the request did no work and holds no
     queue slot, so the caller can back off and retry.
     """
-
-
-class ShardError(ServeError):
-    """One scan shard raised; wraps the cause with its item range.
-
-    ``start``/``stop`` are indices into the scanned item list (window
-    origins, for the service's scan path), so a failure points at the
-    exact contiguous range of windows it took down.  The original
-    exception is chained as ``__cause__``.
-    """
-
-    def __init__(self, start: int, stop: int, cause: BaseException):
-        super().__init__(
-            f"shard [{start}:{stop}) failed: {type(cause).__name__}: {cause}"
-        )
-        self.start = start
-        self.stop = stop
-        self.__cause__ = cause
 
 
 class FrameIntegrityError(ServeError):

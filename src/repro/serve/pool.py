@@ -12,19 +12,13 @@ of the input list), so the pool is deterministic: the same item list
 produces the same flattened result list regardless of worker count or
 scheduling.
 
-Failure semantics (two modes, per call):
-
-* :meth:`WorkerPool.map_shards` is all-or-nothing: a shard exception is
-  wrapped in :class:`~repro.serve.errors.ShardError` carrying the exact
-  ``[start, stop)`` item range, not-yet-started shards are cancelled,
-  and a ``timeout`` bounds the whole map with
-  :class:`~repro.serve.errors.DeadlineExceeded` (running shards are
-  abandoned, never joined — threads cannot be killed).
-* :meth:`WorkerPool.map_shards_tolerant` degrades instead of raising:
-  each failed shard is retried up to ``retries`` times and the call
-  returns per-shard :class:`ShardOutcome` records, so the caller (the
-  scan path) can keep every healthy shard's results and report the
-  failed ranges instead of discarding the sweep.
+Failure semantics: :meth:`WorkerPool.map_shards_tolerant` degrades
+instead of raising.  Each failed shard is retried up to ``retries``
+times, a ``timeout`` bounds the whole call (running shards are
+abandoned, never joined — threads cannot be killed), and the call
+returns per-shard :class:`ShardOutcome` records, so the caller (the
+scan path) can keep every healthy shard's results and report the
+failed ranges instead of discarding the sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from .errors import DeadlineExceeded, ShardError
+from .errors import DeadlineExceeded
 
 __all__ = ["WorkerPool", "ShardOutcome", "shard_slices"]
 
@@ -91,56 +85,6 @@ class WorkerPool:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve-worker"
         )
-
-    def map_shards(
-        self,
-        fn: Callable[[Sequence[T]], list[R]],
-        items: Sequence[T],
-        shards: int | None = None,
-        timeout: float | None = None,
-    ) -> list[R]:
-        """Apply ``fn`` to contiguous shards of ``items``; flatten in order.
-
-        ``fn`` receives one shard (a subsequence) and returns a list of
-        per-item results.  Defaults to one shard per worker.
-
-        All-or-nothing: the first shard failure cancels every
-        not-yet-started shard and raises :class:`ShardError` naming the
-        failed ``[start, stop)`` range (the cause chained); exceeding
-        ``timeout`` (seconds, over the whole call) cancels pending
-        shards and raises :class:`DeadlineExceeded`.
-        """
-        # len(), not truthiness: numpy arrays and other Sequence types
-        # raise or mislead on bool()
-        if len(items) == 0:
-            return []
-        slices = shard_slices(len(items), shards or self.workers)
-        if len(slices) == 1 and timeout is None:
-            try:
-                return list(fn(items))
-            except Exception as exc:
-                raise ShardError(0, len(items), exc) from exc
-        deadline = None if timeout is None else time.monotonic() + timeout
-        futures = [self._executor.submit(fn, items[s]) for s in slices]
-        results: list[R] = []
-        for i, future in enumerate(futures):
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            try:
-                results.extend(future.result(timeout=remaining))
-            except FutureTimeoutError:
-                self._cancel_pending(futures[i:])
-                raise DeadlineExceeded(
-                    f"scan shards did not complete within {timeout}s "
-                    f"(stalled at shard [{slices[i].start}:{slices[i].stop}))",
-                    timeout_s=timeout, stage="map_shards",
-                ) from None
-            except Exception as exc:
-                self._cancel_pending(futures[i + 1:])
-                raise ShardError(slices[i].start, slices[i].stop, exc) from exc
-        return results
 
     def map_shards_tolerant(
         self,

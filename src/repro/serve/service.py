@@ -1,4 +1,4 @@
-"""The hotspot inference service: registry + batcher + pool + cache.
+"""The hotspot inference service: one request path, two shard executors.
 
 :class:`HotspotService` is the synchronous front door of the serving
 layer.  Two request shapes:
@@ -14,6 +14,14 @@ layer.  Two request shapes:
   window list is sharded across a :class:`WorkerPool`; window rasters
   go through the shared LRU :class:`RasterCache` so repeated geometry
   (empty regions, repeated cells) skips rasterization entirely.
+
+The request path — model selection, request normalisation, deadlines,
+prediction and report assembly, metrics, ``health()`` and ``stats()``
+— is written once, in ``_ServiceBase``.  Its two subclasses differ
+only in where shards run: :class:`HotspotService` scores in this
+process (batcher threads and a thread pool), and
+:class:`~repro.serve.cluster.ClusterService` scores on a supervised
+fleet of worker processes.
 
 Both paths produce predictions bit-identical to a direct
 ``engine.predict_logits`` call on the same inputs — batching and
@@ -139,7 +147,371 @@ def extract_window(layout: Clip, x0: int, y0: int, window: int) -> Clip:
     return out
 
 
-class HotspotService:
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left before ``deadline`` (monotonic), or None for none."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def _cache_stats(cache: RasterCache | PlaneCache) -> dict[str, object]:
+    return {
+        "entries": len(cache),
+        "capacity": cache.capacity,
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "hit_rate": round(cache.hit_rate, 4),
+    }
+
+
+class _ServiceBase:
+    """The request path both services share, from admission to report.
+
+    Owns model selection, request normalisation (through the cached,
+    fault-injectable ``"raster"`` site), deadlines, prediction and
+    :class:`ScanReport` assembly, metrics, ``health()`` and ``stats()``.
+    Where the scoring runs is the subclass's business, through two
+    hooks:
+
+    * :meth:`_score_clips` scores prepared network inputs under a
+      deadline and yields one logits row per input, in order;
+    * :meth:`_score_scan` scores a scan's window origins and returns
+      one :class:`~repro.serve.pool.ShardOutcome` per contiguous origin
+      range.
+
+    :class:`HotspotService` runs both in-process (micro-batcher and
+    thread pool); :class:`~repro.serve.cluster.ClusterService` runs them
+    on a supervised fleet of worker processes.
+    """
+
+    def __init__(
+        self,
+        registry: ModelRegistry | None,
+        default_model: str | None,
+        max_batch: int,
+        queue_depth: int | None,
+        overflow: str,
+        default_timeout_s: float | None,
+        cache_capacity: int,
+        plane_cache_capacity: int,
+        faults: FaultInjector | None,
+    ):
+        if queue_depth is not None and queue_depth < 1:
+            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if overflow not in ("block", "shed"):
+            raise ValueError(
+                f"overflow must be 'block' or 'shed', got {overflow!r}"
+            )
+        self.registry = registry if registry is not None else ModelRegistry()
+        self.default_model = default_model
+        self.max_batch = max_batch
+        self.queue_depth = queue_depth
+        self.overflow = overflow
+        self.default_timeout_s = default_timeout_s
+        self.faults = faults
+        self.metrics = ServiceMetrics()
+        self.cache = RasterCache(capacity=cache_capacity)
+        self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
+        self._closed = False
+
+    @classmethod
+    def from_model(cls, model: Module, image_size: int, name: str = "default",
+                   prefer_packed: bool = True, decision_bias: float = 0.0,
+                   backend: str | None = None, **kwargs):
+        """Convenience: wrap one live model in a ready-to-serve service.
+
+        ``backend`` selects a registered engine backend by name
+        (strict); the default keeps prefer-packed-with-fallback.
+        """
+        service = cls(default_model=name, **kwargs)
+        service.register(
+            name, model, image_size=image_size, prefer_packed=prefer_packed,
+            decision_bias=decision_bias, backend=backend,
+        )
+        return service
+
+    def register(self, name: str, model: Module, image_size: int,
+                 prefer_packed: bool = True, decision_bias: float = 0.0,
+                 meta: dict | None = None, backend: str | None = None,
+                 passes="default") -> ModelEntry:
+        """Compile and register a model (:meth:`ModelRegistry.register`)."""
+        return self.registry.register(
+            name, model, image_size=image_size, prefer_packed=prefer_packed,
+            decision_bias=decision_bias, meta=meta, backend=backend,
+            passes=passes,
+        )
+
+    # -- scoring hooks (where the work runs) -----------------------------
+
+    def _score_clips(self, entry, inputs, timeout, deadline):
+        """Yield one logits row per network input, in input order."""
+        raise NotImplementedError
+
+    def _score_scan(self, request, entry, origins, timeout):
+        """Score ``origins`` -> (``ShardOutcome`` list, plane path used)."""
+        raise NotImplementedError
+
+    # -- internals -------------------------------------------------------
+
+    def _entry(self, model: str | None) -> ModelEntry:
+        if self._closed:
+            raise RuntimeError("service is closed")
+        name = model or self.default_model
+        if name is None:
+            names = self.registry.names()
+            if len(names) == 1:
+                name = names[0]
+            else:
+                raise ValueError(
+                    "no model selected: pass model= or set default_model "
+                    f"(registered: {names or 'none'})"
+                )
+        entry = self.registry.get(name)
+        # engines accumulate per-op wall times; exposing the table via
+        # the metrics object makes stats() report a per-layer breakdown
+        table = getattr(entry.engine, "op_times", None)
+        if table is not None:
+            self.metrics.register_op_table(entry.name, table)
+        return entry
+
+    def _raster(self, clip: Clip, pixels: int) -> np.ndarray:
+        """Cached rasterization, threaded through the ``"raster"`` faults."""
+        if self.faults is None:
+            return self.cache.get(clip, pixels, "binary")
+        return self.faults.wrap(
+            "raster", lambda: self.cache.get(clip, pixels, "binary")
+        )()
+
+    def _prepare(self, request: ClipRequest, entry: ModelEntry) -> np.ndarray:
+        """Request -> network input ``(1, 1, s, s)`` in the {-1,+1} domain."""
+        if request.clip is not None:
+            image = self._raster(request.clip, entry.image_size)
+        else:
+            image = np.asarray(request.image, dtype=np.float64)
+            if image.shape[-1] != entry.image_size:
+                image = downsample_binary(image, entry.image_size)
+        return to_network_input(image[None])
+
+    def _as_request(self, item: ClipRequest | Clip | np.ndarray) -> ClipRequest:
+        if isinstance(item, ClipRequest):
+            return item
+        if isinstance(item, Clip):
+            return ClipRequest(clip=item)
+        return ClipRequest(image=np.asarray(item))
+
+    def _deadline_exceeded(
+        self, stage: str, timeout: float | None, message: str = ""
+    ) -> DeadlineExceeded:
+        """Count one timeout and build its typed error."""
+        self.metrics.record_timeout()
+        return DeadlineExceeded(
+            message or f"{stage} did not complete within {timeout}s",
+            timeout_s=timeout, stage=stage,
+        )
+
+    # -- classify path ---------------------------------------------------
+
+    def classify(
+        self,
+        request: ClipRequest | Clip | np.ndarray,
+        model: str | None = None,
+        timeout: float | None = None,
+    ) -> Prediction:
+        """Classify one clip (blocking; coalesces with concurrent calls)."""
+        return self.classify_many([request], model=model, timeout=timeout)[0]
+
+    def classify_many(
+        self,
+        requests: Iterable[ClipRequest | Clip | np.ndarray],
+        model: str | None = None,
+        timeout: float | None = None,
+    ) -> list[Prediction]:
+        """Classify several clips, submitting all before waiting on any.
+
+        This is the batching-friendly entry point: the requests are
+        admitted together and coalesce into ``max_batch``-sized engine
+        invocations; predictions come back in request order.
+
+        ``timeout`` (seconds, default ``default_timeout_s``) is one
+        deadline over the whole call — admission and result waits
+        combined.  Exceeding it abandons the outstanding requests and
+        raises :class:`DeadlineExceeded` (carrying ``timeout_s`` and the
+        ``stage`` that fired); a full admission queue under the
+        ``"shed"`` policy raises :class:`ServiceOverloaded` without
+        doing any work.
+        """
+        entry = self._entry(model)
+        if timeout is None:
+            timeout = self.default_timeout_s
+        started = time.perf_counter()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        prepared = [self._as_request(item) for item in requests]
+        inputs = (self._prepare(request, entry) for request in prepared)
+        rows = self._score_clips(entry, inputs, timeout, deadline)
+        predictions = []
+        for request, logits in zip(prepared, rows):
+            score = float(logits[1] - logits[0])
+            latency_ms = (time.perf_counter() - started) * 1e3
+            self.metrics.record_request(latency_ms)
+            predictions.append(
+                Prediction(
+                    request_id=request.request_id,
+                    label=int(score > entry.decision_bias),
+                    score=score,
+                    model=entry.name,
+                    backend=entry.backend,
+                    latency_ms=latency_ms,
+                )
+            )
+        return predictions
+
+    # -- scan path -------------------------------------------------------
+
+    def scan(
+        self,
+        request: ScanRequest,
+        model: str | None = None,
+        timeout: float | None = None,
+    ) -> ScanReport:
+        """Sweep a full layout; returns the windows flagged as hotspots.
+
+        Deterministic by construction: shards are contiguous origin
+        ranges and results are reassembled in shard order, so worker
+        count and scheduling never change the report.
+
+        Partial failure degrades instead of raising: a shard that keeps
+        failing after its retry budget — or that misses the ``timeout``
+        deadline (seconds, default ``default_timeout_s``) — is dropped
+        from the hit list and reported in the ``failed_ranges`` of a
+        ``degraded`` report, while every healthy shard's hits are
+        returned unchanged (bit-identical to a fully healthy sweep over
+        the same windows).
+        """
+        entry = self._entry(model)
+        if timeout is None:
+            timeout = self.default_timeout_s
+        started = time.perf_counter()
+        origins = window_origins(
+            request.layout.size, request.window, request.stride
+        )
+        outcomes, plane = self._score_scan(request, entry, origins, timeout)
+        hits = []
+        failed_ranges = []
+        retried_shards = 0
+        for outcome in outcomes:
+            retried_shards += outcome.retries
+            if not outcome.ok:
+                failed_ranges.append((outcome.start, outcome.stop))
+                continue
+            for (x, y), score in zip(
+                origins[outcome.start:outcome.stop], outcome.results
+            ):
+                if score > entry.decision_bias:
+                    hits.append(ScanHit(
+                        x, y, x + request.window, y + request.window, score
+                    ))
+        latency_ms = (time.perf_counter() - started) * 1e3
+        failed_windows = sum(stop - start for start, stop in failed_ranges)
+        self.metrics.record_scan(
+            len(origins), latency_ms, plane=plane,
+            failed_windows=failed_windows, retried_shards=retried_shards,
+        )
+        return ScanReport(
+            request_id=request.request_id,
+            windows_scanned=len(origins),
+            hits=tuple(hits),
+            model=entry.name,
+            backend=entry.backend,
+            latency_ms=latency_ms,
+            degraded=bool(failed_ranges),
+            failed_ranges=tuple(failed_ranges),
+        )
+
+    # -- observability ---------------------------------------------------
+
+    def _health_reasons(self) -> tuple[str, ...]:
+        """Executor-specific DEGRADED reasons (none in-process)."""
+        return ()
+
+    def _extend_stats(self, snapshot: dict[str, object]) -> None:
+        """Add executor-specific blocks to a ``stats()`` snapshot."""
+
+    def health(self) -> HealthReport:
+        """Probe the service's health state.
+
+        ``DRAINING`` once ``close()`` has begun; ``DEGRADED`` when any
+        fault counter (errors, sheds, timeouts, quarantined requests,
+        worker reaps and failovers, frame retries, degraded scans,
+        failed rollouts) has incremented since the metrics were last
+        reset — the reasons enumerate which — or when the executor
+        reports a condition of its own (a fleet's down, draining or
+        mixed replicas), or when any registered model silently fell
+        back from its preferred engine backend (a degraded-*performance*
+        note: predictions stay correct, but the packed substrate is not
+        serving); ``READY`` otherwise.  Degradation from fault counters
+        is sticky until ``metrics.reset()``: a service that shed load
+        five minutes ago should keep telling its load balancer so until
+        an operator (or a warm-up cycle) clears it.  A fallback note
+        clears only by re-registering the model so the preferred
+        backend compiles.
+        """
+        if self._closed:
+            return HealthReport(
+                HealthState.DRAINING, ("service is closed/draining",)
+            )
+        m = self.metrics
+        reasons = tuple(
+            f"{count} {what}"
+            for count, what in (
+                (m.errors_total, "request errors"),
+                (m.shed_total, "requests shed (queue full)"),
+                (m.timeouts_total, "deadline timeouts"),
+                (m.quarantined_total, "poison requests quarantined"),
+                (m.workers_reaped_total, "workers reaped"),
+                (m.worker_timeouts_total, "worker heartbeat timeouts"),
+                (m.tasks_failed_over_total, "tasks failed over"),
+                (m.frame_retries_total, "frame integrity retries"),
+                (m.degraded_scans_total, "degraded scans"),
+                (m.rollout_failures_total, "rollout failures"),
+            )
+            if count
+        )
+        reasons += self._health_reasons()
+        reasons += tuple(
+            f"model {name!r}: {entry.fallback_reason}"
+            for name in self.registry.names()
+            for entry in (self.registry.get(name),)
+            if entry.fallback_reason
+        )
+        if reasons:
+            return HealthReport(HealthState.DEGRADED, reasons)
+        return HealthReport(HealthState.READY)
+
+    def stats(self) -> dict[str, object]:
+        """Snapshot of service metrics, cache counters, and models."""
+        snapshot = self.metrics.stats()
+        snapshot["health"] = self.health().state.value
+        snapshot["cache"] = _cache_stats(self.cache)
+        snapshot["plane_cache"] = _cache_stats(self.plane_cache)
+        snapshot["models"] = {
+            name: {
+                "backend": entry.backend,
+                "pipeline": entry.pipeline,
+                "image_size": entry.image_size,
+                "fallback_reason": entry.fallback_reason,
+            }
+            for name in self.registry.names()
+            for entry in (self.registry.get(name),)
+        }
+        self._extend_stats(snapshot)
+        return snapshot
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class HotspotService(_ServiceBase):
     """Batched, multi-worker hotspot inference over registered models.
 
     Parameters
@@ -197,77 +569,14 @@ class HotspotService:
         # must fail service construction, not the first request
         if shard_retries < 0:
             raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
-        if overflow not in ("block", "shed"):
-            raise ValueError(
-                f"overflow must be 'block' or 'shed', got {overflow!r}"
-            )
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.default_model = default_model
-        self.max_batch = max_batch
+        super().__init__(
+            registry, default_model, max_batch, queue_depth, overflow,
+            default_timeout_s, cache_capacity, plane_cache_capacity, faults,
+        )
         self.max_wait_ms = max_wait_ms
-        self.queue_depth = queue_depth
-        self.overflow = overflow
-        self.default_timeout_s = default_timeout_s
         self.shard_retries = shard_retries
-        self.faults = faults
-        self.metrics = ServiceMetrics()
-        self.cache = RasterCache(capacity=cache_capacity)
-        self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
         self.pool = WorkerPool(workers=workers)
         self._batchers: dict[str, tuple[object, MicroBatcher]] = {}
-        self._closed = False
-
-    @classmethod
-    def from_model(
-        cls,
-        model: Module,
-        image_size: int,
-        name: str = "default",
-        prefer_packed: bool = True,
-        decision_bias: float = 0.0,
-        backend: str | None = None,
-        **kwargs,
-    ) -> "HotspotService":
-        """Convenience: wrap one live model in a ready-to-serve service.
-
-        ``backend`` selects a registered engine backend by name
-        (strict); the default keeps prefer-packed-with-fallback.
-        """
-        registry = ModelRegistry()
-        registry.register(
-            name,
-            model,
-            image_size=image_size,
-            prefer_packed=prefer_packed,
-            decision_bias=decision_bias,
-            backend=backend,
-        )
-        return cls(registry=registry, default_model=name, **kwargs)
-
-    # -- internals -------------------------------------------------------
-
-    def _entry(self, model: str | None) -> ModelEntry:
-        if self._closed:
-            raise RuntimeError("service is closed")
-        name = model or self.default_model
-        if name is None:
-            names = self.registry.names()
-            if len(names) == 1:
-                name = names[0]
-            else:
-                raise ValueError(
-                    "no model selected: pass model= or set default_model "
-                    f"(registered: {names or 'none'})"
-                )
-        entry = self.registry.get(name)
-        # engines accumulate per-op wall times; exposing the table via
-        # the metrics object makes stats() report a per-layer breakdown
-        table = getattr(entry.engine, "op_times", None)
-        if table is not None:
-            self.metrics.register_op_table(entry.name, table)
-        return entry
 
     def _batcher(self, entry: ModelEntry) -> MicroBatcher:
         engine_and_batcher = self._batchers.get(entry.name)
@@ -289,116 +598,36 @@ class HotspotService:
             self._batchers[entry.name] = (entry.engine, batcher)
         return self._batchers[entry.name][1]
 
-    def _raster(self, clip: Clip, pixels: int) -> np.ndarray:
-        """Cached rasterization, threaded through the ``"raster"`` faults."""
-        if self.faults is None:
-            return self.cache.get(clip, pixels, "binary")
-        return self.faults.wrap(
-            "raster", lambda: self.cache.get(clip, pixels, "binary")
-        )()
-
-    def _prepare(self, request: ClipRequest, entry: ModelEntry) -> np.ndarray:
-        """Request -> network input ``(1, 1, s, s)`` in the {-1,+1} domain."""
-        if request.clip is not None:
-            image = self._raster(request.clip, entry.image_size)
-        else:
-            image = np.asarray(request.image, dtype=np.float64)
-            if image.shape[-1] != entry.image_size:
-                image = downsample_binary(image, entry.image_size)
-        return to_network_input(image[None])
-
-    def _as_request(self, item: ClipRequest | Clip | np.ndarray) -> ClipRequest:
-        if isinstance(item, ClipRequest):
-            return item
-        if isinstance(item, Clip):
-            return ClipRequest(clip=item)
-        return ClipRequest(image=np.asarray(item))
-
     # -- classify path ---------------------------------------------------
 
-    def classify(
-        self,
-        request: ClipRequest | Clip | np.ndarray,
-        model: str | None = None,
-        timeout: float | None = None,
-    ) -> Prediction:
-        """Classify one clip (blocking; coalesces with concurrent calls)."""
-        return self.classify_many([request], model=model, timeout=timeout)[0]
+    def _score_clips(self, entry, inputs, timeout, deadline):
+        """Per-request :meth:`MicroBatcher.submit`, rows as they resolve.
 
-    def classify_many(
-        self,
-        requests: Iterable[ClipRequest | Clip | np.ndarray],
-        model: str | None = None,
-        timeout: float | None = None,
-    ) -> list[Prediction]:
-        """Classify several clips, submitting all before waiting on any.
-
-        This is the batching-friendly entry point: the requests land in
-        the queue together and coalesce into ``max_batch``-sized engine
-        invocations.
-
-        ``timeout`` (seconds, default ``default_timeout_s``) is one
-        deadline over the whole call — admission and result waits
-        combined.  Exceeding it abandons the outstanding requests and
-        raises :class:`DeadlineExceeded`; a full admission queue under
-        the ``"shed"`` policy raises :class:`ServiceOverloaded` without
-        doing any work.
+        Every input is submitted before any result is awaited, so
+        concurrent callers' requests coalesce into engine batches; each
+        row is yielded the moment its future resolves, which keeps
+        ``Prediction.latency_ms`` per request.
         """
-        entry = self._entry(model)
         batcher = self._batcher(entry)
-        if timeout is None:
-            timeout = self.default_timeout_s
-        started = time.perf_counter()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        prepared = [self._as_request(item) for item in requests]
         futures = []
         try:
-            for request in prepared:
-                remaining = (
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                futures.append(
-                    batcher.submit(self._prepare(request, entry),
-                                   timeout=remaining)
-                )
+            for x in inputs:
+                futures.append(batcher.submit(x, timeout=_remaining(deadline)))
         except (DeadlineExceeded, ServiceOverloaded):
             for future in futures:
                 future.cancel()
             raise
-        predictions = []
-        for request, future in zip(prepared, futures):
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
+        for future in futures:
             try:
-                logits = future.result(timeout=remaining)
+                logits = future.result(timeout=_remaining(deadline))
             except FutureTimeoutError:
                 for pending in futures:
                     pending.cancel()
-                self.metrics.record_timeout()
-                raise DeadlineExceeded(
-                    f"classify did not complete within {timeout}s",
-                    timeout_s=timeout, stage="classify",
-                ) from None
+                raise self._deadline_exceeded("classify", timeout) from None
             except Exception:
                 self.metrics.record_error()
                 raise
-            score = float(logits[1] - logits[0])
-            latency_ms = (time.perf_counter() - started) * 1e3
-            self.metrics.record_request(latency_ms)
-            predictions.append(
-                Prediction(
-                    request_id=request.request_id,
-                    label=int(score > entry.decision_bias),
-                    score=score,
-                    model=entry.name,
-                    backend=entry.backend,
-                    latency_ms=latency_ms,
-                )
-            )
-        return predictions
+            yield logits
 
     # -- scan path -------------------------------------------------------
 
@@ -428,51 +657,24 @@ class HotspotService:
             scores.extend((logits[:, 1] - logits[:, 0]).tolist())
         return scores
 
-    def _plane_scale(self, request: ScanRequest, entry: ModelEntry) -> int | None:
-        """See :func:`plane_scan_scale` (the shared alignment contract)."""
-        return plane_scan_scale(
-            request.layout.size, request.window, request.stride,
-            entry.image_size,
-        )
-
-    def scan(
-        self,
-        request: ScanRequest,
-        model: str | None = None,
-        timeout: float | None = None,
-    ) -> ScanReport:
-        """Sweep a full layout; returns the windows flagged as hotspots.
-
-        Deterministic by construction: shards are contiguous origin
-        ranges and results are reassembled in shard order, so worker
-        count and thread scheduling never change the report.
+    def _score_scan(self, request, entry, origins, timeout):
+        """Shard origin ranges over the thread pool, plane-compiled if able.
 
         When the scan geometry is pixel-aligned (see
-        :meth:`_plane_scale`) and the engine exposes ``plan_scan``, the
-        layout is rasterized **once** as a full plane and windows are
-        scored by the plane-compiled scan engine — workers then shard
-        origin ranges over the shared read-only plan instead of
+        :func:`plane_scan_scale`) and the engine exposes ``plan_scan``,
+        the layout is rasterized **once** as a full plane and windows
+        are scored by the plane-compiled scan engine — workers then
+        shard origin ranges over the shared read-only plan instead of
         rasterizing every window.  The report is bit-identical either
         way; the plane path is purely a throughput optimisation, and a
         failure while *building* the plan falls back to the per-window
-        path instead of failing the sweep.
-
-        Partial failure degrades instead of raising: a shard that keeps
-        failing after ``shard_retries`` re-runs — or that misses the
-        ``timeout`` deadline (seconds, default ``default_timeout_s``) —
-        is dropped from the hit list and reported in the
-        ``failed_ranges`` of a ``degraded`` report, while every healthy
-        shard's hits are returned unchanged (bit-identical to a fully
-        healthy sweep over the same windows).
+        path instead of failing the sweep.  A failed shard is re-run up
+        to ``shard_retries`` times.
         """
-        entry = self._entry(model)
-        if timeout is None:
-            timeout = self.default_timeout_s
-        started = time.perf_counter()
-        origins = window_origins(
-            request.layout.size, request.window, request.stride
+        scale = plane_scan_scale(
+            request.layout.size, request.window, request.stride,
+            entry.image_size,
         )
-        scale = self._plane_scale(request, entry)
         plan = None
         if scale is not None and hasattr(entry.engine, "plan_scan"):
             try:
@@ -511,37 +713,7 @@ class HotspotService:
         outcomes = self.pool.map_shards_tolerant(
             score_shard, origins, timeout=timeout, retries=self.shard_retries
         )
-        hits = []
-        failed_ranges = []
-        retried_shards = 0
-        for outcome in outcomes:
-            retried_shards += outcome.retries
-            if not outcome.ok:
-                failed_ranges.append((outcome.start, outcome.stop))
-                continue
-            for (x, y), score in zip(
-                origins[outcome.start:outcome.stop], outcome.results
-            ):
-                if score > entry.decision_bias:
-                    hits.append(ScanHit(
-                        x, y, x + request.window, y + request.window, score
-                    ))
-        latency_ms = (time.perf_counter() - started) * 1e3
-        failed_windows = sum(stop - start for start, stop in failed_ranges)
-        self.metrics.record_scan(
-            len(origins), latency_ms, plane=plan is not None,
-            failed_windows=failed_windows, retried_shards=retried_shards,
-        )
-        return ScanReport(
-            request_id=request.request_id,
-            windows_scanned=len(origins),
-            hits=tuple(hits),
-            model=entry.name,
-            backend=entry.backend,
-            latency_ms=latency_ms,
-            degraded=bool(failed_ranges),
-            failed_ranges=tuple(failed_ranges),
-        )
+        return outcomes, plan is not None
 
     # -- full-chip streaming scan path -----------------------------------
 
@@ -809,78 +981,7 @@ class HotspotService:
             records,
         )
 
-    # -- lifecycle / observability ---------------------------------------
-
-    def health(self) -> HealthReport:
-        """Probe the service's health state.
-
-        ``DRAINING`` once :meth:`close` has begun; ``DEGRADED`` when any
-        fault counter (errors, sheds, timeouts, quarantined requests,
-        degraded scans) has incremented since the metrics were last
-        reset — the reasons enumerate which — or when any registered
-        model silently fell back from its preferred engine backend (a
-        degraded-*performance* note: predictions stay correct, but the
-        packed substrate is not serving); ``READY`` otherwise.
-        Degradation from fault counters is sticky until
-        ``metrics.reset()``: a service that shed load five minutes ago
-        should keep telling its load balancer so until an operator (or
-        a warm-up cycle) clears it.  A fallback note clears only by
-        re-registering the model so the preferred backend compiles.
-        """
-        if self._closed:
-            return HealthReport(
-                HealthState.DRAINING, ("service is closed/draining",)
-            )
-        m = self.metrics
-        reasons = tuple(
-            f"{count} {what}"
-            for count, what in (
-                (m.errors_total, "request errors"),
-                (m.shed_total, "requests shed (queue full)"),
-                (m.timeouts_total, "deadline timeouts"),
-                (m.quarantined_total, "poison requests quarantined"),
-                (m.degraded_scans_total, "degraded scans"),
-            )
-            if count
-        )
-        reasons += tuple(
-            f"model {name!r}: {entry.fallback_reason}"
-            for name in self.registry.names()
-            for entry in (self.registry.get(name),)
-            if entry.fallback_reason
-        )
-        if reasons:
-            return HealthReport(HealthState.DEGRADED, reasons)
-        return HealthReport(HealthState.READY)
-
-    def stats(self) -> dict[str, object]:
-        """Snapshot of service metrics, cache counters, and models."""
-        snapshot = self.metrics.stats()
-        snapshot["health"] = self.health().state.value
-        snapshot["cache"] = {
-            "entries": len(self.cache),
-            "capacity": self.cache.capacity,
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "hit_rate": round(self.cache.hit_rate, 4),
-        }
-        snapshot["plane_cache"] = {
-            "entries": len(self.plane_cache),
-            "capacity": self.plane_cache.capacity,
-            "hits": self.plane_cache.hits,
-            "misses": self.plane_cache.misses,
-            "hit_rate": round(self.plane_cache.hit_rate, 4),
-        }
-        snapshot["models"] = {
-            name: {
-                "backend": self.registry.get(name).backend,
-                "pipeline": self.registry.get(name).pipeline,
-                "image_size": self.registry.get(name).image_size,
-                "fallback_reason": self.registry.get(name).fallback_reason,
-            }
-            for name in self.registry.names()
-        }
-        return snapshot
+    # -- lifecycle -------------------------------------------------------
 
     def close(self, timeout: float | None = 10.0) -> None:
         """Stop batcher threads and the scan worker pool.
@@ -908,9 +1009,3 @@ class HotspotService:
             wedged = wedged or exc
         if wedged is not None:
             raise wedged
-
-    def __enter__(self) -> "HotspotService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

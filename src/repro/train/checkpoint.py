@@ -74,20 +74,23 @@ def save_run_state(path: str | os.PathLike, state: dict[str, np.ndarray]) -> Pat
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_directory(path.parent)
+    fsync_directory(path.parent)
     return path
 
 
-def _fsync_directory(directory: Path) -> None:
-    """Make a rename durable; a no-op where directory fds are unsupported."""
+def fsync_directory(directory: Path) -> None:
+    """Make a create/rename in ``directory`` durable.
+
+    A no-op where directory fds are unsupported (``os.open`` fails),
+    but an ``fsync`` error propagates: swallowing it would let the
+    caller believe a rename is durable when it may not be.
+    """
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:
         return
     try:
         os.fsync(fd)
-    except OSError:
-        pass
     finally:
         os.close(fd)
 

@@ -33,7 +33,9 @@ from __future__ import annotations
 import json
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,6 +46,33 @@ from .checkpoint import CheckpointManager
 from .errors import DivergenceError, PreemptedError
 
 __all__ = ["TrainingPhase", "TrainingRun"]
+
+
+@contextmanager
+def preemption_signals(
+    enabled: bool, request_preemption: Callable[[str], None]
+):
+    """Route SIGINT/SIGTERM to ``request_preemption`` inside the block.
+
+    Handlers are installed only when ``enabled`` and on the main thread
+    (the only thread Python delivers signals to); the previous handlers
+    are restored however the block ends.  Shared by training runs and
+    durable chip scans, whose preemption contracts are the same.
+    """
+    installed = []
+    if enabled and threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            def handler(sig, frame, _name=signal.Signals(signum).name):
+                request_preemption(f"received {_name}")
+            try:
+                installed.append((signum, signal.signal(signum, handler)))
+            except (ValueError, OSError):  # pragma: no cover - platform
+                break
+    try:
+        yield
+    finally:
+        for signum, previous in installed:
+            signal.signal(signum, previous)
 
 
 @dataclass
@@ -212,11 +241,8 @@ class TrainingRun:
             self._last_good = self._capture_state()
             if self.manager is not None:
                 self.manager.save(self._global_step, self._last_good)
-        old_handlers = self._install_signal_handlers()
-        try:
+        with preemption_signals(self.handle_signals, self.request_preemption):
             self._loop()
-        finally:
-            self._restore_signal_handlers(old_handlers)
         return self.history
 
     # -- main loop -------------------------------------------------------
@@ -474,26 +500,6 @@ class TrainingRun:
         else:
             message = f"{self._preempt_reason} at step {self._global_step}"
         return PreemptedError(message, checkpoint=saved)
-
-    def _install_signal_handlers(self):
-        if not self.handle_signals:
-            return []
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        installed = []
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            def handler(sig, frame, _name=signal.Signals(signum).name):
-                self.request_preemption(f"received {_name}")
-            try:
-                installed.append((signum, signal.signal(signum, handler)))
-            except (ValueError, OSError):  # pragma: no cover - platform
-                break
-        return installed
-
-    @staticmethod
-    def _restore_signal_handlers(handlers) -> None:
-        for signum, previous in handlers:
-            signal.signal(signum, previous)
 
 
 def _sub_state(

@@ -7,6 +7,9 @@ backoff schedule; a persistent poison window is bisected down to a
 one-window quarantine.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,18 @@ class TestPreemption:
         result = durable(engine, layout, path, resume=True).run()
         np.testing.assert_array_equal(result.heatmap.scores, reference)
         assert result.stats["tiles_replayed"] == err.value.completed
+
+    def test_sigint_translates_to_preemption(self, engine, layout, tmp_path):
+        previous = signal.getsignal(signal.SIGINT)
+        scan = durable(
+            engine, layout, tmp_path / "scan.journal", handle_signals=True,
+            tile_hook=lambda index: os.kill(os.getpid(), signal.SIGINT)
+            if index == 2 else None,
+        )
+        with pytest.raises(ScanPreemptedError, match="SIGINT"):
+            scan.run()
+        # original handler restored afterwards
+        assert signal.getsignal(signal.SIGINT) is previous
 
 
 class TestParallelHook:

@@ -18,9 +18,12 @@ from repro.models.bnn_resnet import build_bnn_resnet
 from repro.serve import (
     ClipRequest,
     ClusterService,
+    DeadlineExceeded,
+    FaultInjector,
     FrameIntegrityError,
     HealthState,
     HotspotService,
+    InjectedFault,
     ReplicaState,
     ScanRequest,
     plane_scan_scale,
@@ -187,6 +190,47 @@ class TestProvenanceAndHealth:
             svc.classify(ClipRequest(image=make_images(1)[0]))
 
 
+class TestDeadlines:
+    def test_classify_deadline_is_typed_like_in_process(self, model):
+        """No worker of a fresh fleet can be READY within a microsecond,
+        so the deadline fires deterministically — and the error carries
+        the same ``timeout_s``/``stage`` as the in-process service's."""
+        with ClusterService.from_model(
+            model, image_size=16, processes=2
+        ) as svc:
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                svc.classify(make_layout(size=128, n=5), timeout=1e-6)
+            assert excinfo.value.timeout_s == 1e-6
+            assert excinfo.value.stage == "classify"
+            assert svc.metrics.timeouts_total == 1
+
+
+class TestSharedRequestPath:
+    """The fleet prepares requests and reports health through the same
+    code as the in-process service (the two copies had drifted)."""
+
+    def test_raster_fault_site_fires_router_side(self, model):
+        faults = FaultInjector(seed=0)
+        faults.add_error("raster")
+        with ClusterService.from_model(
+            model, image_size=16, processes=2, faults=faults
+        ) as svc:
+            with pytest.raises(InjectedFault):
+                svc.classify(make_layout(size=128, n=5))
+            # the request failed while being prepared: nothing was
+            # admitted, so the fleet was never even started
+            assert svc.stats()["cluster"]["started"] is False
+
+    def test_quarantine_counter_degrades_health(self, model):
+        with ClusterService.from_model(
+            model, image_size=16, processes=2
+        ) as svc:
+            svc.metrics.record_quarantine()
+            report = svc.health()
+            assert report.state is HealthState.DEGRADED
+            assert "1 poison requests quarantined" in report.reasons
+
+
 class TestPlaneScanScale:
     """The alignment contract shared by the thread pool and the cluster."""
 
@@ -198,12 +242,6 @@ class TestPlaneScanScale:
 
     def test_window_not_multiple_of_pixels_disables(self):
         assert plane_scan_scale(256, 60, 32, pixels=16) is None
-
-    def test_service_delegates_to_module_function(self, reference):
-        req = ScanRequest(layout=make_layout(), window=64, stride=32)
-        entry = reference.registry.get("default")
-        assert reference._plane_scale(req, entry) == \
-            plane_scan_scale(256, 64, 32, pixels=16)
 
 
 def make_worker():

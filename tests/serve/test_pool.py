@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve.errors import DeadlineExceeded, ShardError
+from repro.serve.errors import DeadlineExceeded
 from repro.serve.pool import WorkerPool, shard_slices
 
 
@@ -39,6 +39,12 @@ class TestShardSlices:
                 assert covered == list(range(n_items))
 
 
+def flat(outcomes):
+    """Concatenate tolerant-map results in shard order (all must be ok)."""
+    assert all(o.ok for o in outcomes)
+    return [r for o in outcomes for r in o.results]
+
+
 class TestMapShards:
     @pytest.fixture
     def pool(self):
@@ -47,32 +53,36 @@ class TestMapShards:
 
     def test_flattens_in_order(self, pool):
         items = list(range(23))
-        out = pool.map_shards(lambda shard: [x * 2 for x in shard], items)
+        out = flat(pool.map_shards_tolerant(
+            lambda shard: [x * 2 for x in shard], items
+        ))
         assert out == [x * 2 for x in items]
 
     def test_empty_items(self, pool):
-        assert pool.map_shards(lambda shard: list(shard), []) == []
+        """Empty non-list sequences too (no truthiness traps)."""
+        assert pool.map_shards_tolerant(lambda s: list(s), range(0)) == []
+        assert pool.map_shards_tolerant(lambda s: s.tolist(),
+                                        np.empty(0)) == []
 
     def test_more_shards_than_items(self, pool):
-        out = pool.map_shards(lambda shard: list(shard), [1, 2], shards=10)
-        assert out == [1, 2]
+        outcomes = pool.map_shards_tolerant(
+            lambda shard: list(shard), [1, 2], shards=10
+        )
+        assert [(o.start, o.stop) for o in outcomes] == [(0, 1), (1, 2)]
+        assert flat(outcomes) == [1, 2]
 
     def test_non_list_sequences(self, pool):
         """range, tuple and numpy arrays all shard (no truthiness traps)."""
-        assert pool.map_shards(lambda s: [x + 1 for x in s], range(9)) == list(
-            range(1, 10)
-        )
-        assert pool.map_shards(lambda s: list(s), (4, 5, 6)) == [4, 5, 6]
+        assert flat(pool.map_shards_tolerant(
+            lambda s: [x + 1 for x in s], range(9)
+        )) == list(range(1, 10))
+        assert flat(pool.map_shards_tolerant(
+            lambda s: list(s), (4, 5, 6)
+        )) == [4, 5, 6]
         arr = np.arange(11)
-        assert pool.map_shards(lambda s: s.tolist(), arr) == arr.tolist()
-        empty = np.empty(0)
-        assert pool.map_shards(lambda s: s.tolist(), empty) == []
-
-    def test_single_worker_runs_inline(self):
-        with WorkerPool(workers=1) as pool:
-            out = pool.map_shards(lambda shard: [x**2 for x in shard],
-                                  [1, 2, 3])
-        assert out == [1, 4, 9]
+        assert flat(pool.map_shards_tolerant(
+            lambda s: s.tolist(), arr
+        )) == arr.tolist()
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -80,65 +90,13 @@ class TestMapShards:
 
 
 class TestShardFailures:
-    @pytest.fixture
-    def pool(self):
-        with WorkerPool(workers=4) as pool:
-            yield pool
-
-    def test_shard_error_carries_exact_range(self, pool):
-        def fn(shard):
-            if 5 in shard:
-                raise ValueError("bad window")
-            return list(shard)
-
-        with pytest.raises(ShardError) as excinfo:
-            pool.map_shards(fn, list(range(16)))  # 4 shards of 4
-        assert (excinfo.value.start, excinfo.value.stop) == (4, 8)
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
     def test_single_shard_failure_also_attributed(self):
         with WorkerPool(workers=1) as pool:
-            with pytest.raises(ShardError) as excinfo:
-                pool.map_shards(lambda s: 1 // 0, [1, 2, 3])
-        assert (excinfo.value.start, excinfo.value.stop) == (0, 3)
-
-    def test_failure_cancels_not_yet_started_shards(self):
-        """With one worker, shards run serially: after shard 2 fails the
-        caller cancels the queue.  The worker may have already grabbed
-        shard 3 (that race is inherent), but shard 4 — still queued
-        behind either a busy worker or a cancelled future — never runs."""
-        executed = []
-
-        def fn(shard):
-            executed.append(shard[0])
-            if shard[0] == 4:
-                raise RuntimeError("boom")
-            if shard[0] == 8:
-                time.sleep(0.3)  # hold the worker while cancels land
-            return list(shard)
-
-        with WorkerPool(workers=1) as pool:
-            with pytest.raises(ShardError) as excinfo:
-                pool.map_shards(fn, list(range(16)), shards=4)
-        assert (excinfo.value.start, excinfo.value.stop) == (4, 8)
-        assert executed[:2] == [0, 4]
-        assert 12 not in executed  # the final shard was cancelled
-
-    def test_map_timeout_raises_deadline(self):
-        release = threading.Event()
-
-        def hung(shard):
-            release.wait(10)
-            return list(shard)
-
-        with WorkerPool(workers=2) as pool:
-            started = time.perf_counter()
-            try:
-                with pytest.raises(DeadlineExceeded):
-                    pool.map_shards(hung, list(range(8)), timeout=0.1)
-                assert time.perf_counter() - started < 5.0
-            finally:
-                release.set()
+            outcomes = pool.map_shards_tolerant(
+                lambda s: 1 // 0, [1, 2, 3], retries=0
+            )
+        assert [(o.start, o.stop, o.ok) for o in outcomes] == [(0, 3, False)]
+        assert isinstance(outcomes[0].error, ZeroDivisionError)
 
 
 class TestMapShardsTolerant:

@@ -1,6 +1,7 @@
 """Tests for the HotspotService front door: classify, scan, stats."""
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -235,8 +236,9 @@ class TestPlaneScan:
 
     def _per_window_report(self, model, request, workers=1):
         """Reference report with the plane path forced off."""
-        with HotspotService.from_model(model, 16, workers=workers) as svc:
-            svc._plane_scale = lambda *args: None
+        with HotspotService.from_model(model, 16, workers=workers) as svc, \
+                mock.patch("repro.serve.service.plane_scan_scale",
+                           return_value=None):
             report = svc.scan(request)
             assert svc.metrics.plane_scan_requests_total == 0
         return report

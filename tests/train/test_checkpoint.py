@@ -1,5 +1,9 @@
 """Tests for atomic run-state checkpoints and the retention policy."""
 
+import errno
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,20 @@ class TestSaveLoad:
         save_run_state(path, sample_state(step=1))
         save_run_state(path, sample_state(step=2))
         assert int(load_run_state(path)["optim.t"]) == 2
+
+    def test_directory_fsync_error_raises(self, tmp_path, monkeypatch):
+        """A rename whose directory fsync failed is not durable; the
+        caller must hear so instead of trusting the checkpoint."""
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "directory fsync failed")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="directory fsync failed"):
+            save_run_state(tmp_path / "state.npz", sample_state())
 
 
 class TestCheckpointManager:
