@@ -64,9 +64,9 @@ def _warmed_engine():
     rng = np.random.default_rng(99)
     x = (rng.random((8, 1, IMAGE_SIZE, IMAGE_SIZE)) > 0.5) * 2.0 - 1.0
     model.forward(x, training=True)
-    from repro.binary.inference import PackedBNN
+    from repro.binary.inference import ProgramEngine
 
-    return PackedBNN(model)
+    return ProgramEngine(model)
 
 
 def test_chip_scan_streaming_and_eco():

@@ -19,7 +19,7 @@ on *this* machine and library, where the honest wins are:
 import numpy as np
 
 from repro.bench import Stopwatch, format_table
-from repro.binary import FloatEngine, PackedBNN, bitpack
+from repro.binary import ProgramEngine, bitpack
 from repro.engine import BinaryConvOp, FusedBinaryConvOp, infer_shapes
 from repro.models import bnn_resnet12, resnet12, summarize
 from repro.nn.trainer import predict_logits
@@ -54,8 +54,8 @@ def test_fig1_per_layer_speedup(benchmark):
     rng = np.random.default_rng(0)
     bnn = bnn_resnet12(seed=0, scaling="xnor")
     bnn.forward(rng.normal(size=(8, 1, 128, 128)), training=True)
-    packed = PackedBNN(bnn)
-    float_eng = FloatEngine(bnn)
+    packed = ProgramEngine(bnn)
+    float_eng = ProgramEngine(bnn, "float")
     images = np.where(rng.random((16, 1, 128, 128)) < 0.3, 1.0, -1.0)
     shapes = infer_shapes(packed.program, images.shape)
 
@@ -115,7 +115,7 @@ def test_fig1_end_to_end_and_compression(benchmark):
     warmup = rng.normal(size=(8, 1, 128, 128))
     bnn.forward(warmup, training=True)
     float_twin.forward(warmup, training=True)
-    engine = PackedBNN(bnn)
+    engine = ProgramEngine(bnn)
     images = np.where(rng.random((32, 1, 128, 128)) < 0.3, 1.0, -1.0)
 
     def measure():

@@ -11,7 +11,7 @@ pass of the full network at the paper's 128x128 input.
 import numpy as np
 
 from repro.bench import format_table
-from repro.binary import PackedBNN
+from repro.binary import ProgramEngine
 from repro.models import bnn_resnet12, count_network_layers, summarize
 
 from conftest import publish
@@ -58,7 +58,7 @@ def test_fig2_forward_pass_at_paper_scale(benchmark):
     rng = np.random.default_rng(0)
     # accumulate batch-norm statistics before compiling
     model.forward(rng.normal(size=(8, 1, 128, 128)), training=True)
-    engine = PackedBNN(model)
+    engine = ProgramEngine(model)
     images = np.where(rng.random((4, 1, 128, 128)) < 0.3, 1.0, -1.0)
 
     logits = benchmark(engine.forward, images)

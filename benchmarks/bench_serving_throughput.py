@@ -40,7 +40,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def _trained_model(benchmark, epochs):
     detector = BNNDetector(base_width=8, epochs=min(epochs, 4),
-                           finetune_epochs=0, packed=False, seed=0)
+                           finetune_epochs=0, backend=None, seed=0)
     detector.fit(benchmark.train, np.random.default_rng(0))
     return detector.model
 

@@ -4,8 +4,9 @@ Shows the deployment path the paper's speed claim rests on:
 
 1. train the binarized network (float simulation of binarization);
 2. checkpoint it to ``.npz`` and reload into a fresh model;
-3. compile the model to :class:`repro.binary.PackedBNN` — weights are
-   bit-packed once, convolutions run as XNOR + popcount on 64-bit words;
+3. compile the model to a :class:`repro.binary.ProgramEngine` on its
+   default ``packed`` backend — weights are bit-packed once,
+   convolutions run as XNOR + popcount on 64-bit words;
 4. verify packed predictions match the float simulation bit for bit,
    and time both paths.
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.binary import PackedBNN
+from repro.binary import ProgramEngine
 from repro.detect import BNNDetector
 from repro.features.downsample import to_network_input
 from repro.litho import generate_iccad2012_like
@@ -45,7 +46,7 @@ def main() -> None:
         load_model(fresh.model, path)
         print("Reloaded the checkpoint into a fresh model.")
 
-    engine = PackedBNN(fresh.model)
+    engine = ProgramEngine(fresh.model)
     images = to_network_input(benchmark.test.images)
 
     start = time.perf_counter()

@@ -15,7 +15,7 @@ Usage::
 
 import numpy as np
 
-from repro.binary import PackedBNN, clip_binary_weights
+from repro.binary import ProgramEngine, clip_binary_weights
 from repro.detect import biased_targets
 from repro.features.downsample import to_network_input
 from repro.litho import generate_hotspot_dataset
@@ -71,7 +71,7 @@ def main() -> None:
     trainer.fit(finetune_loader, epochs=2, val_loader=val_loader, verbose=True)
 
     print("5. Deploy: compile to the bit-packed popcount engine...")
-    engine = PackedBNN(model)
+    engine = ProgramEngine(model)
     predictions = engine.predict_logits(test_x).argmax(1)
     sim_predictions = predict_logits(model, test_x).argmax(1)
     assert (predictions == sim_predictions).all()

@@ -6,7 +6,7 @@ from .binary_conv import SCALING_MODES, BinaryConv2D
 from .binary_dense import BinaryDense
 from .block import BNNConvBlock, clip_binary_weights
 from .fixed_point import Int8Conv2D, dequantize_int8, fake_quantize, quantize_int8
-from .inference import FloatEngine, PackedBNN, PlaneScanPlan
+from .inference import PlaneScanPlan, ProgramEngine
 from .ternary import TernaryConv2D, ternarize_weights
 
 __all__ = [
@@ -21,9 +21,8 @@ __all__ = [
     "dequantize_int8",
     "fake_quantize",
     "quantize_int8",
-    "FloatEngine",
-    "PackedBNN",
     "PlaneScanPlan",
+    "ProgramEngine",
     "TernaryConv2D",
     "ternarize_weights",
 ]

@@ -1,20 +1,15 @@
-"""Inference engines: lowered IR programs behind stable engine classes.
+"""Inference engines: lowered IR programs behind one engine class.
 
 Every engine here is a thin shell over the :mod:`repro.engine` stack —
 a trained model is lowered **once** to the typed op-graph IR
 (:func:`repro.engine.lower.lower`), compiled by a named backend from
 the registry, and executed with per-op timing hooks:
 
-* :class:`PackedBNN` — the ``"packed"`` backend: bit-packed
-  XNOR/popcount kernels, the paper's deployment story (training
-  simulates binarization in float, inference runs on binary
-  arithmetic).
-* :class:`FloatEngine` — the ``"float"`` backend: deployment float
-  MACs over sign values, bit-identical to packed (exact integer dots);
-  falls back to a live view of ``model.forward(training=False)`` when
-  the model contains layers the IR cannot represent.
-* :class:`ProgramEngine` — the generic base usable with any registered
-  backend name (:func:`engine_for_backend`).
+* :class:`ProgramEngine` — one compiled model.  ``backend="packed"``
+  (the default) runs bit-packed XNOR/popcount kernels, the paper's
+  deployment story (training simulates binarization in float,
+  inference runs on binary arithmetic); ``backend="float"`` runs
+  deployment float MACs over sign values, the bit-identical reference.
 * :class:`PlaneScanPlan` — the plane-compiled sliding-window scan,
   built on the stem the IR finder exposes
   (:func:`repro.engine.lower.find_plane_stem`).
@@ -34,7 +29,6 @@ from ..engine.backends import get_backend
 from ..engine.executor import Executor, OpTimings
 from ..engine.ir import FusedBinaryConvOp, Program
 from ..engine.lower import (
-    LoweringError,
     find_plane_stem,
     lower,
     pipeline_signature,
@@ -44,13 +38,7 @@ from ..nn import functional as F
 from ..nn.module import Module
 from . import bitpack, quantize
 
-__all__ = [
-    "PackedBNN",
-    "PlaneScanPlan",
-    "FloatEngine",
-    "ProgramEngine",
-    "engine_for_backend",
-]
+__all__ = ["PlaneScanPlan", "ProgramEngine"]
 
 _Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -384,6 +372,13 @@ class ProgramEngine:
     packs/binarizes them once, and later training of ``model`` does not
     affect the compiled engine.
 
+    Compilation is strict: an unknown ``backend`` raises ``ValueError``
+    listing the registered backends, and a model containing a layer the
+    IR cannot represent raises :class:`~repro.engine.lower.LoweringError`
+    naming the layer type.  ``passes`` selects the optimization pipeline
+    (``"default"``, ``"none"``, or a list of pass names — see
+    :mod:`repro.engine.passes`).
+
     Per-op wall-clock timings accumulate in :attr:`op_times` across
     every ``forward`` / ``predict_logits`` / plane-scan call (the table
     is thread-safe; serving drives engines from multiple threads); read
@@ -394,17 +389,18 @@ class ProgramEngine:
     def __init__(
         self,
         model: Module,
-        backend: str,
+        backend: str = "packed",
         passes: str | list[str] | tuple[str, ...] | None = "default",
     ):
+        compiler = get_backend(backend)  # unknown names fail before lowering
         #: canonical signature of the pass pipeline the program was
         #: compiled under (``"none"`` when run verbatim) — recorded on
         #: scan plans, reports, and checkpoints as provenance
         self.pipeline: str = pipeline_signature(passes)
-        self.program: Program | None = run_pipeline(lower(model), passes)
+        self.program: Program = run_pipeline(lower(model), passes)
         self.backend_name = backend
         self.op_times = OpTimings()
-        self._executor: Executor | None = get_backend(backend).compile(
+        self._executor: Executor = compiler.compile(
             self.program, self.op_times
         )
         self._fn: _Fn = self._executor
@@ -459,77 +455,5 @@ class ProgramEngine:
         self.op_times.reset()
 
 
-class PackedBNN(ProgramEngine):
-    """A trained model compiled to bit-packed inference kernels.
-
-    The ``"packed"`` backend: every binary convolution runs as
-    XNOR/popcount on 64-bit words (with the table16 fast path for
-    single-word stems), batch-norms are frozen per-channel affines, and
-    the small float layers (pooling, dense head) run as-is.
-
-    Parameters
-    ----------
-    model:
-        A trained module tree built from the layer types of
-        :mod:`repro.nn` and :mod:`repro.binary`.  Weights are snapshot
-        at construction; later training of ``model`` does not affect the
-        compiled engine.
-    """
-
-    def __init__(self, model: Module, passes="default"):
-        super().__init__(model, "packed", passes)
-
-
-class FloatEngine(ProgramEngine):
-    """Float-arithmetic inference with the :class:`PackedBNN` interface.
-
-    Compiles the model through the ``"float"`` backend — deployment
-    float MACs over sign values, **bit-identical** to the packed
-    backend (see ``repro.engine.parity``) — so comparison runs exercise
-    the same lowered program on a different arithmetic substrate.
-
-    When the model contains layers the IR cannot represent, this engine
-    degrades to its historical behavior: a *live* (non-snapshot) view
-    of ``model.forward(training=False)``, which by definition runs any
-    layer the model itself can.  The serving registry reports that
-    condition as a fallback reason.
-    """
-
-    def __init__(self, model: Module, passes="default"):
-        self._model = model
-        try:
-            super().__init__(model, "float", passes)
-            self._live = False
-        except LoweringError:
-            self._live = True
-            self.program = None
-            self.pipeline = "none"
-            self.backend_name = "float"
-            self.op_times = OpTimings()
-            self._executor = None
-            self._stem_spec = None
-            self._fn = lambda x: self._model.forward(x, training=False)
-
-    @property
-    def is_live(self) -> bool:
-        """Whether this engine is a live model view (no compiled IR)."""
-        return self._live
-
-
-def engine_for_backend(
-    model: Module, backend: str, passes="default"
-) -> ProgramEngine:
-    """Build the engine class serving a named backend.
-
-    ``"packed"`` and ``"float"`` map to their dedicated classes (which
-    the serving layer type-checks and documents); any other registered
-    backend gets a generic :class:`ProgramEngine`.  Unknown names raise
-    ``ValueError`` listing the registered backends.  ``passes`` selects
-    the optimization pipeline (``"default"``, ``"none"``, or a list of
-    pass names — see :mod:`repro.engine.passes`).
-    """
-    if backend == "packed":
-        return PackedBNN(model, passes)
-    if backend == "float":
-        return FloatEngine(model, passes)
-    return ProgramEngine(model, backend, passes)
+#: the former name of the by-backend-name constructor, kept importable
+engine_for_backend = ProgramEngine

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..binary.inference import engine_for_backend
+from ..binary.inference import ProgramEngine
 from ..engine.backends import available_backends
 from ..features.downsample import to_network_input
 from ..litho.fullchip import apply_edits, synthesize_chip, synthesize_edit_trace
@@ -92,7 +92,7 @@ def _chaos_backend(backend, model, layout, args, budget, workdir) -> int:
     """Run every durability check for one engine backend; count failures."""
     from ..serve.faults import FaultInjector
 
-    engine = engine_for_backend(model, backend)
+    engine = ProgramEngine(model, backend)
     failures = 0
     reference = ChipScanner(engine, args.image_size).scan(
         layout, args.window, args.stride, budget
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
 
     failures = 0
     for backend in args.backends:
-        engine = engine_for_backend(model, backend)
+        engine = ProgramEngine(model, backend)
         scanner = ChipScanner(engine, args.image_size)
 
         reference = _monolithic_scores(

@@ -94,12 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help=".npz checkpoint from `repro train --save`")
     p_predict.add_argument("--limit", type=int, default=None,
                            help="classify at most this many test clips")
-    p_predict.add_argument("--float", dest="packed", action="store_false",
-                           help="shorthand for --backend float")
-    p_predict.add_argument("--backend", default=None,
-                           help="engine backend to serve with (see "
-                                "repro.engine.backends; e.g. packed, float); "
-                                "strict: unknown names fail")
+    p_predict.add_argument("--backend", default="packed",
+                           help="engine backend to serve with (default "
+                                "packed; see repro.engine.backends, e.g. "
+                                "float); strict: unknown names fail")
     p_predict.add_argument("--timeout-s", type=float, default=None,
                            help="per-call deadline in seconds; exceeded "
                                 "deadlines fail typed instead of hanging")
@@ -131,9 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="peak tile raster budget in MiB (default 64); "
                              "the scan never rasterizes more than this at "
                              "once")
-    p_scan.add_argument("--backend", default=None,
-                        help="engine backend to serve with (e.g. packed, "
-                             "float); strict: unknown names fail")
+    p_scan.add_argument("--backend", default="packed",
+                        help="engine backend to serve with (default "
+                             "packed; e.g. float); strict: unknown names "
+                             "fail")
     p_scan.add_argument("--bias", type=float, default=None,
                         help="hotspot decision bias (default: the "
                              "checkpoint's)")
@@ -386,11 +385,9 @@ def _cmd_predict(args) -> int:
         print(f"checkpoint not found: {checkpoint_path(args.checkpoint)}")
         return 2
     registry = ModelRegistry()
-    backend = args.backend or (None if args.packed else "float")
     try:
         entry = registry.load_checkpoint(
-            "checkpoint", args.checkpoint, prefer_packed=args.packed,
-            backend=backend,
+            "checkpoint", args.checkpoint, backend=args.backend,
         )
     except CheckpointError as exc:
         print(f"refusing to serve a bad checkpoint: {exc}")
@@ -694,7 +691,7 @@ def _cmd_serve_bench(args) -> int:
 
         benchmark = _load(args)
         detector = BNNDetector(base_width=8, epochs=args.epochs,
-                               finetune_epochs=0, packed=False, seed=0)
+                               finetune_epochs=0, backend=None, seed=0)
         detector.fit(benchmark.train, np.random.default_rng(0))
         model, image_size = detector.model, args.image_size
 

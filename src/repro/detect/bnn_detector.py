@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..binary.block import clip_binary_weights
-from ..binary.inference import PackedBNN, ProgramEngine, engine_for_backend
+from ..binary.inference import ProgramEngine
 from ..features.downsample import to_network_input
 from ..models.bnn_resnet import build_bnn_resnet
 from ..nn.data import ArrayDataset, DataLoader, RandomFlip, balanced_weights
@@ -61,14 +61,13 @@ class BNNDetector(HotspotDetector):
     lr:
         Initial learning rate.  The paper uses 0.15 on MXNet's scale;
         the float-simulated NAdam here is stable around 0.01.
-    packed:
-        Compile the trained network to the popcount engine for
-        :meth:`predict` (the deployment configuration).
     backend:
-        Explicit engine backend name (see
-        :mod:`repro.engine.backends`); overrides ``packed`` when set.
-        ``"float"`` serves the bit-identical float-MAC substrate, any
-        future registered backend works unchanged.
+        Engine backend :meth:`predict` runs on after ``fit`` (see
+        :mod:`repro.engine.backends`): ``"packed"`` is the popcount
+        engine (the deployment configuration), ``"float"`` the
+        bit-identical float-MAC substrate.  ``None`` compiles no engine
+        and predicts with the float training simulation
+        (``model.forward``).
     balance:
         Class-rebalance the main-phase mini-batches (draw with
         replacement so both classes contribute equally).  Necessary at
@@ -119,8 +118,7 @@ class BNNDetector(HotspotDetector):
         lr: float = 0.01,
         batch_size: int = 32,
         val_fraction: float = 0.15,
-        packed: bool = True,
-        backend: str | None = None,
+        backend: str | None = "packed",
         balance: bool = True,
         stem_stride: int | None = None,
         target_fa_rate: float | None = None,
@@ -144,7 +142,6 @@ class BNNDetector(HotspotDetector):
         self.lr = lr
         self.batch_size = batch_size
         self.val_fraction = val_fraction
-        self.packed = packed
         self.backend = backend
         self.balance = balance
         self.stem_stride = stem_stride
@@ -298,10 +295,10 @@ class BNNDetector(HotspotDetector):
             )
             self.history = run.run(resume=self.resume)
 
-        if self.backend is not None:
-            self.engine = engine_for_backend(self.model, self.backend)
-        else:
-            self.engine = PackedBNN(self.model) if self.packed else None
+        self.engine = (
+            None if self.backend is None
+            else ProgramEngine(self.model, self.backend)
+        )
         if self.target_fa_rate is not None and val_idx.size:
             self._calibrate(images[val_idx], labels[val_idx])
         return self

@@ -68,8 +68,7 @@ class Backend:
 
     Every kernel here is written to be bit-identical to the historical
     closure-chain engine (same expression order, same in-place points),
-    so rebuilding :class:`~repro.binary.inference.PackedBNN` on the IR
-    changed no output byte.
+    so rebuilding the packed engine on the IR changed no output byte.
     """
 
     name = "base"

@@ -12,8 +12,7 @@ Design rules:
 
 * **Nodes are frozen snapshots.**  Weight arrays are copied at lowering
   time, so a compiled program never changes under further training of
-  the source model (the old ``PackedBNN`` snapshot guarantee, now shared
-  by every backend).
+  the source model (a snapshot guarantee shared by every backend).
 * **Inference-only.**  Training-time concerns (dropout masks, batch-norm
   batch statistics, STE gradients) are resolved away during lowering:
   dropout lowers to an identity :class:`ActivationOp`, batch-norm to a

@@ -13,7 +13,7 @@ makes stem detection (:func:`find_plane_stem`) a scan over the node
 list instead of a pattern match over layer classes.
 
 Weights and batch-norm statistics are **copied** into the IR: lowering
-snapshots the model, exactly like the old ``PackedBNN`` compile step.
+snapshots the model, so later training never changes a compiled engine.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 The paper's pitch is that binarized inference is cheap enough to deploy
 at scale; this subpackage is the deployment story for the reproduction.
-It turns the :class:`~repro.binary.inference.PackedBNN` engine into a
-synchronous-API service with production plumbing:
+It turns the bit-packed :class:`~repro.binary.inference.ProgramEngine`
+into a synchronous-API service with production plumbing:
 
-* :class:`ModelRegistry` — named models, checkpoint loading, packed
-  compilation with graceful float fallback;
+* :class:`ModelRegistry` — named models, checkpoint loading, strict
+  compilation to one named engine backend (``packed`` by default);
 * :class:`MicroBatcher` — coalesces concurrent single-clip requests
   into engine batches (``max_batch`` / ``max_wait_ms``);
 * :class:`WorkerPool` — shards full-layout sliding-window scans across
@@ -60,7 +60,7 @@ from .errors import (
 from .faults import FaultInjector, FaultRule, FrameFaults, InjectedFault
 from .metrics import LatencyHistogram, ServiceMetrics
 from .pool import ShardOutcome, WorkerPool, shard_slices
-from .registry import ModelEntry, ModelRegistry, compile_engine, model_from_meta
+from .registry import ModelEntry, ModelRegistry, model_from_meta
 from .service import (
     HotspotService,
     extract_window,
@@ -110,7 +110,6 @@ __all__ = [
     "shard_slices",
     "ModelEntry",
     "ModelRegistry",
-    "compile_engine",
     "model_from_meta",
     "HotspotService",
     "extract_window",

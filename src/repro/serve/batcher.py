@@ -1,15 +1,15 @@
 """Micro-batching queue: coalesce single-clip requests into batches.
 
-The engines (:class:`~repro.binary.inference.PackedBNN` and the float
-fallback) amortize their per-invocation overhead — im2col setup, bit
-packing, BLAS dispatch — across the batch dimension, so serving one
-clip per call wastes most of the machine.  The batcher runs one
+The engines (:class:`~repro.binary.inference.ProgramEngine` on the
+packed or float backend) amortize their per-invocation overhead —
+im2col setup, bit packing, BLAS dispatch — across the batch dimension,
+so serving one clip per call wastes most of the machine.  The batcher runs one
 consumer thread that drains a queue: the first waiting request opens a
 batch, then the thread keeps collecting until either ``max_batch``
 requests are in hand or ``max_wait_ms`` has elapsed since the batch
 opened, stacks the inputs, and runs the engine once.
 
-Every per-sample operation in both engines (convolution, frozen
+Every per-sample operation on both backends (convolution, frozen
 batch-norm affine, pooling, dense head) is independent of the other
 samples in the batch, so predictions are **bit-identical regardless of
 how requests happen to coalesce** — the test suite pins this down.

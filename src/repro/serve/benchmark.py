@@ -56,7 +56,7 @@ def _run_mode(
     model: Module,
     image_size: int,
     images: np.ndarray,
-    prefer_packed: bool,
+    backend: str,
     batched: bool,
     max_batch: int,
     max_wait_ms: float,
@@ -64,7 +64,7 @@ def _run_mode(
     service = HotspotService.from_model(
         model,
         image_size,
-        prefer_packed=prefer_packed,
+        backend=backend,
         max_batch=max_batch if batched else 1,
         max_wait_ms=max_wait_ms if batched else 0.0,
     )
@@ -105,10 +105,10 @@ def measure_serving(
     ``"single-packed"``, ``"batched-float"``, ``"batched-packed"``.
     """
     results: dict[str, ModeResult] = {}
-    for prefer_packed in (False, True):
+    for backend in ("float", "packed"):
         for batched in (False, True):
             result = _run_mode(
-                model, image_size, images, prefer_packed, batched,
+                model, image_size, images, backend, batched,
                 max_batch, max_wait_ms,
             )
             results[f"{result.mode}-{result.backend}"] = result

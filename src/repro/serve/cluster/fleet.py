@@ -71,7 +71,7 @@ class WorkerHandle:
     next_spawn_at: float = 0.0  #: monotonic respawn-not-before time
     tasks_done: int = 0  #: watermark from the worker's last pong
     #: per-model serving metadata reported by the live process
-    #: (model name -> {backend, pipeline, fallback_reason, version})
+    #: (model name -> {backend, pipeline, version})
     provenance: dict[str, dict[str, object]] = field(default_factory=dict)
     shutdown_requested: bool = False  #: orderly stop; death is expected
     timed_out: bool = False  #: the supervisor killed it for missed pongs

@@ -12,9 +12,9 @@ small ``(n, 2)`` arrays and are cheap enough to pickle back.
 cleanly) plus the compile knobs.  Workers compile their *own* engine
 from it — compiled engines hold locks and caches that neither pickle
 nor should be shared — and report the resulting provenance (backend,
-pass-pipeline signature, fallback reason) back to the router, which
-aggregates it per replica in ``stats()`` and flags mixed-backend fleets
-as DEGRADED in ``health()``.
+pass-pipeline signature, version) back to the router, which
+aggregates it per replica in ``stats()`` and flags mixed-backend or
+mixed-version fleets as DEGRADED in ``health()``.
 """
 
 from __future__ import annotations
@@ -46,18 +46,19 @@ __all__ = [
 class ModelSpec:
     """One model as shipped to workers: weights + compile knobs.
 
-    ``version`` increments on every rolling rollout so provenance can
-    tell which checkpoint generation a replica is serving; a fleet
-    serving mixed versions (mid-rollout, or after an aborted one) is
-    visibly DEGRADED, never silent.
+    Built from the router's :class:`~repro.serve.registry.ModelEntry`,
+    so a worker compiles exactly what the router's reference engine
+    was compiled from.  ``version`` increments on every rolling rollout
+    so provenance can tell which checkpoint generation a replica is
+    serving; a fleet serving mixed versions (mid-rollout, or after an
+    aborted one) is visibly DEGRADED, never silent.
     """
 
     name: str
     model: object  #: :class:`~repro.nn.module.Module` tree (picklable)
     image_size: int
     decision_bias: float = 0.0
-    prefer_packed: bool = True
-    backend: str | None = None
+    backend: str = "packed"
     passes: object = "default"
     version: int = 1
 
@@ -148,9 +149,9 @@ class ReadyMsg:
     """Worker finished compiling its engines and is accepting tasks.
 
     ``provenance`` maps model name -> the replica's actual serving
-    metadata: ``backend``, ``pipeline``, ``fallback_reason``,
-    ``version``.  The router aggregates this in ``stats()`` and flags
-    cross-replica mismatches in ``health()``.
+    metadata: ``backend``, ``pipeline``, ``version``.  The router
+    aggregates this in ``stats()`` and flags cross-replica mismatches
+    in ``health()``.
     """
 
     slot: int

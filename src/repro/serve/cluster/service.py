@@ -89,9 +89,6 @@ from .worker import worker_main
 
 __all__ = ["ClusterService"]
 
-#: compile knobs a worker applies when a model registered without them
-_DEFAULT_KNOBS = {"prefer_packed": True, "backend": None, "passes": "default"}
-
 
 class _FrameHolder:
     """Router-side owner of one shared-memory frame, with retry refresh.
@@ -292,7 +289,6 @@ class ClusterService(_ServiceBase):
         self._pending: deque[_Task] = deque()
         self._next_task_id = 0
         self._versions: dict[str, int] = {}
-        self._knobs: dict[str, dict[str, object]] = {}
         self._load_results: dict[tuple, object] = {}
         self._started = False
         self._stop = threading.Event()
@@ -301,9 +297,8 @@ class ClusterService(_ServiceBase):
     # -- model management ------------------------------------------------
 
     def register(self, name: str, model, image_size: int,
-                 prefer_packed: bool = True, decision_bias: float = 0.0,
-                 meta: dict | None = None, backend: str | None = None,
-                 passes="default") -> ModelEntry:
+                 decision_bias: float = 0.0, meta: dict | None = None,
+                 backend: str = "packed", passes="default") -> ModelEntry:
         """Compile + register a model; live workers load it in place.
 
         Before the fleet starts this is pure registry bookkeeping —
@@ -312,14 +307,12 @@ class ClusterService(_ServiceBase):
         use :meth:`rollout` for the guarded one-replica-at-a-time swap.
         """
         entry = super().register(
-            name, model, image_size=image_size, prefer_packed=prefer_packed,
+            name, model, image_size=image_size,
             decision_bias=decision_bias, meta=meta, backend=backend,
             passes=passes,
         )
         with self._cond:
             self._versions.setdefault(name, 1)
-            self._knobs[name] = dict(prefer_packed=bool(prefer_packed),
-                                     backend=backend, passes=passes)
             live = [h for h in self._handles if h.alive] if self._started \
                 else []
             spec = self._spec(name) if live else None
@@ -331,20 +324,18 @@ class ClusterService(_ServiceBase):
         return entry
 
     @staticmethod
-    def _make_spec(name: str, entry: ModelEntry, knobs: dict | None,
-                   version: int) -> ModelSpec:
-        """The worker-bound spec of ``entry`` compiled under ``knobs``."""
+    def _make_spec(entry: ModelEntry, version: int) -> ModelSpec:
+        """The worker-bound spec of ``entry``, compiled as it was."""
         return ModelSpec(
-            name=name, model=entry.model, image_size=entry.image_size,
-            decision_bias=entry.decision_bias, version=version,
-            **{**_DEFAULT_KNOBS, **(knobs or {})},
+            name=entry.name, model=entry.model, image_size=entry.image_size,
+            decision_bias=entry.decision_bias, backend=entry.backend,
+            passes=entry.passes, version=version,
         )
 
     def _spec(self, name: str) -> ModelSpec:
         """Build the worker-bound spec of a registered model (locked)."""
         return self._make_spec(
-            name, self.registry.get(name), self._knobs.get(name),
-            self._versions.get(name, 1),
+            self.registry.get(name), self._versions.get(name, 1)
         )
 
     def _specs(self) -> tuple[ModelSpec, ...]:
@@ -968,9 +959,9 @@ class ClusterService(_ServiceBase):
         return self._load_results.pop(key)
 
     def rollout(self, name: str, model=None, path: str | None = None,
-                image_size: int | None = None, prefer_packed: bool = True,
-                decision_bias: float = 0.0, backend: str | None = None,
-                passes="default", canary_batch: np.ndarray | None = None,
+                image_size: int | None = None, decision_bias: float = 0.0,
+                backend: str = "packed", passes="default",
+                canary_batch: np.ndarray | None = None,
                 drain_timeout_s: float = 30.0) -> ModelEntry:
         """Roll a new checkpoint across the fleet without dropping traffic.
 
@@ -1006,15 +997,13 @@ class ClusterService(_ServiceBase):
                 self.registry.get(name) if name in self.registry else None
             )
             old_version = self._versions.get(name, 1)
-            old_knobs = self._knobs.get(name)
         if model is None and path is None:
             raise ValueError("rollout needs model= or path=")
         try:
             if path is not None:
                 entry = self.registry.load_checkpoint(
                     name, path, model=model, image_size=image_size,
-                    prefer_packed=prefer_packed, backend=backend,
-                    passes=passes,
+                    backend=backend, passes=passes,
                 )
             else:
                 if image_size is None:
@@ -1026,7 +1015,6 @@ class ClusterService(_ServiceBase):
                     raise ValueError("rollout of a new name needs image_size=")
                 entry = self.registry.register(
                     name, model, image_size=image_size,
-                    prefer_packed=prefer_packed,
                     decision_bias=decision_bias, backend=backend,
                     passes=passes,
                 )
@@ -1036,11 +1024,9 @@ class ClusterService(_ServiceBase):
         new_version = old_version + 1
         with self._cond:
             self._versions[name] = new_version
-            self._knobs[name] = dict(prefer_packed=bool(prefer_packed),
-                                     backend=backend, passes=passes)
             spec = self._spec(name)
             old_spec = None if old_entry is None else self._make_spec(
-                name, old_entry, old_knobs, old_version
+                old_entry, old_version
             )
         swapped: list[int] = []
         try:
@@ -1049,9 +1035,9 @@ class ClusterService(_ServiceBase):
                 else self._canary_batch(entry)
             )
             canary = np.ascontiguousarray(canary, dtype=np.float64)
-            # a model that registered via fallback but cannot actually
-            # score fails here — inside the rollback scope, so the
-            # version bump above is undone and no replica is touched
+            # a model that compiles but cannot score the canary fails
+            # here — inside the rollback scope, so the version bump
+            # above is undone and no replica is touched
             reference = entry.engine.predict_logits(canary)
             for handle in self._handles:
                 with self._cond:
@@ -1084,8 +1070,8 @@ class ClusterService(_ServiceBase):
             return entry
         except Exception:
             self.metrics.record_rollout(ok=False)
-            self._roll_back(name, old_entry, old_version, old_knobs,
-                            old_spec, swapped, drain_timeout_s)
+            self._roll_back(name, old_entry, old_version, old_spec,
+                            swapped, drain_timeout_s)
             raise
 
     def _swap_replica(self, handle: WorkerHandle, slot: int,
@@ -1159,18 +1145,16 @@ class ClusterService(_ServiceBase):
                 self._dispatch_locked()
                 self._cond.notify_all()
 
-    def _roll_back(self, name, old_entry, old_version, old_knobs,
-                   old_spec, swapped, drain_timeout_s) -> None:
+    def _roll_back(self, name, old_entry, old_version, old_spec,
+                   swapped, drain_timeout_s) -> None:
         """Best-effort restore of the pre-rollout fleet and registry."""
         with self._cond:
             self._versions[name] = old_version
-            if old_knobs is not None:
-                self._knobs[name] = old_knobs
         if old_entry is not None:
             self.registry.register(
                 name, old_entry.model, image_size=old_entry.image_size,
                 decision_bias=old_entry.decision_bias, meta=old_entry.meta,
-                **{**_DEFAULT_KNOBS, **(old_knobs or {})},
+                backend=old_entry.backend, passes=old_entry.passes,
             )
         for slot in swapped:
             handle = self._handles[slot]

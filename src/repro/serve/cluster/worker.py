@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ...binary.inference import ProgramEngine
 from ...features.downsample import to_network_input
 from ..errors import FrameIntegrityError
-from ..registry import _compile_with_reason
 from .messages import (
     ClassifyTask,
     LoadModelMsg,
@@ -67,16 +67,13 @@ class _Served:
 
 
 def _compile(spec) -> _Served:
-    engine, backend, reason = _compile_with_reason(
-        spec.model, spec.prefer_packed, spec.backend, spec.passes
-    )
+    engine = ProgramEngine(spec.model, spec.backend, spec.passes)
     return _Served(
         spec=spec,
         engine=engine,
         provenance={
-            "backend": backend,
-            "pipeline": getattr(engine, "pipeline", "none"),
-            "fallback_reason": reason,
+            "backend": engine.backend_name,
+            "pipeline": engine.pipeline,
             "version": spec.version,
         },
     )
@@ -142,27 +139,19 @@ class _Worker:
         return served.engine.predict_logits(batch)
 
     def _score_scan(self, task: ScanShardTask, served: _Served) -> np.ndarray:
-        engine = served.engine
         attachment = self._attachment(task.frame)
-        y0, y1 = task.band
-        band = attachment.array[y0:y1]
-        if hasattr(engine, "plan_scan"):
-            key = (task.model, served.spec.version, task.frame.name, task.band)
-            plan = self.plans.get(key)
-            if plan is None:
-                plan = engine.plan_scan(
-                    to_network_input(band[None]), task.window_px, task.origins
-                )
-                while len(self.plans) >= _PLAN_CACHE:
-                    self.plans.pop(next(iter(self.plans)))
-                self.plans[key] = plan
-            return plan.logits(task.origins, batch_size=task.batch_size)
-        # engines without a plane path: slice windows, score per batch
-        w = task.window_px
-        windows = np.stack([band[y : y + w, x : x + w] for x, y in task.origins])
-        return served.engine.predict_logits(
-            to_network_input(windows), batch_size=task.batch_size
-        )
+        key = (task.model, served.spec.version, task.frame.name, task.band)
+        plan = self.plans.get(key)
+        if plan is None:
+            y0, y1 = task.band
+            band = attachment.array[y0:y1]
+            plan = served.engine.plan_scan(
+                to_network_input(band[None]), task.window_px, task.origins
+            )
+            while len(self.plans) >= _PLAN_CACHE:
+                self.plans.pop(next(iter(self.plans)))
+            self.plans[key] = plan
+        return plan.logits(task.origins, batch_size=task.batch_size)
 
     # -- protocol -------------------------------------------------------
 

@@ -3,20 +3,15 @@
 The registry is the service's model store.  Models arrive either as
 live :class:`~repro.nn.module.Module` trees (``register``) or as
 ``.npz`` checkpoints written by ``repro train --save``
-(``load_checkpoint``).  Each entry is compiled through the engine
-backend registry (:mod:`repro.engine.backends`):
-
-* ``backend=None`` (default) keeps the historical policy — prefer the
-  bit-packed XNOR/popcount engine
-  (:class:`~repro.binary.inference.PackedBNN`) and fall back to the
-  float engine when the model cannot be lowered.  The fallback is no
-  longer silent: *why* it happened (the unloweredable layer type) is
-  recorded on the entry and surfaced by ``HotspotService.stats()`` /
-  ``health()`` as a degraded-performance note.
-* ``backend="name"`` requests one registered backend *strictly*: an
-  unknown name raises ``ValueError`` listing what exists, and a model
-  that cannot be lowered for it raises instead of silently serving a
-  different substrate.
+(``load_checkpoint``).  Each entry is compiled to a
+:class:`~repro.binary.inference.ProgramEngine` by one named engine
+backend (:mod:`repro.engine.backends`) — ``"packed"``, the bit-packed
+XNOR/popcount engine, unless another is requested.  Compilation is
+strict: an unknown backend name raises ``ValueError`` listing what
+exists, and a model the IR cannot lower raises
+:class:`~repro.engine.lower.LoweringError` naming the layer type.
+Either way nothing is registered, so a failed re-registration leaves
+the previous entry serving.
 
 Checkpoints written with metadata (``save_model(..., meta=...)``) are
 self-describing: :func:`model_from_meta` rebuilds the paper's residual
@@ -35,77 +30,15 @@ import warnings
 from dataclasses import dataclass, field
 from threading import Lock
 
-from ..binary.inference import (
-    FloatEngine,
-    PackedBNN,
-    ProgramEngine,
-    engine_for_backend,
-)
+from ..binary.inference import ProgramEngine
 from ..detect.bnn_detector import stages_for_image_size
-from ..engine.backends import available_backends
-from ..engine.lower import LoweringError, pipeline_signature
+from ..engine.backends import get_backend
+from ..engine.lower import pipeline_signature
 from ..models.bnn_resnet import build_bnn_resnet
 from ..nn.module import Module
 from ..nn.serialization import CheckpointError, load_meta, load_model
 
-__all__ = ["ModelEntry", "ModelRegistry", "compile_engine", "model_from_meta"]
-
-
-def _compile_with_reason(
-    model: Module,
-    prefer_packed: bool,
-    backend: str | None,
-    passes="default",
-) -> tuple[ProgramEngine, str, str | None]:
-    """Compile ``model``; also report why a fallback happened (or None).
-
-    Only the legacy ``backend=None`` path can fall back; an explicit
-    backend request is strict.
-    """
-    if backend is not None:
-        if backend not in available_backends():
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(available: {', '.join(available_backends())})"
-            )
-        return engine_for_backend(model, backend, passes), backend, None
-    if prefer_packed:
-        try:
-            return PackedBNN(model, passes), "packed", None
-        except LoweringError as exc:
-            reason = (
-                f"layer type {exc.layer_type!r} cannot be lowered to the "
-                f"packed backend; serving the float fallback"
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            reason = (
-                f"packed compilation failed ({type(exc).__name__}: {exc}); "
-                f"serving the float fallback"
-            )
-        return FloatEngine(model, passes), "float", reason
-    return FloatEngine(model, passes), "float", None
-
-
-def compile_engine(
-    model: Module,
-    prefer_packed: bool = True,
-    backend: str | None = None,
-    passes="default",
-) -> tuple[ProgramEngine, str]:
-    """Compile ``model`` to an inference engine.
-
-    Returns ``(engine, backend_name)``.  With ``backend=None`` this is
-    the historical packed-or-float policy: compilation errors are
-    swallowed — the float engine always works (it degrades to a live
-    model view for unloweredable models) — so registration never fails
-    for a forward-capable model.  An explicit ``backend`` resolves
-    through the engine backend registry and is strict (unknown names
-    and unloweredable models raise).  ``passes`` selects the pass
-    pipeline the program is optimized with before compilation
-    (``"default"``, ``"none"``, or explicit pass names).
-    """
-    engine, name, _ = _compile_with_reason(model, prefer_packed, backend, passes)
-    return engine, name
+__all__ = ["ModelEntry", "ModelRegistry", "model_from_meta"]
 
 
 def model_from_meta(meta: dict[str, object]) -> Module:
@@ -138,13 +71,13 @@ class ModelEntry:
     name: str
     model: Module
     engine: ProgramEngine
-    backend: str  #: resolved backend name (``"packed"``, ``"float"``, ...)
+    backend: str  #: engine backend name (``"packed"``, ``"float"``, ...)
     image_size: int  #: square input side the engine expects
     decision_bias: float = 0.0  #: score threshold (see ``BNNDetector``)
     meta: dict[str, object] = field(default_factory=dict)
-    #: why the preferred backend was not used (None when none happened);
-    #: surfaced by the service as a degraded-performance note
-    fallback_reason: str | None = None
+    #: pass pipeline the engine was compiled with (``"default"``,
+    #: ``"none"`` or pass names) — what a recompile must repeat
+    passes: object = "default"
     #: pass-pipeline signature the engine was compiled under
     #: (e.g. ``"fold-bn>hoist-scales>liveness"`` or ``"none"``)
     pipeline: str = ""
@@ -162,33 +95,30 @@ class ModelRegistry:
         name: str,
         model: Module,
         image_size: int,
-        prefer_packed: bool = True,
         decision_bias: float = 0.0,
         meta: dict[str, object] | None = None,
-        backend: str | None = None,
+        backend: str = "packed",
         passes="default",
     ) -> ModelEntry:
         """Compile and register a live model under ``name``.
 
-        ``backend`` selects a registered engine backend by name
-        (strict); the default keeps the prefer-packed-with-fallback
-        policy.  ``passes`` selects the optimization pipeline.
+        ``backend`` names the engine backend (strict: see the module
+        docstring); ``passes`` selects the optimization pipeline.
         Re-registering a name replaces the previous entry (latest
-        wins), which is how a rolling model update deploys.
+        wins), which is how a rolling model update deploys; a model
+        that fails to compile replaces nothing.
         """
-        engine, backend_name, reason = _compile_with_reason(
-            model, prefer_packed, backend, passes
-        )
+        engine = ProgramEngine(model, backend, passes)
         entry = ModelEntry(
             name=name,
             model=model,
             engine=engine,
-            backend=backend_name,
+            backend=backend,
             image_size=int(image_size),
             decision_bias=float(decision_bias),
             meta=dict(meta or {}),
-            fallback_reason=reason,
-            pipeline=getattr(engine, "pipeline", "none"),
+            passes=passes,
+            pipeline=engine.pipeline,
         )
         with self._lock:
             self._entries[name] = entry
@@ -200,8 +130,7 @@ class ModelRegistry:
         path: str | os.PathLike,
         model: Module | None = None,
         image_size: int | None = None,
-        prefer_packed: bool = True,
-        backend: str | None = None,
+        backend: str = "packed",
         passes="default",
     ) -> ModelEntry:
         """Load a ``.npz`` checkpoint and register it under ``name``.
@@ -211,7 +140,7 @@ class ModelRegistry:
         an explicit ``model`` skips that and just receives the weights.
 
         When the checkpoint records the backend it was saved for and the
-        effective request differs, a ``UserWarning`` is emitted — the
+        requested one differs, a ``UserWarning`` is emitted — the
         predictions of the built-in backends are bit-identical, but a
         serving run is only reproducible from the checkpoint alone when
         the backend matches.
@@ -231,26 +160,20 @@ class ModelRegistry:
             raise CheckpointError(
                 f"cannot register model {name!r}: {exc}"
             ) from exc
-        if backend is not None and backend not in available_backends():
-            # fail before the mismatch warning below can claim we are
-            # "serving with" a backend that does not exist
-            raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(available: {', '.join(available_backends())})"
-            )
+        # fail before the mismatch warning below can claim we are
+        # "serving with" a backend that does not exist
+        get_backend(backend)
         recorded = meta.get("backend")
-        if recorded is not None:
-            requested = backend or ("packed" if prefer_packed else "float")
-            if str(recorded) != requested:
-                warnings.warn(
-                    f"checkpoint {os.fspath(path)!r} records backend "
-                    f"{str(recorded)!r} but {requested!r} was requested; "
-                    f"serving with {requested!r} (predictions are "
-                    f"bit-identical across built-in backends, but the run "
-                    f"is not reproducible from the checkpoint alone)",
-                    UserWarning,
-                    stacklevel=2,
-                )
+        if recorded is not None and str(recorded) != backend:
+            warnings.warn(
+                f"checkpoint {os.fspath(path)!r} records backend "
+                f"{str(recorded)!r} but {backend!r} was requested; "
+                f"serving with {backend!r} (predictions are "
+                f"bit-identical across built-in backends, but the run "
+                f"is not reproducible from the checkpoint alone)",
+                UserWarning,
+                stacklevel=2,
+            )
         recorded_pipeline = meta.get("pipeline")
         if recorded_pipeline is not None:
             requested_pipeline = pipeline_signature(passes)
@@ -276,7 +199,6 @@ class ModelRegistry:
             name,
             model,
             image_size=image_size,
-            prefer_packed=prefer_packed,
             decision_bias=float(meta.get("decision_bias", 0.0)),
             meta=meta,
             backend=backend,

@@ -214,27 +214,26 @@ class _ServiceBase:
 
     @classmethod
     def from_model(cls, model: Module, image_size: int, name: str = "default",
-                   prefer_packed: bool = True, decision_bias: float = 0.0,
-                   backend: str | None = None, **kwargs):
+                   decision_bias: float = 0.0, backend: str = "packed",
+                   **kwargs):
         """Convenience: wrap one live model in a ready-to-serve service.
 
-        ``backend`` selects a registered engine backend by name
-        (strict); the default keeps prefer-packed-with-fallback.
+        ``backend`` names the engine backend (strict: unknown names and
+        unlowerable models raise).
         """
         service = cls(default_model=name, **kwargs)
         service.register(
-            name, model, image_size=image_size, prefer_packed=prefer_packed,
+            name, model, image_size=image_size,
             decision_bias=decision_bias, backend=backend,
         )
         return service
 
     def register(self, name: str, model: Module, image_size: int,
-                 prefer_packed: bool = True, decision_bias: float = 0.0,
-                 meta: dict | None = None, backend: str | None = None,
-                 passes="default") -> ModelEntry:
+                 decision_bias: float = 0.0, meta: dict | None = None,
+                 backend: str = "packed", passes="default") -> ModelEntry:
         """Compile and register a model (:meth:`ModelRegistry.register`)."""
         return self.registry.register(
-            name, model, image_size=image_size, prefer_packed=prefer_packed,
+            name, model, image_size=image_size,
             decision_bias=decision_bias, meta=meta, backend=backend,
             passes=passes,
         )
@@ -443,15 +442,10 @@ class _ServiceBase:
         failed rollouts) has incremented since the metrics were last
         reset — the reasons enumerate which — or when the executor
         reports a condition of its own (a fleet's down, draining or
-        mixed replicas), or when any registered model silently fell
-        back from its preferred engine backend (a degraded-*performance*
-        note: predictions stay correct, but the packed substrate is not
-        serving); ``READY`` otherwise.  Degradation from fault counters
-        is sticky until ``metrics.reset()``: a service that shed load
-        five minutes ago should keep telling its load balancer so until
-        an operator (or a warm-up cycle) clears it.  A fallback note
-        clears only by re-registering the model so the preferred
-        backend compiles.
+        mixed replicas); ``READY`` otherwise.  Degradation from fault
+        counters is sticky until ``metrics.reset()``: a service that
+        shed load five minutes ago should keep telling its load
+        balancer so until an operator (or a warm-up cycle) clears it.
         """
         if self._closed:
             return HealthReport(
@@ -475,12 +469,6 @@ class _ServiceBase:
             if count
         )
         reasons += self._health_reasons()
-        reasons += tuple(
-            f"model {name!r}: {entry.fallback_reason}"
-            for name in self.registry.names()
-            for entry in (self.registry.get(name),)
-            if entry.fallback_reason
-        )
         if reasons:
             return HealthReport(HealthState.DEGRADED, reasons)
         return HealthReport(HealthState.READY)
@@ -496,7 +484,6 @@ class _ServiceBase:
                 "backend": entry.backend,
                 "pipeline": entry.pipeline,
                 "image_size": entry.image_size,
-                "fallback_reason": entry.fallback_reason,
             }
             for name in self.registry.names()
             for entry in (self.registry.get(name),)
@@ -676,7 +663,7 @@ class HotspotService(_ServiceBase):
             entry.image_size,
         )
         plan = None
-        if scale is not None and hasattr(entry.engine, "plan_scan"):
+        if scale is not None:
             try:
                 plane = self.plane_cache.get(request.layout, scale, "binary")
                 plan = entry.engine.plan_scan(

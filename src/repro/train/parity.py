@@ -82,7 +82,7 @@ def make_detector(
         finetune_epochs=finetune_epochs,
         batch_size=batch_size,
         stem_stride=1,
-        packed=False,
+        backend=None,
         seed=seed,
         **kwargs,
     )

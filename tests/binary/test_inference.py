@@ -8,7 +8,7 @@ from repro.binary import (
     BinaryConv2D,
     BinaryDense,
     BNNConvBlock,
-    PackedBNN,
+    ProgramEngine,
 )
 from repro.models import bnn_resnet8, bnn_resnet12
 from repro.nn import (
@@ -34,14 +34,14 @@ class TestLayerParity:
                              rng=rng)
         x = rng.normal(size=(2, 3, 9, 9))
         np.testing.assert_allclose(
-            PackedBNN(layer).forward(x), layer.forward(x), atol=1e-9
+            ProgramEngine(layer).forward(x), layer.forward(x), atol=1e-9
         )
 
     def test_binary_dense(self, rng):
         layer = BinaryDense(70, 4, rng=rng)
         x = rng.normal(size=(3, 70))
         np.testing.assert_allclose(
-            PackedBNN(layer).forward(x), layer.forward(x), atol=1e-9
+            ProgramEngine(layer).forward(x), layer.forward(x), atol=1e-9
         )
 
     def test_batchnorm_uses_running_stats(self, rng):
@@ -50,7 +50,7 @@ class TestLayerParity:
             bn.forward(rng.normal(loc=1.5, size=(8, 3, 4, 4)), training=True)
         x = rng.normal(size=(2, 3, 4, 4))
         np.testing.assert_allclose(
-            PackedBNN(bn).forward(x), bn.forward(x, training=False), atol=1e-12
+            ProgramEngine(bn).forward(x), bn.forward(x, training=False), atol=1e-12
         )
 
     def test_float_conv_and_misc_layers(self, rng):
@@ -66,7 +66,7 @@ class TestLayerParity:
         )
         x = rng.normal(size=(2, 1, 8, 8))
         np.testing.assert_allclose(
-            PackedBNN(net).forward(x), net.forward(x), atol=1e-9
+            ProgramEngine(net).forward(x), net.forward(x), atol=1e-9
         )
 
     def test_unknown_layer_raises(self):
@@ -74,7 +74,7 @@ class TestLayerParity:
             pass
 
         with pytest.raises(TypeError):
-            PackedBNN(Strange())
+            ProgramEngine(Strange())
 
 
 class TestNetworkParity:
@@ -85,7 +85,7 @@ class TestNetworkParity:
         model.forward(rng.normal(size=(8, 1, 16, 16)), training=True)
         x = rng.normal(size=(4, 1, 16, 16))
         np.testing.assert_allclose(
-            PackedBNN(model).forward(x), model.forward(x), atol=1e-8
+            ProgramEngine(model).forward(x), model.forward(x), atol=1e-8
         )
 
     def test_resnet12_block_with_projection(self, rng):
@@ -93,13 +93,13 @@ class TestNetworkParity:
         model.forward(rng.normal(size=(4, 1, 32, 32)), training=True)
         x = rng.normal(size=(2, 1, 32, 32))
         np.testing.assert_allclose(
-            PackedBNN(model).forward(x), model.forward(x), atol=1e-8
+            ProgramEngine(model).forward(x), model.forward(x), atol=1e-8
         )
 
     def test_engine_is_a_snapshot(self, rng):
         model = bnn_resnet8(seed=0, base_width=4)
         x = rng.normal(size=(2, 1, 16, 16))
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         before = engine.forward(x)
         for p in model.parameters():
             p.data[...] = 0.12345  # packed weights were captured already
@@ -107,7 +107,7 @@ class TestNetworkParity:
 
     def test_predict_logits_batches(self, rng):
         model = bnn_resnet8(seed=0, base_width=4)
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         x = rng.normal(size=(10, 1, 16, 16))
         np.testing.assert_allclose(
             engine.predict_logits(x, batch_size=3), engine.forward(x), atol=1e-10
@@ -120,5 +120,5 @@ class TestNetworkParity:
         model.forward(rng.normal(size=(16, 1, 16, 16)), training=True)
         x = rng.normal(size=(32, 1, 16, 16))
         sim = model.forward(x).argmax(1)
-        packed = PackedBNN(model).forward(x).argmax(1)
+        packed = ProgramEngine(model).forward(x).argmax(1)
         np.testing.assert_array_equal(sim, packed)

@@ -1,4 +1,4 @@
-"""Bit-identity of the plane-compiled scan engine (PackedBNN.plan_scan).
+"""Bit-identity of the plane-compiled scan engine (ProgramEngine.plan_scan).
 
 The whole point of the plane engine is that it is a pure optimisation:
 for every scaling mode, stem stride and window phase, the logits must
@@ -9,7 +9,7 @@ not approximately.  These tests assert exact array equality.
 import numpy as np
 import pytest
 
-from repro.binary.inference import PackedBNN, PlaneScanPlan
+from repro.binary.inference import PlaneScanPlan, ProgramEngine
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.nn.layers.container import Sequential
 from repro.nn.layers.dense import Dense
@@ -41,7 +41,7 @@ class TestPlaneScanBitIdentity:
     @pytest.mark.parametrize("scaling", ["xnor", "channelwise", "none"])
     @pytest.mark.parametrize("stem_stride", [1, 2])
     def test_matches_per_window_logits(self, scaling, stem_stride):
-        engine = PackedBNN(_warmed_model(scaling, stem_stride))
+        engine = ProgramEngine(_warmed_model(scaling, stem_stride))
         assert engine._stem_spec is not None
         plane, window = _plane(), 32
         # origins cover every phase of both stem strides, plus edges
@@ -54,7 +54,7 @@ class TestPlaneScanBitIdentity:
 
     def test_origin_subsets_and_batch_sizes(self):
         """Sharded / re-batched evaluation changes nothing."""
-        engine = PackedBNN(_warmed_model("xnor", stem_stride=2))
+        engine = ProgramEngine(_warmed_model("xnor", stem_stride=2))
         plane, window = _plane(), 32
         origins = [(8 * i, 8 * j) for i in range(5) for j in range(5)]
         plan = engine.plan_scan(plane, window, origins)
@@ -69,7 +69,7 @@ class TestPlaneScanBitIdentity:
         )
 
     def test_unseen_origin_builds_phase_lazily(self):
-        engine = PackedBNN(_warmed_model("channelwise", stem_stride=2))
+        engine = ProgramEngine(_warmed_model("channelwise", stem_stride=2))
         plane, window = _plane(), 32
         plan = engine.plan_scan(plane, window, [(0, 0)])
         np.testing.assert_array_equal(
@@ -77,7 +77,7 @@ class TestPlaneScanBitIdentity:
         )
 
     def test_scan_plane_one_shot(self):
-        engine = PackedBNN(_warmed_model("xnor"))
+        engine = ProgramEngine(_warmed_model("xnor"))
         plane, window = _plane(64), 32
         origins = [(0, 0), (16, 16), (32, 32)]
         np.testing.assert_array_equal(
@@ -91,7 +91,7 @@ class TestFallbackPath:
         """A bare head (no conv stem) still scans, via whole windows."""
         rng = np.random.default_rng(1)
         model = Sequential(GlobalAvgPool2D(), Dense(1, 2, rng=rng))
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         assert engine._stem_spec is None
         plane, window = _plane(48), 16
         origins = [(0, 0), (5, 9), (32, 32)]
@@ -102,7 +102,7 @@ class TestFallbackPath:
         )
 
     def test_multichannel_plane_falls_back(self):
-        engine = PackedBNN(_warmed_model("xnor"))
+        engine = ProgramEngine(_warmed_model("xnor"))
         plane3 = np.stack([_plane(48, seed=s) for s in range(3)])[None]
         plan = PlaneScanPlan(plane3, 16, [(0, 0)], engine._stem_spec,
                              engine._fn)
@@ -111,18 +111,18 @@ class TestFallbackPath:
 
 class TestValidation:
     def test_out_of_bounds_origin_raises(self):
-        engine = PackedBNN(_warmed_model("none"))
+        engine = ProgramEngine(_warmed_model("none"))
         with pytest.raises(ValueError):
             engine.plan_scan(_plane(64), 32, [(40, 0)])
         with pytest.raises(ValueError):
             engine.plan_scan(_plane(64), 32, [(0, -1)])
 
     def test_bad_plane_shape_raises(self):
-        engine = PackedBNN(_warmed_model("none"))
+        engine = ProgramEngine(_warmed_model("none"))
         with pytest.raises(ValueError):
             engine.plan_scan(np.zeros((2, 1, 64, 64)), 32, [(0, 0)])
 
     def test_empty_origins_empty_logits(self):
-        engine = PackedBNN(_warmed_model("none"))
+        engine = ProgramEngine(_warmed_model("none"))
         plan = engine.plan_scan(_plane(64), 32, [])
         assert plan.logits().shape[0] == 0

@@ -13,7 +13,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.binary.inference import PackedBNN
+from repro.binary.inference import ProgramEngine
 from repro.chip import (
     ChipScanner,
     DurableChipScan,
@@ -50,7 +50,7 @@ def engine():
     model = build_bnn_resnet((4, 8), scaling="xnor", seed=3)
     x = (rng.random((8, 1, IMAGE, IMAGE)) > 0.5) * 2.0 - 1.0
     model.forward(x, training=True)
-    return PackedBNN(model)
+    return ProgramEngine(model)
 
 
 @pytest.fixture(scope="module")

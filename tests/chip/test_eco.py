@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.binary.inference import PackedBNN
+from repro.binary.inference import ProgramEngine
 from repro.chip import ChipScanner, DirtyRegionTracker
 from repro.litho.fullchip import (
     LayoutEdit,
@@ -19,7 +19,7 @@ from .test_scanner import BUDGET, IMAGE, SIZE, STRIDE, WINDOW, warmed_model
 
 @pytest.fixture(scope="module")
 def engine():
-    return PackedBNN(warmed_model())
+    return ProgramEngine(warmed_model())
 
 
 @pytest.fixture(scope="module")

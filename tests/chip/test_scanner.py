@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.binary.inference import FloatEngine, PackedBNN
+from repro.binary.inference import ProgramEngine
 from repro.chip import ChipScanner
 from repro.features.downsample import to_network_input
 from repro.litho.fullchip import synthesize_chip
@@ -34,8 +34,7 @@ def layout():
 
 @pytest.fixture(scope="module", params=["packed", "float"])
 def engine(request):
-    cls = {"packed": PackedBNN, "float": FloatEngine}[request.param]
-    return cls(warmed_model())
+    return ProgramEngine(warmed_model(), request.param)
 
 
 def monolithic_scores(engine, layout, steps):

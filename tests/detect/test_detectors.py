@@ -67,7 +67,7 @@ class TestBNNSpecifics:
     def test_packed_and_sim_predictions_agree(self, planted):
         train, test = planted
         detector = BNNDetector(channels=(4, 8), epochs=3, finetune_epochs=0,
-                               batch_size=16, seed=0, packed=True,
+                               batch_size=16, seed=0, backend="packed",
                                stem_stride=1)
         detector.fit(train, np.random.default_rng(2))
         packed = detector.predict(test.images)

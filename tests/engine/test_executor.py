@@ -139,10 +139,10 @@ class TestOwnership:
 
 class TestEngineSurface:
     def test_engine_exposes_op_timings(self, rng):
-        from repro.binary import PackedBNN
+        from repro.binary import ProgramEngine
 
         model = _warm_model(rng)
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         engine.predict_logits(rng.normal(size=(2, 1, 16, 16)))
         rows = engine.op_timings()
         assert rows and all(row["calls"] >= 1 for row in rows)

@@ -7,7 +7,7 @@ reproduction lives in benchmarks/.
 import numpy as np
 import pytest
 
-from repro.binary import PackedBNN
+from repro.binary import ProgramEngine
 from repro.bench import load_benchmark, run_detectors
 from repro.detect import (
     BNNDetector,
@@ -67,7 +67,7 @@ class TestPipeline:
         fresh = BNNDetector(channels=(4, 8), seed=999, stem_stride=1)
         fresh.model = fresh._build(32)
         load_model(fresh.model, path)
-        fresh.engine = PackedBNN(fresh.model)
+        fresh.engine = ProgramEngine(fresh.model)
         after = fresh.predict(tiny_benchmark.test.images)
         np.testing.assert_array_equal(before, after)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.binary import PackedBNN
+from repro.binary import ProgramEngine
 from repro.models import bnn_resnet12, summarize
 
 
@@ -30,7 +30,7 @@ class TestPaperNetwork:
         model.forward(rng.normal(size=(2, 1, 128, 128)), training=True)
         x = np.where(rng.random((2, 1, 128, 128)) < 0.3, 1.0, -1.0)
         sim = model.forward(x)
-        packed = PackedBNN(model).forward(x)
+        packed = ProgramEngine(model).forward(x)
         np.testing.assert_allclose(sim, packed, atol=1e-8)
 
     def test_spatial_reduction_to_4x4(self, rng):

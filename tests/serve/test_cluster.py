@@ -151,7 +151,7 @@ class TestProvenanceAndHealth:
         for replica in replicas.values():
             prov = replica["provenance"]["default"]
             assert prov["backend"] in available_backends()
-            assert "fallback_reason" in prov
+            assert set(prov) == {"backend", "pipeline", "version"}
             assert prov["version"] == 1
         fleet = stats["cluster"]["fleet"]["default"]
         assert fleet["mixed_backend"] is False
@@ -167,7 +167,9 @@ class TestProvenanceAndHealth:
             assert report.reasons == ()
 
     def test_mixed_backend_fleet_is_degraded(self, cluster):
-        # simulate one replica having fallen back to the float engine
+        # simulate a rollout caught midway from packed to float: one
+        # replica already reports the new backend (a fallback no longer
+        # exists, so mid-rollout is the only way a fleet gets mixed)
         handle = cluster._handles[0]
         original = {k: dict(v) for k, v in handle.provenance.items()}
         try:

@@ -13,8 +13,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.engine.lower import LoweringError
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
+from repro.nn import Dense, GlobalAvgPool2D, Module, Sequential
 from repro.serve import (
     ClipRequest,
     ClusterService,
@@ -32,6 +34,22 @@ pytestmark = [pytest.mark.slow, pytest.mark.timeout(300)]
 @pytest.fixture(scope="module")
 def model():
     return build_bnn_resnet((4, 8), scaling="xnor", seed=0)
+
+
+class NotAModel:
+    """Not a module tree at all."""
+
+
+class Unsupported(Module):
+    """A layer type the engine IR cannot represent."""
+
+    def forward(self, x, training=False):
+        return np.tanh(x)
+
+
+def unsupported_model():
+    return Sequential(Unsupported(), GlobalAvgPool2D(),
+                      Dense(1, 2, rng=np.random.default_rng(0)))
 
 
 @pytest.fixture(scope="module")
@@ -206,16 +224,16 @@ class TestRollingRollout:
         versions = stats["cluster"]["fleet"]["default"]["versions"]
         assert versions == ["2"]
 
-    def test_failed_canary_rolls_back(self, model):
-        class NotAModel:
-            """Fails router-side compilation: the rollout must abort in
-            step 1 (register), before any replica is drained."""
-
+    @pytest.mark.parametrize("bad_model", [NotAModel, unsupported_model],
+                             ids=["NotAModel", "Unsupported"])
+    def test_failed_canary_rolls_back(self, model, bad_model):
+        """A model that fails router-side compilation aborts the rollout
+        in step 1 (register), before any replica is drained."""
         with make_cluster(model) as svc:
             image = np.zeros((16, 16))
             before = svc.classify(ClipRequest(image=image), timeout=120)
-            with pytest.raises(Exception):
-                svc.rollout("default", model=NotAModel())
+            with pytest.raises(LoweringError):
+                svc.rollout("default", model=bad_model())
             assert svc.stats()["rollout_failures_total"] == 1
             # fleet still serves the old model, bit-identically
             after = svc.classify(ClipRequest(image=image), timeout=120)

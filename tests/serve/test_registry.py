@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.binary.inference import FloatEngine, PackedBNN
+from repro.binary.inference import ProgramEngine
+from repro.engine.lower import LoweringError
 from repro.features.downsample import to_network_input
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.nn import Dense, Module, Sequential, load_meta, save_model
-from repro.serve import ModelRegistry, compile_engine, model_from_meta
+from repro.serve import ModelRegistry, model_from_meta
 
 
 def make_model(seed=0, image_size=16, base_width=4, scaling="xnor"):
@@ -23,29 +24,34 @@ def make_images(n=12, size=16, seed=3):
 
 
 class Unsupported(Module):
-    """A layer type the packed compiler cannot handle."""
+    """A layer type the engine IR cannot represent."""
 
     def forward(self, x, training=False):
         return np.tanh(x)
 
 
+def unlowerable_model():
+    return Sequential(Unsupported(), Dense(4, 2, rng=np.random.default_rng(0)))
+
+
 class TestCompileEngine:
     def test_packed_by_default(self):
-        engine, backend = compile_engine(make_model())
-        assert backend == "packed" and isinstance(engine, PackedBNN)
+        assert ProgramEngine(make_model()).backend_name == "packed"
+        entry = ModelRegistry().register("m", make_model(), image_size=16)
+        assert entry.backend == entry.engine.backend_name == "packed"
+        assert entry.passes == "default"
 
     def test_float_on_request(self):
-        engine, backend = compile_engine(make_model(), prefer_packed=False)
-        assert backend == "float" and isinstance(engine, FloatEngine)
+        entry = ModelRegistry().register(
+            "m", make_model(), image_size=16, backend="float"
+        )
+        assert entry.backend == entry.engine.backend_name == "float"
 
-    def test_graceful_fallback_on_unsupported_layer(self):
-        model = Sequential(Unsupported(), Dense(4, 2,
-                                                rng=np.random.default_rng(0)))
-        engine, backend = compile_engine(model)
-        assert backend == "float"
-        x = np.random.default_rng(1).normal(size=(3, 4))
-        np.testing.assert_array_equal(engine.forward(x),
-                                      model.forward(x, training=False))
+    @pytest.mark.parametrize("backend", ["packed", "float"])
+    def test_unsupported_layer_is_refused(self, backend):
+        with pytest.raises(LoweringError, match="Unsupported") as info:
+            ProgramEngine(unlowerable_model(), backend)
+        assert info.value.layer_type == "Unsupported"
 
 
 class TestModelRegistry:
@@ -81,8 +87,8 @@ class TestCheckpointRoundTrip:
 
         load_model(fresh, path)
         images = make_images(seed=6)
-        original = PackedBNN(model).predict_logits(images)
-        reloaded = PackedBNN(fresh).predict_logits(images)
+        original = ProgramEngine(model).predict_logits(images)
+        reloaded = ProgramEngine(fresh).predict_logits(images)
         np.testing.assert_array_equal(reloaded, original)
 
     def test_load_checkpoint_rebuilds_from_meta(self, tmp_path):
@@ -102,7 +108,7 @@ class TestCheckpointRoundTrip:
         images = make_images(seed=8)
         np.testing.assert_array_equal(
             entry.engine.predict_logits(images),
-            PackedBNN(model).predict_logits(images),
+            ProgramEngine(model).predict_logits(images),
         )
 
     def test_meta_scalars_round_trip_types(self, tmp_path):
@@ -134,64 +140,78 @@ class TestExplicitBackend:
     def test_explicit_float_is_compiled_not_live(self):
         model = make_model()
         model.forward(make_images(seed=4), training=True)
-        engine, backend = compile_engine(model, backend="float")
-        assert backend == "float" and isinstance(engine, FloatEngine)
-        assert not engine.is_live  # compiled program, not a model view
+        engine = ProgramEngine(model, "float")
+        assert engine.backend_name == "float"
+        assert engine.program is not None  # compiled IR, not a model view
         images = make_images(seed=5)
         np.testing.assert_array_equal(
             engine.predict_logits(images),
-            PackedBNN(model).predict_logits(images),
+            ProgramEngine(model).predict_logits(images),
         )
 
     def test_unknown_backend_raises_listing_available(self):
         # "compiled" names a backend that no longer exists
         for name in ("turbo", "compiled"):
             with pytest.raises(ValueError, match="available: float, packed"):
-                compile_engine(make_model(), backend=name)
+                ProgramEngine(make_model(), name)
             with pytest.raises(ValueError, match="available: float, packed"):
                 ModelRegistry().register(
                     "m", make_model(), image_size=16, backend=name
                 )
 
     def test_explicit_packed_is_strict_on_unloweredable(self):
-        model = Sequential(Unsupported(), Dense(4, 2,
-                                                rng=np.random.default_rng(0)))
         with pytest.raises(TypeError):
-            compile_engine(model, backend="packed")
+            ProgramEngine(unlowerable_model(), "packed")
 
     def test_register_threads_backend_through(self):
         registry = ModelRegistry()
         entry = registry.register(
-            "m", make_model(), image_size=16, backend="float"
+            "m", make_model(), image_size=16, backend="float", passes="none"
         )
-        assert entry.backend == "float"
-        assert isinstance(entry.engine, FloatEngine)
-        assert entry.fallback_reason is None
+        assert entry.backend == entry.engine.backend_name == "float"
+        assert entry.passes == "none" and entry.pipeline == "none"
 
 
 class TestFallbackReason:
-    def test_reason_recorded_on_silent_fallback(self):
-        model = Sequential(Unsupported(), Dense(4, 2,
-                                                rng=np.random.default_rng(0)))
+    """There is no fallback left to give a reason for: the requested
+    backend is what serves, or the model is refused — and a refused
+    model replaces nothing."""
+
+    def test_unlowerable_model_raises_naming_layer(self):
         registry = ModelRegistry()
-        entry = registry.register("m", model, image_size=16)
-        assert entry.backend == "float"
-        assert entry.fallback_reason is not None
-        assert "Unsupported" in entry.fallback_reason
+        with pytest.raises(LoweringError, match="Unsupported") as info:
+            registry.register("m", unlowerable_model(), image_size=16)
+        assert info.value.layer_type == "Unsupported"
+        assert "m" not in registry and len(registry) == 0
+
+    @pytest.mark.parametrize("model, backend, error", [
+        (unlowerable_model, "packed", LoweringError),
+        (make_model, "turbo", ValueError),
+    ], ids=["unlowerable", "unknown-backend"])
+    def test_failed_reregister_keeps_previous_entry(self, model, backend,
+                                                    error):
+        registry = ModelRegistry()
+        previous = registry.register("m", make_model(seed=1), image_size=16)
+        with pytest.raises(error):
+            registry.register("m", model(), image_size=16, backend=backend)
+        assert registry.get("m") is previous
+        images = make_images(seed=9)
+        np.testing.assert_array_equal(
+            registry.get("m").engine.predict_logits(images),
+            ProgramEngine(make_model(seed=1)).predict_logits(images),
+        )
 
     def test_no_reason_when_float_requested(self):
-        registry = ModelRegistry()
-        entry = registry.register(
-            "m", make_model(), image_size=16, prefer_packed=False
+        entry = ModelRegistry().register(
+            "m", make_model(), image_size=16, backend="float"
         )
-        assert entry.backend == "float"
-        assert entry.fallback_reason is None
+        assert entry.backend == entry.engine.backend_name == "float"
+        assert not hasattr(entry, "fallback_reason")
 
     def test_no_reason_on_successful_packed(self):
-        registry = ModelRegistry()
-        entry = registry.register("m", make_model(), image_size=16)
-        assert entry.backend == "packed"
-        assert entry.fallback_reason is None
+        entry = ModelRegistry().register("m", make_model(), image_size=16)
+        assert entry.backend == entry.engine.backend_name == "packed"
+        assert not hasattr(entry, "fallback_reason")
 
 
 class TestBackendMeta:
@@ -215,7 +235,7 @@ class TestBackendMeta:
         path = self._save(tmp_path, backend="packed")
         registry = ModelRegistry()
         with pytest.warns(UserWarning, match="records backend 'packed'"):
-            entry = registry.load_checkpoint("m", path, prefer_packed=False)
+            entry = registry.load_checkpoint("m", path, backend="float")
         assert entry.backend == "float"
         # a checkpoint recording a backend that no longer exists still
         # loads, with the same warning, and serves packed bit-identically
@@ -244,5 +264,5 @@ class TestBackendMeta:
         registry = ModelRegistry()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            entry = registry.load_checkpoint("m", path, prefer_packed=False)
+            entry = registry.load_checkpoint("m", path, backend="float")
         assert entry.backend == "float"

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.binary.inference import PackedBNN
+from repro.binary.inference import ProgramEngine
 from repro.features.downsample import to_network_input
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
@@ -110,7 +110,7 @@ class TestClassify:
 
     def test_matches_engine_exactly(self, service, model):
         images = make_images(6, seed=2)
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         logits = engine.predict_logits(to_network_input(images))
         expected = logits[:, 1] - logits[:, 0]
         predictions = service.classify_many(list(images))
@@ -162,7 +162,7 @@ class TestClassify:
     def test_concurrent_classify_deterministic(self, service, model):
         """Same request set -> same predictions under thread contention."""
         images = make_images(32, seed=6)
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         logits = engine.predict_logits(to_network_input(images))
         expected = logits[:, 1] - logits[:, 0]
         results = [None] * len(images)
@@ -197,7 +197,7 @@ class TestScan:
         layout = make_layout(seed=8)
         request = ScanRequest(layout, window=512, stride=512)
         report = service.scan(request)
-        engine = PackedBNN(model)
+        engine = ProgramEngine(model)
         expected_hits = []
         for x, y in window_origins(2048, 512, 512):
             window = extract_window(layout, x, y, 512)
@@ -301,7 +301,7 @@ class TestStatsAndLifecycle:
 
     def test_float_backend_served_on_request(self, model):
         with HotspotService.from_model(model, 16,
-                                       prefer_packed=False) as service:
+                                       backend="float") as service:
             prediction = service.classify(make_images(1)[0])
         assert prediction.backend == "float"
 
@@ -417,19 +417,23 @@ class TestBackendObservability:
 
     def test_no_fallback_reason_on_packed_default(self, service):
         service.classify(make_images(1, seed=22)[0])
-        assert service.stats()["models"]["default"]["fallback_reason"] is None
+        record = service.stats()["models"]["default"]
+        assert record["backend"] == "packed"
+        assert "fallback_reason" not in record
+        assert service.health().state is HealthState.READY
 
     def test_explicit_backend_threads_to_service(self, model):
         with HotspotService.from_model(model, 16,
                                        backend="float") as service:
             prediction = service.classify(make_images(1, seed=23)[0])
             assert prediction.backend == "float"
-            # an explicit request is not a fallback: health stays READY
             assert service.health().state is HealthState.READY
-            assert (service.stats()["models"]["default"]["fallback_reason"]
-                    is None)
+            assert service.stats()["models"]["default"]["backend"] == "float"
 
-    def test_silent_fallback_degrades_health_with_reason(self):
+    def test_unlowerable_model_is_refused_previous_keeps_serving(
+        self, service
+    ):
+        from repro.engine.lower import LoweringError
         from repro.nn import Dense, GlobalAvgPool2D, Module, Sequential
 
         class Unsupported(Module):
@@ -437,16 +441,17 @@ class TestBackendObservability:
                 return np.tanh(x)
 
         rng = np.random.default_rng(0)
-        fallback_model = Sequential(
+        unlowerable = Sequential(
             Unsupported(), GlobalAvgPool2D(), Dense(1, 2, rng=rng)
         )
-        with HotspotService.from_model(fallback_model, 16) as service:
-            prediction = service.classify(make_images(1, seed=24)[0])
-            assert prediction.backend == "float"
-            entry_stats = service.stats()["models"]["default"]
-            assert "Unsupported" in entry_stats["fallback_reason"]
-            report = service.health()
-            assert report.state is HealthState.DEGRADED
-            assert report.ok  # degraded still serves
-            assert any("default" in reason and "Unsupported" in reason
-                       for reason in report.reasons)
+        with pytest.raises(LoweringError, match="Unsupported"):
+            HotspotService.from_model(unlowerable, 16)
+        image = make_images(1, seed=24)[0]
+        before = service.classify(image)
+        with pytest.raises(LoweringError, match="Unsupported") as info:
+            service.register("default", unlowerable, image_size=16)
+        assert info.value.layer_type == "Unsupported"
+        # nothing was replaced: the packed entry keeps serving unchanged
+        after = service.classify(image)
+        assert after.backend == "packed" and after.score == before.score
+        assert service.health().state is HealthState.READY

@@ -34,7 +34,9 @@ class TestParser:
         assert args.command == "predict"
         assert args.checkpoint == "ck.npz"
         assert args.limit == 8
-        assert args.packed  # --float flips this off
+        assert args.backend == "packed"
+        with pytest.raises(SystemExit):  # --backend is the only engine flag
+            build_parser().parse_args(["predict", "ck.npz", "--float"])
 
     def test_serve_bench_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
@@ -118,16 +120,24 @@ class TestCommands:
         assert "Backend" in out and "packed" in out
         assert "Accu (%)" in out
 
-    def test_predict_float_backend(self, capsys, tmp_path):
+    @pytest.mark.parametrize("backend", ["float", "turbo"])
+    def test_predict_backend(self, capsys, tmp_path, backend):
         path = tmp_path / "ck.npz"
         main([
             "train", "--scale", "0.001", "--image-size", "16", "--seed", "7",
             "--epochs", "1", "--finetune-epochs", "0", "--save", str(path),
         ])
         capsys.readouterr()
-        assert main(["predict", str(path), "--scale", "0.001", "--seed", "7",
-                     "--limit", "6", "--float"]) == 0
-        assert "float" in capsys.readouterr().out
+        argv = ["predict", str(path), "--scale", "0.001", "--seed", "7",
+                "--limit", "6", "--backend", backend]
+        if backend == "float":
+            # the checkpoint records 'packed'; serving float says so
+            with pytest.warns(UserWarning, match="records backend"):
+                assert main(argv) == 0
+            assert "float" in capsys.readouterr().out
+        else:  # strict: an unknown name fails with exit 2
+            assert main(argv) == 2
+            assert "available: float, packed" in capsys.readouterr().out
 
     def test_predict_missing_checkpoint(self, capsys, tmp_path):
         assert main(["predict", str(tmp_path / "absent.npz"),
