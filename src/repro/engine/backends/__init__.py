@@ -75,7 +75,14 @@ class Backend:
 
     # -- binary ops: the substrate choice subclasses make ---------------
 
-    def compile_binary_conv(self, node: ir.BinaryConvOp) -> Kernel:
+    def compile_binary_conv(self, node: ir.BinaryConvOp,
+                            hoisted=None) -> Kernel:
+        """Kernel for one binary convolution.
+
+        ``hoisted`` is the ``(w_binary, alpha_w)`` pair the
+        ``hoist-scales`` pass already computed for a fused op; ``None``
+        means binarize ``node.weight`` here (Eq. 8).
+        """
         raise TypeError(
             f"backend {self.name!r} cannot compile {type(node).__name__}"
         )
@@ -92,8 +99,12 @@ class Backend:
         :func:`_batchnorm_kernel`, then this backend's own binary-conv
         kernel on the anchor convolution — so any backend is
         automatically bit-identical across {passes on, passes off}.
+        Hoisted Eq. 8 constants are handed through rather than
+        recomputed; the pass made them with the same routine.
         """
-        conv = self.compile_binary_conv(_unfused_conv(node))
+        hoisted = (None if node.w_binary is None
+                   else (node.w_binary, node.alpha_w))
+        conv = self.compile_binary_conv(_unfused_conv(node), hoisted)
         if node.bn_scale is None:
             return Kernel(node, conv.fn)
         scale, shift = node.bn_scale, node.bn_shift

@@ -36,10 +36,12 @@ __all__ = ["FloatBackend"]
 class FloatBackend(Backend):
     """Compile binary ops to exact-integer float-MAC kernels."""
 
-    def compile_binary_conv(self, node: ir.BinaryConvOp) -> Kernel:
+    def compile_binary_conv(self, node: ir.BinaryConvOp,
+                            hoisted=None) -> Kernel:
         c_out, k = node.out_channels, node.kernel_size
         stride, padding = node.stride, node.padding
-        w_binary, alpha_w = quantize.binarize_weights(node.weight)
+        w_binary, alpha_w = (quantize.binarize_weights(node.weight)
+                             if hoisted is None else hoisted)
         mode = node.scaling
 
         if mode == "channelwise":

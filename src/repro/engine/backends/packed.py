@@ -35,11 +35,13 @@ __all__ = ["PackedBackend"]
 class PackedBackend(Backend):
     """Compile binary ops to bit-packed popcount kernels."""
 
-    def compile_binary_conv(self, node: ir.BinaryConvOp) -> Kernel:
+    def compile_binary_conv(self, node: ir.BinaryConvOp,
+                            hoisted=None) -> Kernel:
         """Pack the binarized filters once; popcount kernels at call time."""
         c_out, k = node.out_channels, node.kernel_size
         stride, padding = node.stride, node.padding
-        w_binary, alpha_w = quantize.binarize_weights(node.weight)
+        w_binary, alpha_w = (quantize.binarize_weights(node.weight)
+                             if hoisted is None else hoisted)
         mode = node.scaling
 
         if mode == "channelwise":

@@ -10,6 +10,9 @@ Two modes:
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
+
 import numpy as np
 
 from .geometry import Clip, Rect
@@ -29,51 +32,97 @@ def coverage_1d(lo: float, hi: float, pixels: int, scale: float) -> np.ndarray:
     return np.maximum(right - left, 0.0) / scale
 
 
-def _coverage_span(
-    lo: float, hi: float, px0: int, px1: int, scale: float
-) -> np.ndarray:
-    """:func:`coverage_1d` restricted to pixels ``[px0, px1)``.
+_CORNERS = attrgetter("x0", "y0", "x1", "y1")
 
-    Computes exactly the values ``coverage_1d(lo, hi, ...)[px0:px1]``
-    (each pixel edge is the same ``j * scale`` product) without
-    allocating the full-width arrays — the point of the restriction for
-    full-layout planes, where a rectangle spans a tiny fraction of the
-    row.
+
+def _rect_array(rects) -> np.ndarray:
+    """Rectangles as an ``(n, 4)`` float64 array of ``x0, y0, x1, y1``,
+    rows in iteration order."""
+    flat = np.fromiter(chain.from_iterable(map(_CORNERS, rects)), np.float64)
+    return flat.reshape(-1, 4)
+
+
+#: Covered pixels one accumulation pass expands at most.  Rectangles
+#: taller than this budget allows are cut into row bands first, so the
+#: flat index and value temporaries stay a few MiB whatever the layout
+#: (one band row wider than the budget is the only overshoot).
+_PASS_PIXELS = 1 << 16
+
+
+def _runs(lo, hi, first, count, scale):
+    """Concatenated 1-D coverage runs of intervals ``[lo, hi)``.
+
+    Interval ``i`` covers pixels ``first[i] .. first[i] + count[i] - 1``;
+    each value is the expression of :func:`coverage_1d` for that pixel
+    (edges ``j * scale``, clamp, ``max(right - left, 0) / scale``).
+    Returns the values and the pixel index ``j`` of each.
     """
-    edges = np.arange(px0, px1 + 1) * scale
-    left = np.clip(lo, edges[:-1], edges[1:])
-    right = np.clip(hi, edges[:-1], edges[1:])
-    return np.maximum(right - left, 0.0) / scale
+    offset = count.cumsum() - count
+    j = np.arange(offset[-1] + count[-1]) + (first - offset).repeat(count)
+    e0 = j * scale
+    e1 = (j + 1) * scale
+    left = np.minimum(np.maximum(lo.repeat(count), e0), e1)
+    right = np.minimum(np.maximum(hi.repeat(count), e0), e1)
+    return np.maximum(right - left, 0.0) / scale, j
 
 
-def _rect_coverage(rect: Rect, pixels: int, scale: float) -> np.ndarray:
-    """Per-pixel coverage of one rectangle (outer product of 1-D runs)."""
-    cov_x = coverage_1d(rect.x0, rect.x1, pixels, scale)
-    cov_y = coverage_1d(rect.y0, rect.y1, pixels, scale)
-    return np.outer(cov_y, cov_x)  # rows are y
-
-
-def _accumulate_rects(image: np.ndarray, rects, scale: float) -> None:
+def _accumulate(image: np.ndarray, coords: np.ndarray, scale: float) -> None:
     """Add every rectangle's per-pixel coverage into ``image`` in order.
 
-    The shared core of :func:`rasterize` and :func:`rasterize_plane`:
-    both walk rectangles in insertion order and add identical coverage
-    values per pixel, which is what makes a plane raster's window slice
-    bit-identical to rasterizing the extracted window (the per-pixel
-    float additions happen in the same order with the same operands).
+    ``coords`` is an ``(n, 4)`` float64 array of ``x0, y0, x1, y1`` in
+    the image's coordinate frame.  The shared core of every raster entry
+    point: each rectangle adds the outer product of its x and y coverage
+    runs over its pixel span, and ``np.add.at`` (unbuffered, applied in
+    index order) hands each pixel its additions in rectangle order.  So
+    per pixel the float additions have the same operands in the same
+    order as adding one rectangle at a time — which is what makes a
+    plane raster's window slice bit-identical to rasterizing the
+    extracted window, and a region raster bit-identical to the plane
+    slice.
     """
-    pixels_y, pixels_x = image.shape
-    for rect in rects:
-        # restrict the outer-product update to the rectangle's pixel span
-        px0 = max(int(rect.x0 / scale), 0)
-        px1 = min(int(np.ceil(rect.x1 / scale)), pixels_x)
-        py0 = max(int(rect.y0 / scale), 0)
-        py1 = min(int(np.ceil(rect.y1 / scale)), pixels_y)
-        if px1 <= px0 or py1 <= py0:
-            continue
-        cov_x = _coverage_span(rect.x0, rect.x1, px0, px1, scale)
-        cov_y = _coverage_span(rect.y0, rect.y1, py0, py1, scale)
-        image[py0:py1, px0:px1] += np.outer(cov_y, cov_x)
+    height, width = image.shape
+    # pixel spans [first, last) per axis (columns x, y); clamping before
+    # the cast keeps far-off coordinates finite (they come out empty)
+    limit = np.array([width, height])
+    first = np.clip(np.floor(coords[:, :2] / scale), 0, limit).astype(np.int64)
+    last = np.clip(np.ceil(coords[:, 2:] / scale), 0, limit).astype(np.int64)
+    keep = np.flatnonzero((last > first).all(axis=1))
+    if keep.size == 0:
+        return
+    coords, first, last = coords[keep], first[keep], last[keep]
+    w = last[:, 0] - first[:, 0]
+    # cut each rectangle into row bands of at most _PASS_PIXELS pixels
+    band_rows = np.maximum(_PASS_PIXELS // w, 1)
+    bands = -(-(last[:, 1] - first[:, 1]) // band_rows)
+    rect = np.arange(keep.size).repeat(bands)
+    band = np.arange(rect.size) - (bands.cumsum() - bands).repeat(bands)
+    band_rows = band_rows.repeat(bands)
+    y_first = first[rect, 1] + band * band_rows
+    h = np.minimum(band_rows, last[rect, 1] - y_first)
+    w = w[rect]
+    ends = (w * h).cumsum()
+    flat_image = image.reshape(-1)
+    start = 0
+    while start < rect.size:
+        done = ends[start - 1] if start else 0
+        stop = max(int(ends.searchsorted(done + _PASS_PIXELS, "right")),
+                   start + 1)
+        r, bw, bh = rect[start:stop], w[start:stop], h[start:stop]
+        x0, y0, x1, y1 = coords[r].T
+        cov_x, _ = _runs(x0, x1, first[r, 0], bw, scale)
+        cov_y, row = _runs(y0, y1, y_first[start:stop], bh, scale)
+        # one segment per band pixel row: segment s adds cov_y[s] times
+        # its rectangle's x run (at x_at[s] in cov_x) to seg_w[s] pixels
+        # starting at flat index base[s]
+        seg_w = bw.repeat(bh)
+        x_at = (bw.cumsum() - bw).repeat(bh)
+        base = row * width + first[r, 0].repeat(bh)
+        pos = seg_w.cumsum() - seg_w
+        k = np.arange(pos[-1] + seg_w[-1])
+        index = k + (base - pos).repeat(seg_w)
+        values = cov_y.repeat(seg_w) * cov_x[k + (x_at - pos).repeat(seg_w)]
+        np.add.at(flat_image, index, values)
+        start = stop
 
 
 def _finish(image: np.ndarray, mode: str) -> np.ndarray:
@@ -99,7 +148,7 @@ def rasterize(clip: Clip, pixels: int, mode: str = "area") -> np.ndarray:
         raise ValueError(f"mode must be 'area' or 'binary', got {mode!r}")
     scale = clip.size / pixels
     image = np.zeros((pixels, pixels))
-    _accumulate_rects(image, clip.rects, scale)
+    _accumulate(image, _rect_array(clip.rects), scale)
     return _finish(image, mode)
 
 
@@ -130,7 +179,7 @@ def rasterize_plane(layout: Clip, scale: float, mode: str = "area") -> np.ndarra
             f"scale {scale} does not divide layout size {layout.size}"
         )
     image = np.zeros((pixels, pixels))
-    _accumulate_rects(image, layout.rects, scale)
+    _accumulate(image, _rect_array(layout.rects), scale)
     return _finish(image, mode)
 
 
@@ -178,11 +227,12 @@ def rasterize_region(
             )
     width = round((region.x1 - region.x0) / scale)
     height = round((region.y1 - region.y0) / scale)
-    local = []
-    for rect in rects:
-        part = rect.intersection(region)
-        if part is not None:
-            local.append(part.shifted(-region.x0, -region.y0))
+    # clip to the region and shift to its frame, as Rect.intersection
+    # then Rect.shifted would; rectangles left empty are dropped
+    lo = np.array([region.x0, region.y0, region.x0, region.y0], np.float64)
+    hi = np.array([region.x1, region.y1, region.x1, region.y1], np.float64)
+    local = np.minimum(np.maximum(_rect_array(rects), lo), hi) - lo
+    local = local[(local[:, 2] > local[:, 0]) & (local[:, 3] > local[:, 1])]
     image = np.zeros((height, width))
-    _accumulate_rects(image, local, scale)
+    _accumulate(image, local, scale)
     return _finish(image, mode)

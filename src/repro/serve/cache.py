@@ -13,6 +13,7 @@ of insertion order or object identity.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from threading import Lock
 
 import numpy as np
@@ -22,14 +23,15 @@ from ..litho.raster import rasterize, rasterize_plane
 
 __all__ = ["RasterCache", "PlaneCache", "geometry_key"]
 
+_CORNERS = attrgetter("x0", "y0", "x1", "y1")
+
 
 def geometry_key(clip: Clip, pixels: int, mode: str) -> tuple:
     """Stable hashable key for a clip's raster: geometry + resolution.
 
     Rectangles are sorted so the key is insertion-order independent.
     """
-    rects = tuple(sorted((r.x0, r.y0, r.x1, r.y1) for r in clip.rects))
-    return (clip.size, pixels, mode, rects)
+    return (clip.size, pixels, mode, tuple(sorted(map(_CORNERS, clip.rects))))
 
 
 class _ArrayLRU:

@@ -28,6 +28,8 @@ from repro.engine import (
     run_pipeline_snapshots,
     verify_program,
 )
+from repro.binary import quantize
+from repro.engine.backends import available_backends, get_backend
 from repro.engine.passes import available_passes, get_pass, resolve_pipeline
 from repro.models import bnn_resnet8
 
@@ -111,6 +113,32 @@ class TestPipelineAlgebra:
         assert fingerprint(snaps[-1].program) == fingerprint(
             run_pipeline(lowered, "default")
         )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_compile_reuses_hoisted_scales(backend, lowered, monkeypatch):
+    """Compiling a hoisted program never re-binarizes a weight tensor.
+
+    The fused-op replay hands the ``hoist-scales`` constants to the
+    backend's binary-conv kernel; without the pass, each fused op
+    binarizes its own weights once.
+    """
+    calls = []
+    real = quantize.binarize_weights
+
+    def counting(weight):
+        calls.append(weight.shape)
+        return real(weight)
+
+    hoisted = run_pipeline(lowered, "default")
+    unhoisted = run_pipeline(lowered, ["fold-bn", "liveness"])
+    monkeypatch.setattr(quantize, "binarize_weights", counting)
+    get_backend(backend).compile(hoisted)
+    assert calls == []
+    get_backend(backend).compile(unhoisted)
+    fused = [node for node in unhoisted.walk()
+             if isinstance(node, FusedBinaryConvOp)]
+    assert len(fused) > 0 and len(calls) == len(fused)
 
 
 def _fused(**overrides):
