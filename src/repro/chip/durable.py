@@ -267,7 +267,8 @@ class DurableChipScan:
         self._score_fn = job.score_tile
         try:
             with preemption_signals(self.handle_signals,
-                                    self.request_preemption):
+                                    self.request_preemption), \
+                    job.scoring() as memo:
                 self._scan_pending(job, pending, progress, parallel)
         finally:
             journal.close()
@@ -281,6 +282,7 @@ class DurableChipScan:
                 "resumed": resumed,
                 "tiles_replayed": progress.replayed,
                 "tiles_scored": progress.scored,
+                "scored_windows": memo.rows,
                 "tile_retries": progress.retries,
                 "backoff_s": progress.backoff_s,
                 "quarantined_windows": tuple(sorted(progress.quarantined)),

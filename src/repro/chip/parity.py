@@ -12,6 +12,11 @@ bit-for-bit on every engine backend:
    trace produces a heatmap ``equals`` a from-scratch streamed scan of
    ``apply_edits(layout, edits)``, while re-scoring strictly fewer
    windows than the sweep holds.
+3. **Repeated-cell parity** — on a cell-library chip built to repeat
+   window rasters (:func:`~repro.litho.fullchip.synthesize_cell_array`)
+   the streamed scan still equals the monolithic one, and it scores
+   strictly fewer distinct windows than the sweep holds (printed as
+   "scored N distinct of M windows").
 
 ``--chaos`` runs the **durability gate** instead — the random-kill +
 fault-injection harness of :mod:`repro.chip.durable`:
@@ -40,7 +45,12 @@ import numpy as np
 from ..binary.inference import ProgramEngine
 from ..engine.backends import available_backends
 from ..features.downsample import to_network_input
-from ..litho.fullchip import apply_edits, synthesize_chip, synthesize_edit_trace
+from ..litho.fullchip import (
+    apply_edits,
+    synthesize_cell_array,
+    synthesize_chip,
+    synthesize_edit_trace,
+)
 from ..litho.raster import rasterize_plane
 from ..models.bnn_resnet import build_bnn_resnet
 from .durable import DurableChipScan, RetryPolicy
@@ -266,6 +276,7 @@ def main(argv=None) -> int:
     layout = synthesize_chip(args.size, seed=args.seed)
     edits = synthesize_edit_trace(layout, args.edits, seed=args.seed + 1)
     edited = apply_edits(layout, edits)
+    cells = synthesize_cell_array(args.size, args.window, seed=args.seed)
     # small budget: enough for ~2x2 windows per tile -> multi-tile grid
     window_px = args.window // (args.window // args.image_size)
     budget = (2 * window_px) ** 2 * 8
@@ -305,6 +316,20 @@ def main(argv=None) -> int:
             f"{rescanned.windows} windows)"
         )
         if not (eco_ok and sparse):
+            failures += 1
+
+        reference = _monolithic_scores(
+            engine, cells, args.window, args.stride, args.image_size
+        )
+        result = scanner.scan(cells, args.window, args.stride, budget)
+        repeated_ok = np.array_equal(result.heatmap.scores, reference)
+        scored = result.stats["scored_windows"]
+        print(
+            f"[{backend}] repeated-cell parity: "
+            f"{'OK' if repeated_ok else 'MISMATCH'} "
+            f"(scored {scored} distinct of {result.windows} windows)"
+        )
+        if not (repeated_ok and scored < result.windows):
             failures += 1
 
     if failures:

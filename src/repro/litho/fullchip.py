@@ -10,6 +10,9 @@ mm-scale streaming scan.  This module synthesizes *whole layouts*:
   own counter-based RNG stream), so the same ``(size, tech, seed)``
   always produces the same rectangle list, generation cost is linear in
   area, and no rectangle crosses a block boundary.
+* :func:`synthesize_cell_array` — a cell-library chip: three distinct
+  cells placed on a grid inside an empty border, so windows repeat
+  exactly wherever the same neighbourhood of cells recurs.
 * :class:`LayoutEdit` / :func:`apply_edits` — the rect add/remove/move
   edit vocabulary of an ECO (engineering change order) loop, with
   deterministic list semantics the incremental scanner can mirror.
@@ -30,6 +33,7 @@ from .patterns import Technology
 __all__ = [
     "LayoutEdit",
     "apply_edits",
+    "synthesize_cell_array",
     "synthesize_chip",
     "synthesize_edit_trace",
 ]
@@ -92,6 +96,16 @@ def _fill_cell_row(clip: Clip, rng: np.random.Generator, tech: Technology,
 _BLOCK_FILLS = (_fill_wires, _fill_vias, _fill_cell_row)
 
 
+def _fill_block(clip: Clip, rng: np.random.Generator, tech: Technology,
+                x0: int, y0: int, w: int, h: int) -> None:
+    """Fill one block with a motif drawn from ``rng``."""
+    fill = _BLOCK_FILLS[int(rng.integers(len(_BLOCK_FILLS)))]
+    if fill is _fill_wires:
+        fill(clip, rng, tech, x0, y0, w, h, vertical=bool(rng.integers(2)))
+    else:
+        fill(clip, rng, tech, x0, y0, w, h)
+
+
 def synthesize_chip(
     size: int,
     tech: Technology | None = None,
@@ -115,15 +129,35 @@ def synthesize_chip(
     layout = Clip(size)
     for by in range(0, size, block):
         for bx in range(0, size, block):
-            rng = np.random.default_rng([seed, bx, by])
-            w = min(block, size - bx)
-            h = min(block, size - by)
-            fill = _BLOCK_FILLS[int(rng.integers(len(_BLOCK_FILLS)))]
-            if fill is _fill_wires:
-                fill(layout, rng, tech, bx, by, w, h,
-                     vertical=bool(rng.integers(2)))
-            else:
-                fill(layout, rng, tech, bx, by, w, h)
+            _fill_block(layout, np.random.default_rng([seed, bx, by]), tech,
+                        bx, by, min(block, size - bx), min(block, size - by))
+    return layout
+
+
+def synthesize_cell_array(size: int, cell: int, seed: int = 0) -> Clip:
+    """A chip tiled from a library of three distinct cell motifs.
+
+    The layout is a grid of ``cell`` x ``cell`` nm sites; the outer ring
+    of sites is left empty and every inner site holds one library cell,
+    placed by a seeded draw.  Each cell type is generated from its own
+    RNG stream, so all its placements are the same rectangles shifted
+    by whole cell pitches — windows on a pitch-aligned grid repeat
+    exactly wherever the same cells surround them.
+    """
+    if cell <= 0 or size < 3 * cell:
+        raise ValueError(
+            f"need a positive cell of at most size/3, got cell {cell} "
+            f"for size {size}"
+        )
+    tech = Technology()
+    n = size // cell
+    placement = np.random.default_rng(seed).integers(3, size=(n - 2, n - 2))
+    layout = Clip(size)
+    for cy in range(1, n - 1):
+        for cx in range(1, n - 1):
+            kind = int(placement[cy - 1, cx - 1])
+            _fill_block(layout, np.random.default_rng([seed, kind]), tech,
+                        cx * cell, cy * cell, cell, cell)
     return layout
 
 

@@ -737,6 +737,7 @@ class HotspotService(_ServiceBase):
             failed_windows=result.heatmap.n_unscored,
             peak_tile_bytes=result.peak_tile_bytes,
             rescored_windows=result.rescored_windows,
+            scored_windows=int(stats.get("scored_windows", 0)),
             retried_shards=retried_shards,
             replayed_tiles=replayed,
             tile_retries=tile_retries,
@@ -775,11 +776,16 @@ class HotspotService(_ServiceBase):
 
         The layout is never rasterized whole: the sweep is compiled to
         halo-correct tiles (:func:`repro.chip.plan_tiles`) and each
-        tile — one contiguous origin range — is rasterized and scored
+        tile — one contiguous origin range — is rasterized
         independently, sharded one-tile-per-shard across the worker
-        pool.  Scores are bit-identical to :meth:`scan`'s plane path on
-        the same layout (the chip parity gate holds that line), so the
-        choice between the two is purely a memory/size decision.
+        pool.  All shards of the request share one score memo keyed by
+        window raster, so each distinct window is sent to the engine
+        once per request; the memo is dropped when the request returns
+        (``stats()["chip_windows_scored_total"]`` counts the windows the
+        engine ran).  Scores are bit-identical to
+        :meth:`scan`'s plane path on the same layout (the chip parity
+        gate holds that line), so the choice between the two is purely
+        a memory/size decision.
 
         Partial failure degrades instead of raising, at tile
         granularity: a tile whose shard keeps failing after
@@ -816,10 +822,11 @@ class HotspotService(_ServiceBase):
         def score_shard(tiles):
             return [score_tile(tile) for tile in tiles]
 
-        outcomes = self.pool.map_shards_tolerant(
-            score_shard, job.tiles, shards=len(job.tiles),
-            timeout=timeout, retries=self.shard_retries,
-        )
+        with job.scoring() as memo:
+            outcomes = self.pool.map_shards_tolerant(
+                score_shard, job.tiles, shards=len(job.tiles),
+                timeout=timeout, retries=self.shard_retries,
+            )
         scores = job.empty_scores()
         failed_tiles: list[int] = []
         retried_shards = 0
@@ -839,6 +846,7 @@ class HotspotService(_ServiceBase):
             peak_tile_bytes=job.peak_tile_bytes,
             wall_s=time.perf_counter() - started,
             token=request.token or None,
+            stats={"scored_windows": memo.rows},
         )
         return self._chip_report(
             request.request_id, result, entry, started,
