@@ -59,13 +59,15 @@ def popcount_table16(x: np.ndarray) -> np.ndarray:
     each element is viewed as ``itemsize / 2`` unsigned 16-bit chunks
     gathered through one shared 65536-entry table — two lookups per
     ``uint16``-packed word, four per ``uint64`` word — instead of
-    per-byte work.  Returns ``uint64`` counts with the input's shape.
+    per-byte work.  Returns ``uint8`` counts with the input's shape, the
+    per-element dtype ``np.bitwise_count`` returns, so callers may
+    accumulate either into any wider integer buffer.
     """
     x = np.ascontiguousarray(x)
     if x.dtype.itemsize == 1:
-        return _TABLE16[x.astype(np.uint8)].astype(np.uint64)
+        return _TABLE16[x.view(np.uint8)]
     chunks = x.view(np.uint16).reshape(x.shape + (x.dtype.itemsize // 2,))
-    return _TABLE16[chunks].sum(axis=-1, dtype=np.uint64)
+    return _TABLE16[chunks].sum(axis=-1, dtype=np.uint8)
 
 
 # np.bitwise_count arrived in NumPy 2.0; older installs use the table.
@@ -129,11 +131,25 @@ def pack_channels(x: np.ndarray) -> np.ndarray:
     zero convention) in bit ``i % 64`` of word ``i // 64``.  This is the
     channel-major layout the deep-layer convolution path gathers from:
     one im2col word stands for up to 64 input channels.
+
+    Each word is built straight from the contiguous per-channel sign
+    planes ``x[:, ch] >= 0``: each plane is shifted to its bit in the
+    narrowest unsigned type that holds the word's channel bits, the
+    planes are OR-reduced in one pass, and the word is widened to
+    ``uint64`` once — no transpose of the activation tensor, no byte
+    packing.
     """
-    # (n, h, w, c) bool, C-contiguous, so packbits runs along unit stride
-    bits = np.moveaxis(x, 1, -1) >= 0
-    packed = pack_signs(bits)  # (n, h, w, words)
-    return np.ascontiguousarray(np.moveaxis(packed, -1, 1))
+    n, c, h, w = x.shape
+    n_words = (c + WORD_BITS - 1) // WORD_BITS
+    out = np.empty((n, n_words, h, w), dtype=np.uint64)
+    for word in range(n_words):
+        lo = word * WORD_BITS
+        bits = min(WORD_BITS, c - lo)
+        dtype = np.min_scalar_type((1 << bits) - 1)  # uint8 .. uint64
+        shifts = np.arange(bits, dtype=dtype).reshape(1, bits, 1, 1)
+        planes = np.left_shift(x[:, lo : lo + bits] >= 0, shifts, dtype=dtype)
+        out[:, word] = np.bitwise_or.reduce(planes, axis=1)
+    return out
 
 
 def _taps_per_word(in_channels: int) -> int:
@@ -291,10 +307,11 @@ def packed_conv_dots(
     :func:`binary_conv2d_packed`'s internal lowering or a
     :func:`pack_activation_plane` slice), ``w_packed`` a ``(c_out,
     words)`` filter bank sharing the same bit layout.  Returns ``(c_out,
-    P)`` dot products ``n_bits - 2 * hamming`` as an integer array —
-    exact integers, so any caller computing the same receptive fields
-    gets bit-identical results regardless of how the columns were
-    gathered (the dtype may be a narrow integer type on fast paths).
+    P)`` dot products ``n_bits - 2 * hamming`` — exact integers, so any
+    caller computing the same receptive fields gets bit-identical
+    results regardless of how the columns were gathered.  Dots are
+    ``int32`` (Hamming distances are summed in ``int32``, exact because
+    ``n_bits < 2**31``), or ``int16`` from the single-word table path.
     """
     if cols.dtype != w_packed.dtype:
         # narrow-word fast path: all bits fit the columns' dtype
@@ -304,13 +321,13 @@ def packed_conv_dots(
     if cols.dtype == np.uint16 and n_words == 1 and out_channels <= 64:
         table = _dot_table16(w_packed.astype(np.uint16).tobytes(), n_bits)
         return table[:, cols[0]]
-    hamming = np.zeros((out_channels, n_cols), dtype=np.int64)
+    hamming = np.zeros((out_channels, n_cols), dtype=np.int32)
     if out_channels <= n_words:
         # few filters: one full-column pass per filter
         for filt in range(out_channels):
             hamming[filt] = popcount(
                 np.bitwise_xor(cols, w_packed[filt][:, None])
-            ).sum(axis=0, dtype=np.int64)
+            ).sum(axis=0, dtype=np.int32)
     else:
         # few words: accumulate word by word, each pass fully vectorised
         for word in range(n_words):

@@ -101,27 +101,41 @@ class Backend:
         automatically bit-identical across {passes on, passes off}.
         Hoisted Eq. 8 constants are handed through rather than
         recomputed; the pass made them with the same routine.
+
+        A strided 1x1 unpadded convolution (the residual shortcut
+        projection) reads only every ``stride``-th row and column, so
+        its input is subsampled *first* and the anchor compiled with
+        stride 1: batch-norm, sign and the per-position channel mean of
+        ``|x|`` are element-wise, so the prologue and the scaling then
+        touch only the positions the convolution reads, with the same
+        values.
         """
         hoisted = (None if node.w_binary is None
                    else (node.w_binary, node.alpha_w))
-        conv = self.compile_binary_conv(_unfused_conv(node), hoisted)
+        step = (node.stride if node.kernel_size == 1 and node.padding == 0
+                else 1)
+        conv = self.compile_binary_conv(
+            _unfused_conv(node, stride=node.stride // step), hoisted
+        ).fn
         if node.bn_scale is None:
-            return Kernel(node, conv.fn)
+            return Kernel(node, lambda x: conv(x[:, :, ::step, ::step]))
         scale, shift = node.bn_scale, node.bn_shift
 
         def run(x: np.ndarray) -> np.ndarray:
+            x = x[:, :, ::step, ::step]
             shape = [1] * x.ndim
             shape[1] = scale.size
             out = x * scale.reshape(shape)
             out += shift.reshape(shape)
-            return conv.fn(out)
+            return conv(out)
 
         def run_inplace(x: np.ndarray) -> np.ndarray:
+            x = x[:, :, ::step, ::step]
             shape = [1] * x.ndim
             shape[1] = scale.size
             x *= scale.reshape(shape)
             x += shift.reshape(shape)
-            return conv.fn(x)
+            return conv(x)
 
         # the in-place variant is offered only under the liveness pass's
         # license; the executor's ownership tracking guards it again
@@ -193,14 +207,16 @@ class Backend:
         return Kernel(node, run, timed=False)
 
 
-def _unfused_conv(node: ir.FusedBinaryConvOp) -> ir.BinaryConvOp:
-    """The anchor :class:`~repro.engine.ir.BinaryConvOp` of a fused op."""
+def _unfused_conv(node: ir.FusedBinaryConvOp,
+                  stride: int) -> ir.BinaryConvOp:
+    """The anchor :class:`~repro.engine.ir.BinaryConvOp` of a fused op,
+    compiled at ``stride``."""
     return ir.BinaryConvOp(
         name=node.name,
         in_channels=node.in_channels,
         out_channels=node.out_channels,
         kernel_size=node.kernel_size,
-        stride=node.stride,
+        stride=stride,
         padding=node.padding,
         scaling=node.scaling,
         weight=node.weight,

@@ -8,11 +8,18 @@ sign-packed per call, and each dot product is computed as
 the float backend replicates multiply-for-multiply, which is what makes
 the two backends bit-identical rather than merely close.
 
-The table16 fast path lives below this backend, inside
-:func:`repro.binary.bitpack.packed_conv_dots`: single-word
-(``c_in * k * k <= 16``) convolutions — the 1-channel 3x3 stem — are
-resolved through a 65536-entry dot table instead of popcounts.  Because
-it produces the same exact integers, it stays invisible to parity.
+The data path below this backend lives in :mod:`repro.binary.bitpack`:
+activations are packed into per-position channel words built straight
+from the per-channel sign planes (:func:`~repro.binary.bitpack.pack_channels`),
+and :func:`~repro.binary.bitpack.packed_conv_dots` sums Hamming
+distances in ``int32``.  Single-word (``c_in * k * k <= 16``)
+convolutions — the 1-channel 3x3 stem — are resolved through a
+65536-entry dot table instead of popcounts.  The integer dots land in a
+fresh float64 buffer that the Eq. 15 scaling multiplies in place.
+Strided 1x1 shortcut convolutions reach this backend already
+subsampled (see :meth:`Backend.compile_fused_conv`).  Every one of
+these paths produces the same exact integers, so each stays invisible
+to parity.
 """
 
 from __future__ import annotations
@@ -65,10 +72,10 @@ class PackedBackend(Backend):
 
         def run(x: np.ndarray) -> np.ndarray:
             # binary_conv2d_packed binarizes by sign bit internally
-            dots = bitpack.binary_conv2d_packed(
+            out = bitpack.binary_conv2d_packed(
                 x, w_packed, c_out, k, stride, padding, in_channels=c_in
             )
-            out = dots * alpha_w[None, :, None, None]
+            out *= alpha_w[None, :, None, None]  # fresh dots, in place
             if mode == "xnor":
                 n, _, oh, ow = out.shape
                 alpha_map = quantize.input_scale_xnor(x, k, k, stride, padding)

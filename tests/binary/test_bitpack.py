@@ -265,3 +265,107 @@ class TestPackedConvDots:
         out = bitpack.packed_conv_dots(cols, w_packed, k * k)
         ref = bitpack.packed_conv_dots(cols.astype(np.uint64), w_packed, k * k)
         np.testing.assert_array_equal(out, ref)
+
+
+def _pack_channels_loop(x):
+    """Reference channel packing: set bit ``ch % 64`` of word
+    ``ch // 64`` wherever ``x[:, ch] >= 0``, one element at a time."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, (c + 63) // 64, h, w), dtype=np.uint64)
+    for index in np.ndindex(n, c, h, w):
+        b, ch, i, j = index
+        if x[index] >= 0:
+            out[b, ch // 64, i, j] |= np.uint64(1) << np.uint64(ch % 64)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.integers(1, 130),
+    seed=st.integers(0, 10_000),
+)
+def test_pack_channels_equals_bit_loop_property(c, seed):
+    """Property: channel words match an explicit bit loop for every
+    channel count across the uint8/16/32/64 accumulator boundaries, and
+    exact ``0.0`` / ``-0.0`` pack as +1 (``quantize.sign``'s ``>= 0``)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, c, 3, 2))
+    zeros = rng.random(x.shape) < 0.2
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    packed = bitpack.pack_channels(x)
+    assert packed.dtype == np.uint64
+    np.testing.assert_array_equal(packed, _pack_channels_loop(x))
+    # the same bits as packing the sign values
+    np.testing.assert_array_equal(
+        bitpack.pack_channels(quantize.sign(x)), packed
+    )
+
+
+class TestPackedConvDotsInt32:
+    @pytest.mark.parametrize("c,c_out", [
+        (130, 2),   # 27 words per 3x3 field, 2 filters: per-filter branch
+        (70, 18),   # 18 words, 18 filters: per-filter branch (boundary)
+        (70, 19),   # 18 words, 19 filters: per-word branch
+        (3, 8),     # one densely tap-packed word: per-word branch
+    ])
+    def test_matches_dense_im2col_matmul(self, rng, c, c_out):
+        k = 3
+        x = quantize.sign(rng.normal(size=(2, c, 5, 5)))
+        w = quantize.sign(rng.normal(size=(c_out, c, k, k)))
+        w_packed = bitpack.pack_filters(w)
+        cols = bitpack._pack_activation_columns(x, k, 1, 1)
+        assert cols.shape[0] == w_packed.shape[1]
+        dots = bitpack.packed_conv_dots(cols, w_packed, c * k * k)
+        assert dots.dtype == np.int32
+        dense = w.reshape(c_out, -1) @ F.im2col(x, k, k, 1, 1,
+                                                 pad_value=-1.0)
+        np.testing.assert_array_equal(dots, dense.astype(np.int32))
+
+
+class TestPopcountFallback:
+    """The NumPy < 2 popcount (no ``np.bitwise_count``) drives every
+    packed kernel to the same bits as the default path."""
+
+    def test_counts_are_narrow_like_bitwise_count(self, rng):
+        x = rng.integers(0, 2**64, size=(4, 5), dtype=np.uint64)
+        assert bitpack.popcount_table16(x).dtype == np.uint8
+
+    @pytest.mark.parametrize("c,c_out", [(130, 2), (70, 19), (3, 8)])
+    def test_packed_conv_dots(self, rng, monkeypatch, c, c_out):
+        k = 3
+        x = quantize.sign(rng.normal(size=(2, c, 5, 5)))
+        w_packed = bitpack.pack_filters(
+            quantize.sign(rng.normal(size=(c_out, c, k, k)))
+        )
+        cols = bitpack._pack_activation_columns(x, k, 1, 1)
+        default = bitpack.packed_conv_dots(cols, w_packed, c * k * k)
+        monkeypatch.setattr(bitpack, "popcount", bitpack.popcount_table16)
+        fallback = bitpack.packed_conv_dots(cols, w_packed, c * k * k)
+        assert fallback.dtype == default.dtype
+        assert fallback.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("c,stride", [(1, 1), (4, 2), (80, 1)])
+    def test_binary_conv2d_packed(self, rng, monkeypatch, c, stride):
+        x = rng.normal(size=(2, c, 7, 7))
+        w_packed = bitpack.pack_filters(
+            quantize.sign(rng.normal(size=(6, c, 3, 3)))
+        )
+        default = bitpack.binary_conv2d_packed(x, w_packed, 6, 3, stride, 1)
+        monkeypatch.setattr(bitpack, "popcount", bitpack.popcount_table16)
+        fallback = bitpack.binary_conv2d_packed(x, w_packed, 6, 3, stride, 1)
+        assert fallback.tobytes() == default.tobytes()
+
+    @pytest.mark.parametrize("scaling", ["xnor", "channelwise"])
+    def test_program_engine_forward(self, monkeypatch, scaling):
+        from repro.binary.inference import ProgramEngine
+        from repro.engine.parity import seeded_model
+
+        model = seeded_model(scaling=scaling, base_width=36)  # 36, 72 ch
+        images = np.where(
+            np.random.default_rng(5).random((4, 1, 16, 16)) < 0.5, 1.0, -1.0
+        )
+        engine = ProgramEngine(model, backend="packed")
+        default = engine.forward(images.copy())
+        monkeypatch.setattr(bitpack, "popcount", bitpack.popcount_table16)
+        fallback = engine.forward(images.copy())
+        assert fallback.tobytes() == default.tobytes()
