@@ -218,11 +218,7 @@ def _pack_activation_columns(
         # tiny receptive fields (the 1-channel stem): build uint16
         # words straight from the sign bits — a quarter of the memory
         # traffic of 64-bit words.
-        bits = np.pad(
-            x >= 0,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            constant_values=False,
-        )
+        bits = F.pad2d(x >= 0, padding, value=False)
         words = np.zeros((n, oh, ow), dtype=np.uint16)
         index = 0
         for dy in range(k):
@@ -239,10 +235,7 @@ def _pack_activation_columns(
     x_packed = pack_channels(x)                       # (n, cw, h, w)
     if c > WORD_BITS:
         return F.im2col(x_packed, k, k, stride, padding, pad_value=0)
-    padded = np.pad(
-        x_packed[:, 0],
-        ((0, 0), (padding, padding), (padding, padding)),
-    )
+    padded = F.pad2d(x_packed[:, 0], padding, value=0)
     per_word = _taps_per_word(c)
     words = np.zeros((_conv_words(c, k), n, oh, ow), dtype=np.uint64)
     for tap, (dy, dx) in enumerate(
@@ -428,11 +421,7 @@ def binary_conv2d_packed_tiled(
         return binary_conv2d_packed(
             x_sign, w_packed, out_channels, k, stride, padding, in_channels
         )
-    padded = np.pad(
-        x_sign,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=-1.0,
-    )
+    padded = F.pad2d(x_sign, padding, value=-1.0)
     out = np.empty((n, out_channels, oh, ow), dtype=np.float64)
     for r0 in range(0, oh, rows_per_tile):
         r1 = min(r0 + rows_per_tile, oh)

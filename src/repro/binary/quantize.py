@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.functional import pad2d
 from ..nn.layers.activations import sign
 
 __all__ = [
@@ -97,13 +98,13 @@ def box_mean(
 
     Computes the ``K = 1/(kh*kw)`` averaging convolution of Section
     3.4.3 via :func:`box_sums` — ``kh * kw`` shifted adds per output
-    cell in a fixed tap order.  Input ``(..., h, w)`` gives output
-    ``(..., oh, ow)`` with the main convolution's geometry.
+    cell in a fixed tap order — over ``x`` zero-padded by
+    :func:`~repro.nn.functional.pad2d`.  Padded cells count toward the
+    mean: the divisor is always ``kh * kw``.  Input ``(..., h, w)`` of
+    any leading shape gives output ``(..., oh, ow)`` with the main
+    convolution's geometry.
     """
-    padded = np.pad(
-        x, [(0, 0)] * (x.ndim - 2) + [(padding, padding)] * 2, mode="constant"
-    )
-    return box_sums(padded, kh, kw, stride) / (kh * kw)
+    return box_sums(pad2d(x, padding), kh, kw, stride) / (kh * kw)
 
 
 def _local_mean_cols(

@@ -469,10 +469,17 @@ ProgramEngine` — packed or float; results are bit-identical across
         Equivalent — bit for bit — to ``scan(apply_edits(layout,
         edits), ...)`` with the same parameters, but the cost scales
         with the edit, not the chip: the spatial index updates in
-        ``O(edit)``, only regions holding dirty windows are
-        re-rasterized, and clean windows keep their previous scores
-        (their rasters are untouched by construction, see
-        :class:`~repro.chip.eco.DirtyRegionTracker`).
+        ``O(edit)``, the edited layout's rect list is a C-level copy
+        of the survivors with only the edit's appended rects clipped
+        (no re-clip of the chip, see
+        :func:`~repro.litho.fullchip.apply_edits`), only regions
+        holding dirty windows are re-rasterized, and clean windows
+        keep their previous scores (their rasters are untouched by
+        construction, see :class:`~repro.chip.eco.DirtyRegionTracker`).
+        On the ~4,070-rect fabric chip of ``perfbench`` chip-eco
+        (2-vCPU VM), building the edited layout takes ~0.7 ms at p50,
+        and a re-scan's own traced time outside the engine, raster and
+        plane-cache spans is ~3.5 ms.
 
         The dirty windows go through the same scoring path as a sweep
         tile, but with no memo open: each dirty window is sent to the

@@ -24,6 +24,7 @@ mm-scale streaming scan.  This module synthesizes *whole layouts*:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -163,6 +164,9 @@ def synthesize_cell_array(size: int, cell: int, seed: int = 0) -> Clip:
 
 # -- ECO edits ------------------------------------------------------------
 
+#: a rectangle's value as a tuple, so equality runs in C
+_corners = attrgetter("x0", "y0", "x1", "y1")
+
 
 @dataclass(frozen=True)
 class LayoutEdit:
@@ -201,22 +205,38 @@ def apply_edits(layout: Clip, edits: list[LayoutEdit]) -> Clip:
     rectangles keep their relative order, so the edited layout's raster
     accumulation order — and therefore its raster, bit for bit — is a
     pure function of the original layout and the edit list.
+
+    Only the appended rectangles are clipped: a layout's rectangles are
+    already clipped to its window, so the survivors are the input's own
+    objects, copied at C speed, and nothing else is rebuilt.  The list
+    edits mirror ``list.remove`` / ``list.append`` on a parallel list of
+    corner tuples, compared in C; appended rectangles stay unclipped
+    until the end, so a later edit names them as they were added.
     """
     rects = list(layout.rects)
+    keys = list(map(_corners, rects))
+    kept = len(rects)  # rects[:kept] survive from the (clipped) layout
     for edit in edits:
         if edit.kind in ("remove", "move"):
             try:
-                rects.remove(edit.rect)
+                at = keys.index(_corners(edit.rect))
             except ValueError:
                 raise ValueError(
                     f"{edit.kind} edit targets a rectangle not in the "
                     f"layout: {edit.rect}"
                 ) from None
-        if edit.kind == "add":
-            rects.append(edit.rect)
-        elif edit.kind == "move":
-            rects.append(edit.to)
-    return Clip(layout.size, rects)
+            del rects[at], keys[at]
+            if at < kept:
+                kept -= 1
+        if edit.kind != "remove":
+            added = edit.to if edit.kind == "move" else edit.rect
+            rects.append(added)
+            keys.append(_corners(added))
+    edited = Clip(layout.size)
+    edited.rects = rects[:kept]
+    for rect in rects[kept:]:
+        edited.add(rect)
+    return edited
 
 
 def synthesize_edit_trace(

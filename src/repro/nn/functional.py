@@ -41,17 +41,29 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def pad2d(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
-    """Zero-pad (or constant-pad) the two trailing spatial axes of ``x``."""
+    """Constant-pad the two trailing axes of ``x`` by ``padding`` pixels.
+
+    Works for any ``ndim >= 2`` and any dtype, and equals
+    ``np.pad(x, ..., constant_values=value)`` on those axes — ``value``
+    is cast to ``x.dtype`` the same way — without ``np.pad``'s per-call
+    setup: one ``np.empty``, four border bands, one interior copy.
+    ``padding == 0`` returns ``x`` itself, not a copy, so callers must
+    not write into the result.
+    """
     if padding == 0:
         return x
     if padding < 0:
         raise ValueError(f"padding must be non-negative, got {padding}")
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-        constant_values=value,
-    )
+    p = padding
+    h, w = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (h + 2 * p, w + 2 * p), dtype=x.dtype)
+    fill = np.asarray(value)
+    out[..., :p, :] = fill
+    out[..., p + h:, :] = fill
+    out[..., p:p + h, :p] = fill
+    out[..., p:p + h, p + w:] = fill
+    out[..., p:p + h, p:p + w] = x
+    return out
 
 
 def unpad2d(x: np.ndarray, padding: int) -> np.ndarray:

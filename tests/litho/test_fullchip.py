@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.litho.fullchip import (
     LayoutEdit,
@@ -91,6 +93,141 @@ class TestApplyEdits:
         layout = Clip(64, [Rect(0, 0, 8, 8)])
         with pytest.raises(ValueError, match="not in the layout"):
             apply_edits(layout, [LayoutEdit("remove", Rect(1, 1, 9, 9))])
+
+    def test_survivors_are_the_input_objects(self):
+        layout = synthesize_chip(4096, seed=4)
+        gone = layout.rects[5]
+        edited = apply_edits(layout, [
+            LayoutEdit("remove", Rect(gone.x0, gone.y0, gone.x1, gone.y1)),
+            LayoutEdit("add", Rect(0, 0, 8, 8)),
+        ])
+        survivors = layout.rects[:5] + layout.rects[6:]
+        assert len(edited.rects) == len(survivors) + 1
+        assert all(a is b for a, b in zip(edited.rects, survivors))
+
+    def test_rect_constructions_scale_with_the_edit(self, monkeypatch):
+        """Building the edited layout constructs O(edits) rects, however
+        many the chip holds: survivors are copied, never re-clipped."""
+        constructed = []
+        init = Rect.__init__
+
+        def counted_init(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        def count(size):
+            layout = synthesize_chip(size, seed=4)
+            a, b = layout.rects[3], layout.rects[-3]
+            edits = [
+                LayoutEdit("remove", a),
+                LayoutEdit("move", b, to=b.shifted(-1, 0)),
+                LayoutEdit("add", Rect(10, 10, 20, 20)),
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(Rect, "__init__", counted_init)
+                constructed.clear()
+                apply_edits(layout, edits)
+                return len(layout.rects), len(constructed)
+
+        small_rects, small = count(4096)
+        large_rects, large = count(16384)
+        assert large_rects > 10 * small_rects
+        assert small == large <= 2 * 3
+
+
+def reference_apply_edits(layout, edits):
+    """The rebuild-the-clip implementation, kept verbatim as an oracle."""
+    rects = list(layout.rects)
+    for edit in edits:
+        if edit.kind in ("remove", "move"):
+            try:
+                rects.remove(edit.rect)
+            except ValueError:
+                raise ValueError(
+                    f"{edit.kind} edit targets a rectangle not in the "
+                    f"layout: {edit.rect}"
+                ) from None
+        if edit.kind == "add":
+            rects.append(edit.rect)
+        elif edit.kind == "move":
+            rects.append(edit.to)
+    return Clip(layout.size, rects)
+
+
+#: rects on a coarse grid around a 32 nm window: duplicates are common,
+#: and some lie partly or wholly outside the window
+rects = st.builds(
+    lambda x, y, w, h: Rect(4 * x, 4 * y, 4 * (x + w), 4 * (y + h)),
+    st.integers(-3, 9), st.integers(-3, 9),
+    st.integers(1, 3), st.integers(1, 3),
+)
+
+
+@st.composite
+def layouts_and_edits(draw):
+    layout = Clip(32, draw(st.lists(rects, max_size=12)))
+    named = list(layout.rects)  # rects an edit may name again
+
+    def subject():
+        # a rect named earlier: original or appended, the last few most
+        # often, and maybe already removed (a missing target)
+        if not named:
+            return draw(rects)
+        return draw(st.one_of(st.sampled_from(named[-3:]),
+                              st.sampled_from(named)))
+
+    def target():
+        # a fresh rect, or an earlier one again so equal rects recur
+        if not named:
+            return draw(rects)
+        return draw(st.one_of(rects, st.sampled_from(named)))
+
+    edits = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["add", "remove", "move"]))
+        if kind == "add":
+            edit = LayoutEdit("add", target())
+        else:
+            edit = LayoutEdit(kind, subject(),
+                              to=target() if kind == "move" else None)
+        named.extend(r for r in (edit.rect, edit.to) if r is not None)
+        edits.append(edit)
+    return layout, edits
+
+
+_A, _B, _WIDE = Rect(0, 0, 8, 8), Rect(8, 8, 16, 16), Rect(-4, 0, 8, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=layouts_and_edits())
+# duplicate survivors: the first equal one goes
+@example(case=(Clip(32, [_A, _B, _A]), [LayoutEdit("remove", _A)] * 2))
+# duplicate appended rects, and an earlier-appended rect removed
+@example(case=(Clip(32), [LayoutEdit("add", _A), LayoutEdit("add", _B),
+                          LayoutEdit("add", _A), LayoutEdit("remove", _A)]))
+# appended rects stay unclipped until the end: named as added, an
+# outside one dropped, and missing by the clipped value
+@example(case=(Clip(32), [LayoutEdit("add", _WIDE),
+                          LayoutEdit("add", Rect(40, 0, 48, 8)),
+                          LayoutEdit("move", _WIDE, to=Rect(24, 24, 40, 40))]))
+@example(case=(Clip(32), [LayoutEdit("add", _WIDE),
+                          LayoutEdit("remove", _WIDE.clipped(_A))]))
+@example(case=(Clip(32, [_A]), []))
+def test_apply_edits_matches_rebuild_oracle(case):
+    """Remove-first-equal order, appended-then-removed rects, adds outside
+    the window, missing targets: the copy-survivors implementation gives
+    the rebuild's exact rect list, or the same ValueError."""
+    layout, edits = case
+    before = list(layout.rects)
+    try:
+        expected = reference_apply_edits(layout, edits).rects
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            apply_edits(layout, edits)
+        assert str(got.value) == str(exc)
+    else:
+        assert apply_edits(layout, edits).rects == expected
+    assert layout.rects == before
 
 
 class TestSynthesizeEditTrace:

@@ -65,6 +65,28 @@ class TestPad:
         with pytest.raises(ValueError):
             F.pad2d(np.zeros((1, 1, 2, 2)), -1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.bool_, np.uint16, np.uint64, np.float64]),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+            st.tuples(st.integers(1, 2), st.integers(1, 3),
+                      st.integers(1, 5), st.integers(1, 5)),
+        ),
+        padding=st.integers(0, 3),
+        value=st.sampled_from([False, 0, -1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_np_pad(self, dtype, shape, padding, value, seed):
+        """Any trailing-axes constant pad equals ``np.pad``'s, dtype,
+        values and the cast of the fill value included."""
+        x = np.random.default_rng(seed).integers(-2, 3, shape).astype(dtype)
+        width = [(0, 0)] * (x.ndim - 2) + [(padding, padding)] * 2
+        expected = np.pad(x, width, constant_values=value)
+        got = F.pad2d(x, padding, value=value)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestIm2col:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 2)])
