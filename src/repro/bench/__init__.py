@@ -2,14 +2,12 @@
 paper-style table formatting."""
 
 from .harness import (
-    bench_envelope,
     bench_epochs,
     bench_image_size,
     bench_scale,
     cache_dir,
     load_benchmark,
     run_detectors,
-    write_bench_json,
 )
 from .plots import ascii_roc, bar_chart
 from .stats import SeedSummary, bootstrap_ci, run_over_seeds, summarize_values
@@ -17,11 +15,9 @@ from .tables import format_table
 from .timing import Stopwatch, stopwatch
 
 __all__ = [
-    "bench_envelope",
     "bench_epochs",
     "bench_image_size",
     "bench_scale",
-    "write_bench_json",
     "cache_dir",
     "load_benchmark",
     "run_detectors",

@@ -14,15 +14,15 @@ overridden with environment variables:
 
 ``REPRO_BENCH_SCALE=1 REPRO_BENCH_IMAGE=128`` reproduces the paper's
 full configuration given enough compute.
+
+These knobs size the paper-table benchmarks under ``benchmarks/``.
+Runtime is measured elsewhere: ``perfbench/run.py`` runs the workloads
+declared in ``BENCHMARK.json`` and reads none of them.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import subprocess
-import time
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,6 @@ __all__ = [
     "bench_scale",
     "bench_image_size",
     "bench_epochs",
-    "bench_envelope",
-    "write_bench_json",
     "cache_dir",
     "load_benchmark",
     "run_detectors",
@@ -60,47 +58,6 @@ def bench_image_size() -> int:
 def bench_epochs() -> int:
     """Neural-detector training epochs (env ``REPRO_BENCH_EPOCHS``)."""
     return int(os.environ.get("REPRO_BENCH_EPOCHS", "20"))
-
-
-def bench_envelope() -> dict:
-    """Provenance header shared by every ``BENCH_*.json`` artifact.
-
-    Records what produced the numbers — git commit, UTC timestamp,
-    interpreter and numpy versions, host CPU count — so results from
-    different machines and revisions can be compared without guessing.
-    Never raises: outside a git checkout the commit is ``"unknown"``.
-    """
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        commit = "unknown"
-    return {
-        "git_commit": commit,
-        "timestamp_utc": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        ),
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-        "cpu_count": os.cpu_count() or 1,
-        "platform": platform.platform(),
-    }
-
-
-def write_bench_json(path: str | os.PathLike, payload: dict) -> Path:
-    """Write a ``BENCH_*.json`` artifact with the standard envelope.
-
-    ``payload`` lands at the top level; the :func:`bench_envelope`
-    provenance is nested under ``"env"`` (payload wins on collision,
-    which benchmarks should not rely on).
-    """
-    path = Path(path)
-    document = {"env": bench_envelope(), **payload}
-    path.write_text(json.dumps(document, indent=2) + "\n")
-    return path
 
 
 def cache_dir() -> Path:

@@ -16,10 +16,12 @@ Two properties the streaming scan leans on:
   :func:`repro.litho.raster.rasterize_region` requires.
 * **Incrementally editable**: :meth:`apply` mirrors the list semantics
   of :func:`repro.litho.fullchip.apply_edits` (remove-first-equal,
-  append-on-add) in ``O(edit)`` instead of rebuilding, so an ECO
-  re-scan pays for the edit, not for the chip.  After any edit
-  sequence the index enumerates exactly the rectangles of
-  ``apply_edits(layout, edits)`` in the same order.
+  append-on-add, appended rects clipped when the list ends) in
+  ``O(edit)`` instead of rebuilding, so an ECO re-scan pays for the
+  edit, not for the chip.  After any edit list ``apply_edits``
+  accepts, the index enumerates exactly the rectangles of
+  ``apply_edits(layout, edits)`` in the same order; a list it rejects
+  leaves the index untouched.
 """
 
 from __future__ import annotations
@@ -65,14 +67,12 @@ class RectIndex:
             for bx in xs:
                 self._buckets.setdefault((bx, by), []).append(rect_id)
 
-    def _remove(self, rect: Rect) -> None:
-        ids = self._ids.get(rect)
-        if not ids:
-            raise ValueError(f"rectangle not in index: {rect}")
-        rect_id = ids.pop(0)  # first-equal, matching list.remove
+    def _remove(self, rect_id: int) -> None:
+        rect = self._rects.pop(rect_id)
+        ids = self._ids[rect]
+        ids.remove(rect_id)
         if not ids:
             del self._ids[rect]
-        del self._rects[rect_id]
         xs, ys = self._bucket_range(rect)
         for by in ys:
             for bx in xs:
@@ -81,16 +81,43 @@ class RectIndex:
                 if not bucket:
                     del self._buckets[(bx, by)]
 
-    def apply(self, edit) -> None:
-        """Apply one :class:`~repro.litho.fullchip.LayoutEdit` in place."""
-        if edit.kind in ("remove", "move"):
-            self._remove(edit.rect)
-        if edit.kind == "add":
-            clipped = edit.rect.clipped(Rect(0, 0, self.size, self.size))
-            if clipped is not None:
-                self._insert(clipped)
-        elif edit.kind == "move":
-            clipped = edit.to.clipped(Rect(0, 0, self.size, self.size))
+    def apply(self, edits) -> None:
+        """Apply one :class:`~repro.litho.fullchip.LayoutEdit` list in place.
+
+        The list is the unit, as in ``apply_edits``: a ``remove`` (or a
+        ``move``'s source) takes the first equal surviving rectangle,
+        else the first equal one appended earlier in the same list —
+        named by the value it was added with, since appended
+        rectangles are clipped to the layout window (and dropped when
+        wholly outside) only once the list ends.  The whole list is
+        resolved before the index changes, so a missing target raises
+        ``ValueError`` and leaves the index as it was.
+        """
+        taken: dict[Rect, int] = {}  # rect -> equal survivors consumed
+        removed: list[int] = []
+        appended: list[Rect] = []
+        for edit in edits:
+            if edit.kind in ("remove", "move"):
+                rect = edit.rect
+                ids = self._ids.get(rect, ())
+                used = taken.get(rect, 0)
+                if used < len(ids):
+                    removed.append(ids[used])
+                    taken[rect] = used + 1
+                else:
+                    try:
+                        appended.remove(rect)
+                    except ValueError:
+                        raise ValueError(
+                            f"rectangle not in index: {rect}"
+                        ) from None
+            if edit.kind != "remove":
+                appended.append(edit.to if edit.kind == "move" else edit.rect)
+        for rect_id in removed:
+            self._remove(rect_id)
+        window = Rect(0, 0, self.size, self.size)
+        for rect in appended:
+            clipped = rect.clipped(window)
             if clipped is not None:
                 self._insert(clipped)
 

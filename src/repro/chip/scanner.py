@@ -506,15 +506,16 @@ ProgramEngine` — packed or float; results are bit-identical across
         tracker = DirtyRegionTracker(grid.steps, grid.window)
         dirty = set(tracker.dirty_windows(edits))
         dirty.update(tracker.unscored_windows(previous.heatmap.scores))
+        # both raise on a missing target before changing anything, so
+        # a rejected edit list leaves the job as it was
+        layout = apply_edits(previous.layout, edits)
+        job.index.apply(edits)
+        job.layout = layout
         cache = self.plane_cache
         if cache is not None and previous.token is not None:
             cache.invalidate_chip_regions(
                 previous.token, tracker.dirty_rects(edits)
             )
-        layout = apply_edits(previous.layout, edits)
-        for edit in edits:
-            job.index.apply(edit)
-        job.layout = layout
         scores = previous.heatmap.scores.copy()
         by_tile: dict[int, list[tuple[int, int]]] = {}
         for i, j in sorted(dirty, key=lambda ij: (ij[1], ij[0])):

@@ -186,24 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="also print the per-node program listing "
                                  "at every stage (default: first and last)")
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="measure single-request vs micro-batched serving throughput",
-    )
-    add_data_args(p_serve)
-    p_serve.add_argument("--epochs", type=int, default=2)
-    p_serve.add_argument("--checkpoint", default=None,
-                         help="serve this checkpoint instead of training a "
-                              "fresh model")
-    p_serve.add_argument("--requests", type=int, default=128,
-                         help="clips in the measured request set")
-    p_serve.add_argument("--max-batch", type=int, default=64)
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0)
-    p_serve.add_argument("--processes", type=int, default=0,
-                         help="also measure a supervised multi-process "
-                              "cluster of N workers against the "
-                              "single-process service (0: skip)")
-
     return parser
 
 
@@ -672,83 +654,6 @@ def _cmd_engine_describe(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from .bench import format_table
-    from .serve import measure_serving, serving_table_rows
-    from .serve.registry import ModelRegistry
-
-    if args.requests < 1:
-        print(f"--requests must be >= 1 (got {args.requests})")
-        return 2
-    if args.checkpoint:
-        registry = ModelRegistry()
-        entry = registry.load_checkpoint("checkpoint", args.checkpoint)
-        model, image_size = entry.model, entry.image_size
-        args.image_size = image_size
-        benchmark = _load(args)
-    else:
-        from .detect import BNNDetector
-
-        benchmark = _load(args)
-        detector = BNNDetector(base_width=8, epochs=args.epochs,
-                               finetune_epochs=0, backend=None, seed=0)
-        detector.fit(benchmark.train, np.random.default_rng(0))
-        model, image_size = detector.model, args.image_size
-
-    images = benchmark.test.images
-    if images.ndim == 4:
-        images = np.squeeze(images, axis=1)
-    reps = int(np.ceil(args.requests / max(1, len(images))))
-    images = np.concatenate([images] * reps)[: args.requests]
-    results = measure_serving(model, image_size, images,
-                              max_batch=args.max_batch,
-                              max_wait_ms=args.max_wait_ms)
-    print(format_table(
-        serving_table_rows(results),
-        title=f"Serving throughput ({args.requests} clips @{image_size}px)",
-    ))
-    single, batched = results["single-packed"], results["batched-packed"]
-    identical = bool(np.array_equal(single.labels, batched.labels))
-    print(f"batched vs single packed predictions identical: {identical}")
-    speedup = (results["batched-packed"].clips_per_sec
-               / results["single-float"].clips_per_sec)
-    print(f"batched packed vs single-request float: {speedup:.1f}x")
-
-    if args.processes > 0:
-        import os
-
-        from .serve import measure_cluster_serving
-
-        scale = measure_cluster_serving(
-            model, image_size, images,
-            processes=args.processes, max_batch=args.max_batch,
-        )
-        solo = scale["single-process"]
-        fleet = scale[f"cluster-{args.processes}"]
-        print(format_table(
-            [{
-                "Configuration": result.mode,
-                "Clips": result.clips,
-                "Time (s)": round(result.seconds, 3),
-                "Clips/s": round(result.clips_per_sec, 1),
-                "vs 1 process": round(
-                    result.clips_per_sec / solo.clips_per_sec, 2
-                ),
-            } for result in (solo, fleet)],
-            title=(f"Scale-out — {args.processes} worker processes "
-                   f"on {os.cpu_count()} CPU(s)"),
-        ))
-        fleet_identical = bool(
-            np.array_equal(solo.scores, fleet.scores)
-            and np.array_equal(solo.labels, fleet.labels)
-        )
-        print(f"cluster vs single-process predictions identical: "
-              f"{fleet_identical}")
-        identical = identical and fleet_identical
-
-    return 0 if identical else 1
-
-
 _COMMANDS = {
     "table2": _cmd_table2,
     "table3": _cmd_table3,
@@ -758,7 +663,6 @@ _COMMANDS = {
     "predict": _cmd_predict,
     "scan": _cmd_scan,
     "engine": _cmd_engine,
-    "serve-bench": _cmd_serve_bench,
 }
 
 

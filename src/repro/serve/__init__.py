@@ -40,12 +40,6 @@ Quickstart::
 """
 
 from .batcher import MicroBatcher
-from .benchmark import (
-    ModeResult,
-    measure_cluster_serving,
-    measure_serving,
-    serving_table_rows,
-)
 from .cache import PlaneCache, RasterCache, geometry_key
 from .cluster import ClusterService, ReplicaState
 from .errors import (
@@ -97,10 +91,6 @@ __all__ = [
     "HealthReport",
     "HealthState",
     "ShardOutcome",
-    "ModeResult",
-    "measure_cluster_serving",
-    "measure_serving",
-    "serving_table_rows",
     "RasterCache",
     "PlaneCache",
     "geometry_key",

@@ -11,8 +11,8 @@ fleet admits tasks (one ``max_batch``-row frame or one scan band), not
 single requests, so ``queue_depth`` counts tasks (default 256, vs 1024
 requests in-process); and unaligned scans and chip scans run
 in-process only.  The fleet buys crash isolation and rollout, not
-throughput — the only recorded scale-out is 0.567x on a 1-CPU host
-(``BENCH_serve_scaleout.json``).  Division of labour:
+throughput: no benchmark workload measures a scale-out gain, and none
+is claimed.  Division of labour:
 
 * The **router** (this class, in the caller's process) writes the
   prepared inputs and the cached scan plane into

@@ -100,6 +100,49 @@ class TestRescanEquivalence:
         )
         assert result.heatmap.equals(scratch.heatmap)
 
+    def test_adds_outside_the_chip_are_named_as_added(self, engine, layout):
+        """Within one edit list an add is named by the value it was
+        added with, even when it reaches past the chip edge."""
+        scanner = ChipScanner(engine, IMAGE)
+        baseline = scanner.scan(layout, WINDOW, STRIDE, BUDGET)
+        edge = Rect(-64, 100, 40, 180)
+        edits = [
+            LayoutEdit("add", edge),
+            LayoutEdit("add", Rect(-64, 300, -8, 340)),  # wholly outside
+            LayoutEdit("move", edge, to=Rect(SIZE - 40, 200, SIZE + 60, 260)),
+            LayoutEdit("remove", Rect(-64, 300, -8, 340)),
+        ]
+        rescanned = scanner.rescan(baseline, edits)
+        edited = apply_edits(layout, edits)
+        assert rescanned.job.index.rects() == list(edited.rects)
+        scratch = ChipScanner(engine, IMAGE).scan(
+            edited, WINDOW, STRIDE, BUDGET
+        )
+        assert rescanned.heatmap.equals(scratch.heatmap)
+
+    def test_rejected_edit_list_leaves_the_job_untouched(
+        self, engine, layout
+    ):
+        scanner = ChipScanner(engine, IMAGE)
+        baseline = scanner.scan(layout, WINDOW, STRIDE, BUDGET)
+        job = baseline.job
+        bad = [
+            LayoutEdit("remove", layout.rects[0]),
+            LayoutEdit("add", Rect(10, 10, 50, 50)),
+            LayoutEdit("remove", Rect(1, 1, 2, 2)),  # not in the layout
+        ]
+        with pytest.raises(ValueError):
+            scanner.rescan(baseline, bad)
+        assert job.layout is layout
+        assert job.index.rects() == list(layout.rects)
+        # the job still re-scans correctly afterwards
+        edits = synthesize_edit_trace(layout, 3, seed=25)
+        rescanned = scanner.rescan(baseline, edits)
+        scratch = ChipScanner(engine, IMAGE).scan(
+            apply_edits(layout, edits), WINDOW, STRIDE, BUDGET
+        )
+        assert rescanned.heatmap.equals(scratch.heatmap)
+
     def test_noop_edit_list_rescores_nothing(self, engine, layout):
         scanner = ChipScanner(engine, IMAGE)
         baseline = scanner.scan(layout, WINDOW, STRIDE, BUDGET)

@@ -82,6 +82,21 @@ def hit_key(report):
     return [(h.x0, h.y0, h.score) for h in report.hits]
 
 
+def wait_all_ready(svc, timeout_s=60.0):
+    """Block until every replica is READY (or ``timeout_s`` passes).
+
+    The fleet spawns lazily and one READY replica is enough to serve,
+    so a sibling can still be STARTING after the first request returns.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        states = svc.replica_states()
+        if all(s is ReplicaState.READY for s in states.values()):
+            return states
+        time.sleep(0.05)
+    return svc.replica_states()
+
+
 class TestCrashFailover:
     def test_sigkill_mid_batch_fails_over_bit_identically(
         self, model, scan_req, reference_hits
@@ -102,14 +117,8 @@ class TestCrashFailover:
         with make_cluster(model, faults) as svc:
             image = np.zeros((16, 16))
             svc.classify(ClipRequest(image=image), timeout=120)
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                states = svc.replica_states()
-                if all(s is ReplicaState.READY for s in states.values()):
-                    break
-                time.sleep(0.1)
-            assert all(s is ReplicaState.READY
-                       for s in svc.replica_states().values())
+            states = wait_all_ready(svc)
+            assert all(s is ReplicaState.READY for s in states.values())
             assert svc.stats()["workers_spawned_total"] >= 3  # 2 + respawn
 
 
@@ -238,20 +247,34 @@ class TestRollingRollout:
 
     @pytest.mark.parametrize("bad_model", [NotAModel, unsupported_model],
                              ids=["NotAModel", "Unsupported"])
-    def test_failed_canary_rolls_back(self, model, bad_model):
+    def test_failed_canary_rolls_back(self, model, bad_model, monkeypatch):
         """A model that fails router-side compilation aborts the rollout
         in step 1 (register), before any replica is drained."""
+        entered = []
+
+        def recording_setattr(handle, name, value):
+            if name == "state":
+                entered.append(value)
+            object.__setattr__(handle, name, value)
+
         with make_cluster(model) as svc:
             image = np.zeros((16, 16))
             before = svc.classify(ClipRequest(image=image), timeout=120)
-            with pytest.raises(LoweringError):
-                svc.rollout("default", model=bad_model())
+            states = wait_all_ready(svc)
+            assert all(s is ReplicaState.READY
+                       for s in states.values()), states
+            with monkeypatch.context() as patch:
+                patch.setattr(WorkerHandle, "__setattr__", recording_setattr)
+                with pytest.raises(LoweringError):
+                    svc.rollout("default", model=bad_model())
+            assert ReplicaState.DRAINING not in entered, entered
             assert svc.stats()["rollout_failures_total"] == 1
             # fleet still serves the old model, bit-identically
             after = svc.classify(ClipRequest(image=image), timeout=120)
             assert after.score == before.score
             states = svc.replica_states()
-            assert all(s is ReplicaState.READY for s in states.values())
+            assert all(s is ReplicaState.READY
+                       for s in states.values()), states
 
     def test_canary_mismatch_after_load_rolls_back_failing_replica(
         self, model, monkeypatch

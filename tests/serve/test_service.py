@@ -1,11 +1,15 @@
 """Tests for the HotspotService front door: classify, scan, stats."""
 
+import inspect
 import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.serve.cache as cache_module
+import repro.serve.service as service_module
+from repro.binary import bitpack
 from repro.binary.inference import ProgramEngine
 from repro.features.downsample import to_network_input
 from repro.litho.geometry import Clip, Rect
@@ -181,6 +185,25 @@ class TestClassify:
         np.testing.assert_array_equal(np.array(results), expected)
 
 
+class TestBurstCoalescing:
+    def test_burst_coalesces_and_matches_one_at_a_time(self, model):
+        """A ``classify_many`` burst runs as a few large engine batches
+        and scores every clip bit-identically to one-clip batches."""
+        images = make_images(64, seed=12)
+        with HotspotService.from_model(model, 16, max_batch=1,
+                                       max_wait_ms=0.0) as single:
+            alone = [single.classify(image) for image in images]
+            assert single.metrics.mean_batch_size == 1.0
+        # the wait bound only caps a partial batch: a burst of 64 fills
+        # four batches of 16 long before it runs out
+        with HotspotService.from_model(model, 16, max_batch=16,
+                                       max_wait_ms=1000.0) as batched:
+            burst = batched.classify_many(list(images))
+            assert batched.metrics.mean_batch_size > 4
+        assert [p.score for p in burst] == [p.score for p in alone]
+        assert [p.label for p in burst] == [p.label for p in alone]
+
+
 class TestScan:
     def test_report_shape_and_counts(self, service):
         layout = make_layout()
@@ -222,6 +245,29 @@ class TestScan:
         assert (reports[0].windows_scanned == reports[1].windows_scanned
                 == reports[2].windows_scanned)
 
+    def test_repeated_cells_hit_the_raster_cache(self, model):
+        """The per-window path rasterizes each repeated window once."""
+        layout = Clip(8192)  # gratings stamped on a coarse grid
+        for gx in range(0, 8192, 1024):
+            for gy in range(0, 8192, 2048):
+                for wire in range(4):
+                    x = gx + 100 + wire * 220
+                    layout.add(Rect(x, gy + 100, x + 90, gy + 1000))
+        request = ScanRequest(layout, window=1024, stride=512)
+        # one worker: concurrent misses on one key would each count
+        with HotspotService.from_model(model, 16, workers=1) as svc, \
+                mock.patch("repro.serve.service.plane_scan_scale",
+                           return_value=None):
+            report = svc.scan(request)
+            cache = svc.stats()["cache"]
+        assert report.windows_scanned == 225  # 15 x 15 origins
+        assert cache["hits"] + cache["misses"] == 225
+        assert cache["hit_rate"] > 0.3
+        with HotspotService.from_model(model, 16, workers=4) as svc:
+            plane = svc.scan(request)
+            assert svc.metrics.plane_scan_requests_total == 1
+        assert plane.hits == report.hits
+
     def test_scan_validation(self):
         layout = make_layout()
         with pytest.raises(ValueError):
@@ -254,6 +300,60 @@ class TestPlaneScan:
             assert svc.metrics.plane_scan_requests_total == 1
         assert report.hits == expected.hits  # exact float equality
         assert report.windows_scanned == expected.windows_scanned
+
+    def test_rasterizes_the_layout_once(self, model, monkeypatch):
+        """A plane scan rasterizes its layout once, never per window."""
+        calls = {"extract_window": 0, "rasterize": 0, "rasterize_plane": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(service_module, "extract_window")
+        counting(cache_module, "rasterize")
+        counting(cache_module, "rasterize_plane")
+        request = ScanRequest(make_layout(size=512, seed=5), window=128,
+                              stride=32)
+        with HotspotService.from_model(model, 16, workers=4) as svc:
+            svc.scan(request)
+            svc.scan(request)
+            assert svc.metrics.plane_scan_requests_total == 2
+        assert calls == {"extract_window": 0, "rasterize": 0,
+                         "rasterize_plane": 1}
+
+    def test_packed_columns_stay_within_the_tiling_budget(
+        self, model, monkeypatch
+    ):
+        """The stem's whole-plane conv is lowered in row strips: no
+        packed-column buffer exceeds the tiled kernel's budget, though
+        the untiled plane conv would."""
+        budget = inspect.signature(
+            bitpack.binary_conv2d_packed_tiled
+        ).parameters["max_cols"].default
+        widths = []
+        original = bitpack._pack_activation_columns
+
+        def tracking(*args, **kwargs):
+            cols = original(*args, **kwargs)
+            widths.append(cols.shape[1])
+            return cols
+
+        monkeypatch.setattr(bitpack, "_pack_activation_columns", tracking)
+        size, window = 8320, 128  # 1040 px plane at 8 nm per pixel
+        pixels = size // (window // 16)
+        assert (pixels - 2) ** 2 > budget  # untiled 3x3 valid conv
+        request = ScanRequest(make_layout(size=size, seed=13, n=60),
+                              window=window, stride=4096)
+        with HotspotService.from_model(model, 16) as svc:
+            report = svc.scan(request)
+            assert svc.metrics.plane_scan_requests_total == 1
+        assert report.windows_scanned == 9
+        assert widths and max(widths) <= budget
 
     def test_misaligned_geometry_falls_back(self, model):
         # window 200 is not a whole number of 16-px cells (200 % 16 != 0)

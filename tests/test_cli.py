@@ -38,13 +38,6 @@ class TestParser:
         with pytest.raises(SystemExit):  # --backend is the only engine flag
             build_parser().parse_args(["predict", "ck.npz", "--float"])
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.command == "serve-bench"
-        assert args.requests == 128
-        assert args.max_batch == 64
-        assert args.max_wait_ms == 2.0
-
     def test_scan_defaults(self):
         args = build_parser().parse_args(["scan", "synth:8192", "ck.npz"])
         assert args.command == "scan"
@@ -142,17 +135,6 @@ class TestCommands:
     def test_predict_missing_checkpoint(self, capsys, tmp_path):
         assert main(["predict", str(tmp_path / "absent.npz"),
                      "--scale", "0.001"]) == 2
-
-    def test_serve_bench_quick(self, capsys):
-        code = main([
-            "serve-bench", "--scale", "0.001", "--image-size", "16",
-            "--seed", "7", "--epochs", "1", "--requests", "16",
-            "--max-batch", "8",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "batched-packed" in out
-        assert "predictions identical: True" in out
 
     def test_roc(self, capsys):
         code = main(["roc", "--scale", "0.002", "--image-size", "16",
