@@ -23,10 +23,11 @@ def quantize_int8(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetric per-tensor quantization to int8.
 
     Returns ``(q, scale)`` with ``q = round(x / scale)`` clamped to
-    [-127, 127] and ``scale = max|x| / 127`` (zero tensors get scale 1).
+    [-127, 127] and ``scale = max|x| / 127``.  Zero tensors, and
+    tensors whose subnormal peak makes that quotient underflow to 0,
+    get scale 1.
     """
-    peak = float(np.abs(x).max())
-    scale = peak / 127.0 if peak > 0 else 1.0
+    scale = float(np.abs(x).max()) / 127.0 or 1.0
     q = np.clip(np.round(x / scale), -127, 127).astype(np.int8)
     return q, scale
 

@@ -437,6 +437,24 @@ class ProgramEngine:
             backend=self.backend_name, pipeline=self.pipeline,
         )
 
+    def plan_bytes_per_pixel(self) -> int:
+        """Upper bound on the bytes a :meth:`plan_scan` plan holds per
+        plane pixel.
+
+        The plan keeps the float64 plane, its stem-prefix copy and,
+        unless the stem is unscaled, its |x| plane; per origin phase it
+        builds a dot grid (``c_out`` values per stem output cell) and an
+        α grid.  A stride-``s`` stem has at most ``s * s`` phases, each
+        with one output cell per ``s * s`` pixels, so all phases
+        together hold at most one cell per pixel.  Without a plane stem
+        the plan holds only the plane.
+        """
+        stem = self._stem_spec
+        if stem is None:
+            return 8
+        scaled = int(stem["scaling"] != "none")
+        return 8 * ((2 + scaled) + (stem["c_out"] + scaled))
+
     def scan_plane(
         self, plane: np.ndarray, window: int, origins, batch_size: int = 256
     ) -> np.ndarray:

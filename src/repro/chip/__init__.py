@@ -1,9 +1,9 @@
 """Full-chip streaming scan with bounded memory + incremental ECO re-scan.
 
-The monolithic serving path (:meth:`repro.serve.service.HotspotService.
-scan`) rasterizes a whole clip as one plane — fine for verification
-clips, quadratic-memory-impossible for a chip.  This package streams
-the same sweep instead:
+Rasterizing a whole layout as one plane is fine for verification
+clips and quadratic-memory-impossible for a chip.  This package streams
+the sweep instead, and it is the serving layer's one scan path
+(:meth:`repro.serve.service.HotspotService.scan` and ``scan_chip``):
 
 * :mod:`~repro.chip.tiling` cuts the origin grid into halo-correct
   tiles sized from a byte budget;

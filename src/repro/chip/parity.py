@@ -1,6 +1,6 @@
 """CI gate: streamed scan ≡ monolithic scan, re-scan ≡ from-scratch.
 
-Run as ``python -m repro.chip.parity``.  Two invariants, each checked
+Run as ``python -m repro.chip.parity``.  Four invariants, each checked
 bit-for-bit on every engine backend:
 
 1. **Streaming parity** — :meth:`ChipScanner.scan` over a synthesized
@@ -12,7 +12,11 @@ bit-for-bit on every engine backend:
    trace produces a heatmap ``equals`` a from-scratch streamed scan of
    ``apply_edits(layout, edits)``, while re-scoring strictly fewer
    windows than the sweep holds.
-3. **Repeated-cell parity** — on a cell-library chip built to repeat
+3. **Service parity** — :meth:`repro.serve.HotspotService.scan`, the
+   service's one scan path, flags exactly the windows the monolithic
+   reference scores above 0, with the same scores (its tile count is
+   printed).
+4. **Repeated-cell parity** — on a cell-library chip built to repeat
    window rasters (:func:`~repro.litho.fullchip.synthesize_cell_array`)
    the streamed scan still equals the monolithic one, and it scores
    strictly fewer distinct windows than the sweep holds (printed as
@@ -56,7 +60,7 @@ from ..models.bnn_resnet import build_bnn_resnet
 from .durable import DurableChipScan, RetryPolicy
 from .journal import JournalCorruptError, read_journal
 from .scanner import ChipScanner
-from .tiling import TileSpec, origin_steps
+from .tiling import TileSpec, origin_steps, plan_tiles
 
 
 def _monolithic_scores(engine, layout, window, stride, image_size):
@@ -68,6 +72,28 @@ def _monolithic_scores(engine, layout, window, stride, image_size):
     logits = engine.scan_plane(plane, image_size, origins)
     n = len(steps)
     return (logits[:, 1] - logits[:, 0]).reshape(n, n)
+
+
+def _service_parity(model, backend, layout, args, reference) -> bool:
+    """``HotspotService.scan`` hits equal the monolithic reference's."""
+    from ..serve import HotspotService, ScanRequest
+    from ..serve.service import scan_tile_budget, window_origins
+
+    origins = window_origins(layout.size, args.window, args.stride)
+    expected = [(x, y, score) for (x, y), score
+                in zip(origins, reference.ravel().tolist()) if score > 0]
+    with HotspotService.from_model(model, args.image_size,
+                                   backend=backend) as service:
+        report = service.scan(ScanRequest(layout, args.window, args.stride))
+        engine = service.registry.get("default").engine
+    tiles = plan_tiles(layout.size, args.window, args.stride,
+                       args.window // args.image_size,
+                       scan_tile_budget(engine, args.image_size)).tiles
+    ok = (not report.degraded
+          and [(h.x0, h.y0, h.score) for h in report.hits] == expected)
+    print(f"[{backend}] service scan parity: {'OK' if ok else 'MISMATCH'} "
+          f"({len(tiles)} tiles, {len(expected)} hits)")
+    return ok
 
 
 def _gate_model(image_size: int, seed: int):
@@ -302,6 +328,8 @@ def main(argv=None) -> int:
             f"<= budget {budget} B: {bounded})"
         )
         if not (streamed_ok and multi_tile and bounded):
+            failures += 1
+        if not _service_parity(model, backend, layout, args, reference):
             failures += 1
 
         rescanned = scanner.rescan(result, edits)

@@ -5,12 +5,12 @@ layouts that do **not** fit in memory as one plane.  The sweep is cut
 into halo-correct tiles (:mod:`repro.chip.tiling`); each tile is
 rasterized from a spatial index (:mod:`repro.chip.index`) via
 :func:`repro.litho.raster.rasterize_region` and scored through the
-engine's plane-compiled scan (:meth:`plan_scan`), exactly the kernel
-the monolithic service path uses.  Both the raster and the per-window
-logits are bit-identical to a monolithic scan — streaming is purely a
-memory shape, never a numerics change — and the peak tile plane is
-bounded by ``tile_budget`` bytes (tracked, reported as
-``peak_tile_bytes``).
+engine's plane-compiled scan (:meth:`plan_scan`).  Both the raster and
+the per-window logits are bit-identical to a monolithic scan of the
+whole layout — streaming is purely a memory shape, never a numerics
+change — and the peak tile plane is bounded by ``tile_budget`` bytes
+(tracked, reported as ``peak_tile_bytes``).  The serving layer's
+``scan`` and ``scan_chip`` both run this sweep.
 
 The incremental path closes the edit→verify ECO loop:
 :meth:`ChipScanner.rescan` takes a previous :class:`ChipScanResult`
@@ -26,8 +26,9 @@ keyed by their packed sign bits, one representative per key goes to
 the engine, and its score is scattered to every origin with the same
 raster (logits depend on the raster alone and the engine is
 batch-invariant, so this is exact).  The key→score memo lives only for
-the sweep; see :meth:`ChipScanJob.scoring`.  A re-scan opens no memo
-and scores each dirty window itself.
+the sweep; see :meth:`ChipScanJob.scoring`.  A re-scan, and the
+serving layer's ``scan`` of distinct layouts, open no memo and score
+each window themselves.
 
 An optional region-keyed plane cache (the chip mode of
 :class:`repro.serve.cache.PlaneCache`, duck-typed here: any object
@@ -85,8 +86,8 @@ class ChipScanJob:
 
     Tiles are independent and the job is read-only while scoring, so
     :meth:`score_tile` may be called concurrently from a worker pool
-    (the serving layer shards the tile list exactly like it shards
-    origin ranges).  ``peak_tile_bytes`` tracks the largest tile plane
+    (the serving layer scores one tile per pool shard).
+    ``peak_tile_bytes`` tracks the largest tile plane
     actually rasterized, under a lock, and so is the score memo that
     calls inside one :meth:`scoring` block share.
     """

@@ -32,9 +32,10 @@ __all__ = ["TileSpec", "TileGrid", "origin_steps", "plan_tiles",
 def origin_steps(size: int, window: int, stride: int) -> list[int]:
     """Origin positions of one sweep axis (row-major grids use it twice).
 
-    Matches :func:`repro.serve.service.window_origins`: multiples of
-    ``stride`` with the last origin snapped to ``size - window`` so the
-    sweep reaches the layout edge.
+    Multiples of ``stride`` with the last origin snapped to ``size -
+    window`` so the sweep reaches the layout edge.  The one definition
+    of the sweep grid: :func:`repro.serve.service.window_origins` is
+    its row-major product.
     """
     if window <= 0 or window > size:
         raise ValueError(f"window {window} outside (0, {size}]")

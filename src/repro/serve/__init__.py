@@ -9,8 +9,8 @@ into a synchronous-API service with production plumbing:
   compilation to one named engine backend (``packed`` by default);
 * :class:`MicroBatcher` — coalesces concurrent single-clip requests
   into engine batches (``max_batch`` / ``max_wait_ms``);
-* :class:`WorkerPool` — shards full-layout sliding-window scans across
-  threads, deterministically;
+* :class:`WorkerPool` — shards the tiles of full-layout sliding-window
+  scans across threads, deterministically;
 * :class:`RasterCache` — LRU geometry-keyed raster reuse;
 * :class:`ServiceMetrics` — counters, latency histograms, batch and
   cache statistics via ``HotspotService.stats()``;

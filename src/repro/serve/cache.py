@@ -102,12 +102,14 @@ class RasterCache(_ArrayLRU):
 
 
 class PlaneCache(_ArrayLRU):
-    """Thread-safe LRU cache of full-layout plane rasters.
+    """Thread-safe LRU cache of plane rasters: whole layouts or chip tiles.
 
-    Planes are orders of magnitude larger than window rasters (a whole
-    layout at clip resolution), so the default capacity is small — a
-    handful of layouts under active scanning.  Keyed by the layout's
-    exact geometry plus the plane resolution, like :class:`RasterCache`.
+    Planes are orders of magnitude larger than window rasters, so the
+    default capacity is small.  **Whole-layout mode** (:meth:`get`)
+    serves the cluster router, which ships one layout plane to its
+    worker processes; it is keyed by the layout's exact geometry plus
+    the plane resolution, like :class:`RasterCache`.  The in-process
+    ``scan`` caches no planes.
 
     **Region-aware chip mode.**  Full-chip streaming scans
     (:mod:`repro.chip`) cannot key by geometry — hashing millions of

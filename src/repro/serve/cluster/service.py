@@ -63,14 +63,13 @@ import numpy as np
 
 from ...features.downsample import to_network_input
 from ..errors import (
-    DeadlineExceeded,
     FrameIntegrityError,
     RolloutError,
     ServiceOverloaded,
     WorkerCrashError,
 )
 from ..faults import FaultInjector
-from ..pool import ShardOutcome, shard_slices
+from ..pool import shard_slices
 from ..registry import ModelEntry, ModelRegistry
 from ..service import _remaining, _ServiceBase, plane_scan_scale
 from .fleet import ReplicaState, WorkerHandle
@@ -847,7 +846,7 @@ class ClusterService(_ServiceBase):
         makes the result bit-identical to a single-process sweep, no
         matter how shards land on replicas or how often they fail over.
         A shard that exhausts its failover/retry budget, or is still
-        unfinished at the deadline, comes back as a failed outcome.
+        unfinished at the deadline, leaves its origins unscored (NaN).
         Geometry that is not pixel-aligned raises ``ValueError``: the
         fleet has no per-window path.
         """
@@ -905,24 +904,14 @@ class ClusterService(_ServiceBase):
                     self._abandon_locked(tasks)
                 self.metrics.record_timeout()
                 break
-        outcomes = []
+        scores = np.full(len(origins), np.nan)
+        retried_shards = 0
         for shard, task in zip(slices, tasks):
-            outcome = ShardOutcome(
-                shard.start, shard.stop,
-                retries=task.crashes + task.errors + task.frame_retries,
-            )
-            if task.logits is None:
-                outcome.error = task.error or DeadlineExceeded(
-                    f"shard [{shard.start}:{shard.stop}) did not complete "
-                    f"within the {timeout}s scan deadline",
-                    timeout_s=timeout, stage="shard",
-                )
-            else:
-                logits = task.logits
-                outcome.results = (logits[:, 1] - logits[:, 0]).tolist()
-            outcomes.append(outcome)
+            retried_shards += task.crashes + task.errors + task.frame_retries
+            if task.logits is not None:
+                scores[shard] = task.logits[:, 1] - task.logits[:, 0]
         self._broadcast_release(holder)
-        return outcomes, True
+        return scores, retried_shards
 
     def _broadcast_release(self, holder: _FrameHolder | None) -> None:
         """Tell live workers to drop their cached plane attachments."""

@@ -102,7 +102,6 @@ class ServiceMetrics:
         self.batched_clips_total = 0
         self.max_batch_size = 0
         self.scan_requests_total = 0
-        self.plane_scan_requests_total = 0
         self.degraded_scans_total = 0
         self.windows_scanned_total = 0
         self.windows_failed_total = 0
@@ -178,22 +177,17 @@ class ServiceMetrics:
         self,
         windows: int,
         latency_ms: float,
-        plane: bool = False,
         failed_windows: int = 0,
         retried_shards: int = 0,
     ) -> None:
         """One scan request sweeping ``windows`` windows.
 
-        ``plane=True`` marks a sweep served by the plane-compiled scan
-        engine rather than per-window rasterization.  ``failed_windows``
-        counts windows whose shard failed even after retry (a degraded
-        scan); ``retried_shards`` counts shard retries that happened
-        (whether or not the retry succeeded).
+        ``failed_windows`` counts windows left unscored even after retry
+        (a degraded scan); ``retried_shards`` counts shard retries that
+        happened (whether or not the retry succeeded).
         """
         with self._lock:
             self.scan_requests_total += 1
-            if plane:
-                self.plane_scan_requests_total += 1
             if failed_windows:
                 self.degraded_scans_total += 1
             self.windows_scanned_total += windows
@@ -331,7 +325,6 @@ class ServiceMetrics:
             self.batched_clips_total = 0
             self.max_batch_size = 0
             self.scan_requests_total = 0
-            self.plane_scan_requests_total = 0
             self.degraded_scans_total = 0
             self.windows_scanned_total = 0
             self.windows_failed_total = 0
@@ -376,7 +369,7 @@ class ServiceMetrics:
         ``per_op_ms`` maps each model with a registered op table to its
         per-layer timing rows (``op``, ``calls``, ``total_ms``,
         ``mean_ms`` — cumulative since the last reset, in program
-        order), covering batched classify *and* plane-scan work because
+        order), covering batched classify *and* scan work because
         both run through the same executor.
         """
         with self._lock:
@@ -396,7 +389,6 @@ class ServiceMetrics:
                 "mean_batch_size": round(self.mean_batch_size, 2),
                 "max_batch_size": self.max_batch_size,
                 "scan_requests_total": self.scan_requests_total,
-                "plane_scan_requests_total": self.plane_scan_requests_total,
                 "degraded_scans_total": self.degraded_scans_total,
                 "windows_scanned_total": self.windows_scanned_total,
                 "windows_failed_total": self.windows_failed_total,

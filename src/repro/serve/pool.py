@@ -1,8 +1,8 @@
 """Worker pool for scan-mode requests: shard ranges over threads.
 
-A scan request sweeps a full layout with thousands of sliding windows;
-each window is rasterized and classified independently, so the window
-list shards cleanly.  Threads (not processes) are the right pool here:
+A scan request sweeps a full layout tile by tile; each tile is
+rasterized and scored independently, so the tile list shards
+cleanly.  Threads (not processes) are the right pool here:
 the work is NumPy-bound — rasterization and the engine's matmuls drop
 the GIL — and threads share the raster cache and compiled engine
 without pickling model weights per worker.
@@ -18,7 +18,7 @@ times, a ``timeout`` bounds the whole call (running shards are
 abandoned, never joined — threads cannot be killed), and the call
 returns per-shard :class:`ShardOutcome` records, so the caller (the
 scan path) can keep every healthy shard's results and report the
-failed ranges instead of discarding the sweep.
+failed tiles instead of discarding the sweep.
 """
 
 from __future__ import annotations

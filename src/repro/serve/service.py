@@ -1,4 +1,4 @@
-"""The hotspot inference service: one request path, two shard executors.
+"""The hotspot inference service: one request path, two executors.
 
 :class:`HotspotService` is the synchronous front door of the serving
 layer.  Two request shapes:
@@ -10,22 +10,26 @@ layer.  Two request shapes:
   call.
 * **scan** — a full layout swept by a sliding window
   (:class:`~repro.serve.types.ScanRequest`) -> a
-  :class:`~repro.serve.types.ScanReport` of hotspot windows.  The
-  window list is sharded across a :class:`WorkerPool`; window rasters
-  go through the shared LRU :class:`RasterCache` so repeated geometry
-  (empty regions, repeated cells) skips rasterization entirely.
+  :class:`~repro.serve.types.ScanReport` of hotspot windows.  The sweep
+  is the chip scan's tile sweep (:class:`repro.chip.ChipScanJob`): the
+  origin grid is cut into halo-correct tiles, each tile is rasterized
+  once from a spatial index and scored through the engine's plane
+  plan, one tile per :class:`WorkerPool` shard.  ``scan`` sizes the
+  tiles from the engine's plan footprint and scores every window;
+  :meth:`HotspotService.scan_chip` runs the same sweep under a
+  caller-chosen budget with a per-request score memo.
 
 The request path — model selection, request normalisation, deadlines,
 prediction and report assembly, metrics, ``health()`` and ``stats()``
 — is written once, in ``_ServiceBase``.  Its two subclasses differ
-only in where shards run: :class:`HotspotService` scores in this
+only in where the work runs: :class:`HotspotService` scores in this
 process (batcher threads and a thread pool), and
 :class:`~repro.serve.cluster.ClusterService` scores on a supervised
 fleet of worker processes.
 
 Both paths produce predictions bit-identical to a direct
-``engine.predict_logits`` call on the same inputs — batching and
-sharding are pure throughput plumbing, never a numerics change.
+``engine.predict_logits`` call on the same inputs — batching, tiling
+and sharding are pure throughput plumbing, never a numerics change.
 
 Fault tolerance (see ``docs/serving.md`` → "Failure modes &
 guarantees"): requests carry **deadlines** (``timeout=`` per call, or
@@ -34,9 +38,9 @@ guarantees"): requests carry **deadlines** (``timeout=`` per call, or
 :class:`~repro.serve.errors.ServiceOverloaded` instead of hanging or
 OOMing; a poison clip that crashes the engine is **quarantined** by
 batch bisection so co-batched requests still succeed; a failing scan
-shard is retried once and then reported as a **degraded**
+tile is retried once and then reported as a **degraded**
 :class:`~repro.serve.types.ScanReport` (``failed_ranges``) rather than
-discarding the healthy shards; and a seeded
+discarding the healthy tiles; and a seeded
 :class:`~repro.serve.faults.FaultInjector` can be threaded through the
 engine and raster call sites to rehearse all of the above
 deterministically.
@@ -58,6 +62,7 @@ from ..chip import (
     RetryPolicy,
     TileRecord,
     journal_header,
+    origin_steps,
     snapshot_journal,
 )
 from ..features.downsample import downsample_binary, to_network_input
@@ -93,19 +98,33 @@ __all__ = [
 def window_origins(size: int, window: int, stride: int) -> list[tuple[int, int]]:
     """Sliding-window origins covering a ``size`` x ``size`` layout.
 
-    Row-major order; the last row/column snaps to the layout edge so the
-    sweep covers the full area even when ``stride`` does not divide
-    ``size - window``.
+    Row-major ``(x, y)`` pairs over :func:`repro.chip.origin_steps` on
+    both axes (the last row/column snaps to the layout edge), so index
+    ``j * n + i`` is cell ``(i, j)`` of a tile sweep's origin grid.
     """
-    if window <= 0 or window > size:
-        raise ValueError(f"window {window} outside (0, {size}]")
-    if stride <= 0:
-        raise ValueError(f"stride must be positive, got {stride}")
-    last = size - window
-    steps = list(range(0, last + 1, stride))
-    if steps[-1] != last:
-        steps.append(last)
+    steps = origin_steps(size, window, stride)
     return [(x, y) for y in steps for x in steps]
+
+
+def scan_tile_budget(engine, image_size: int) -> int:
+    """Raster bytes per tile of a :meth:`HotspotService.scan` sweep.
+
+    Sized so one tile's plane plan (``engine.plan_bytes_per_pixel()``
+    bytes per plane pixel) stays within ``DEFAULT_TILE_BUDGET``, and
+    never below one window's float64 raster.
+    """
+    pixels = DEFAULT_TILE_BUDGET // engine.plan_bytes_per_pixel()
+    return 8 * max(pixels, image_size * image_size)
+
+
+def _unscored_ranges(scores: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Maximal ``[start, stop)`` runs of NaN (unscored) entries."""
+    edges = np.diff(np.concatenate(
+        ([0], np.isnan(scores).astype(np.int8), [0])
+    ))
+    starts = np.flatnonzero(edges == 1).tolist()
+    stops = np.flatnonzero(edges == -1).tolist()
+    return tuple(zip(starts, stops))
 
 
 def plane_scan_scale(
@@ -120,9 +139,8 @@ def plane_scan_scale(
     every window origin must land on pixel boundaries.  Origins are
     multiples of the stride plus the snapped last column
     ``size - window``, so ``scale | size`` and ``scale | stride`` cover
-    them all.  Shared by the in-process scan path and the cluster
-    router (:mod:`repro.serve.cluster`), which ships the plane to
-    worker processes under the same alignment contract.
+    them all.  The cluster router (:mod:`repro.serve.cluster`) ships
+    the plane to worker processes under this alignment contract.
     """
     if pixels <= 0 or window % pixels:
         return None
@@ -174,8 +192,8 @@ class _ServiceBase:
     * :meth:`_score_clips` scores prepared network inputs under a
       deadline and yields one logits row per input, in order;
     * :meth:`_score_scan` scores a scan's window origins and returns
-      one :class:`~repro.serve.pool.ShardOutcome` per contiguous origin
-      range.
+      one score per origin (NaN where the work failed) plus the count
+      of shard retries.
 
     :class:`HotspotService` runs both in-process (micro-batcher and
     thread pool); :class:`~repro.serve.cluster.ClusterService` runs them
@@ -245,7 +263,8 @@ class _ServiceBase:
         raise NotImplementedError
 
     def _score_scan(self, request, entry, origins, timeout):
-        """Score ``origins`` -> (``ShardOutcome`` list, plane path used)."""
+        """Score ``origins`` -> (score per origin, NaN = unscored;
+        shard retries)."""
         raise NotImplementedError
 
     # -- internals -------------------------------------------------------
@@ -372,17 +391,17 @@ class _ServiceBase:
     ) -> ScanReport:
         """Sweep a full layout; returns the windows flagged as hotspots.
 
-        Deterministic by construction: shards are contiguous origin
-        ranges and results are reassembled in shard order, so worker
+        Deterministic by construction: every window's score depends on
+        its raster alone, and scores are placed by origin, so worker
         count and scheduling never change the report.
 
-        Partial failure degrades instead of raising: a shard that keeps
+        Partial failure degrades instead of raising: work that keeps
         failing after its retry budget — or that misses the ``timeout``
-        deadline (seconds, default ``default_timeout_s``) — is dropped
-        from the hit list and reported in the ``failed_ranges`` of a
-        ``degraded`` report, while every healthy shard's hits are
-        returned unchanged (bit-identical to a fully healthy sweep over
-        the same windows).
+        deadline (seconds, default ``default_timeout_s``) — leaves its
+        windows unscored; they are dropped from the hit list and
+        reported as the ``failed_ranges`` of a ``degraded`` report,
+        while every other window's hit is returned unchanged
+        (bit-identical to a fully healthy sweep).
         """
         entry = self._entry(model)
         if timeout is None:
@@ -391,37 +410,30 @@ class _ServiceBase:
         origins = window_origins(
             request.layout.size, request.window, request.stride
         )
-        outcomes, plane = self._score_scan(request, entry, origins, timeout)
-        hits = []
-        failed_ranges = []
-        retried_shards = 0
-        for outcome in outcomes:
-            retried_shards += outcome.retries
-            if not outcome.ok:
-                failed_ranges.append((outcome.start, outcome.stop))
-                continue
-            for (x, y), score in zip(
-                origins[outcome.start:outcome.stop], outcome.results
-            ):
-                if score > entry.decision_bias:
-                    hits.append(ScanHit(
-                        x, y, x + request.window, y + request.window, score
-                    ))
+        scores, retried_shards = self._score_scan(
+            request, entry, origins, timeout
+        )
+        hits = tuple(
+            ScanHit(x, y, x + request.window, y + request.window, score)
+            for (x, y), score in zip(origins, scores.tolist())
+            if score > entry.decision_bias
+        )
+        failed_ranges = _unscored_ranges(scores)
         latency_ms = (time.perf_counter() - started) * 1e3
         failed_windows = sum(stop - start for start, stop in failed_ranges)
         self.metrics.record_scan(
-            len(origins), latency_ms, plane=plane,
+            len(origins), latency_ms,
             failed_windows=failed_windows, retried_shards=retried_shards,
         )
         return ScanReport(
             request_id=request.request_id,
             windows_scanned=len(origins),
-            hits=tuple(hits),
+            hits=hits,
             model=entry.name,
             backend=entry.backend,
             latency_ms=latency_ms,
             degraded=bool(failed_ranges),
-            failed_ranges=tuple(failed_ranges),
+            failed_ranges=failed_ranges,
         )
 
     # -- observability ---------------------------------------------------
@@ -508,14 +520,14 @@ class HotspotService(_ServiceBase):
     default_model:
         Registry name used when a request does not pick a model.
     max_batch / max_wait_ms:
-        Micro-batching knobs (see :class:`MicroBatcher`).  They also
-        bound the engine chunk size of scan shards.
+        Micro-batching knobs (see :class:`MicroBatcher`).  ``max_batch``
+        is also the engine chunk size of every scan tile.
     cache_capacity:
         LRU raster cache entries shared by every model and request type.
     plane_cache_capacity:
-        LRU entries of full-layout plane rasters (used by the scan
-        path's plane-compiled engine; planes are large, keep this
-        small).
+        LRU entries of tile planes kept for :meth:`scan_chip` requests
+        that carry a session ``token`` (tiles are large, keep this
+        small).  :meth:`scan` caches no planes.
     workers:
         Scan-mode worker threads (default: CPU count, capped at 8).
     queue_depth:
@@ -528,8 +540,9 @@ class HotspotService(_ServiceBase):
         Service-wide request deadline in seconds, used when a call does
         not pass its own ``timeout=``.  ``None`` means no deadline.
     shard_retries:
-        How often a failed scan shard is re-run before its window range
-        is reported as failed in a degraded ``ScanReport``.
+        How often a failed scan tile is re-run before its windows are
+        reported as failed in a degraded report (``failed_ranges`` of
+        a ``ScanReport``, ``failed_tiles`` of a ``ChipScanReport``).
     faults:
         Optional :class:`~repro.serve.faults.FaultInjector` threaded
         through the engine (``"engine"``) and rasterization
@@ -618,89 +631,21 @@ class HotspotService(_ServiceBase):
 
     # -- scan path -------------------------------------------------------
 
-    def _scan_shard(
-        self,
-        origins: Sequence[tuple[int, int]],
-        request: ScanRequest,
-        entry: ModelEntry,
-    ) -> list[float]:
-        """Score one contiguous shard of window origins (chunked)."""
-        predict = entry.engine.predict_logits
-        if self.faults is not None:
-            predict = self.faults.wrap("engine", predict)
-        scores: list[float] = []
-        for start in range(0, len(origins), self.max_batch):
-            chunk = origins[start : start + self.max_batch]
-            images = np.stack(
-                [
-                    self._raster(
-                        extract_window(request.layout, x, y, request.window),
-                        entry.image_size,
-                    )
-                    for x, y in chunk
-                ]
-            )
-            logits = predict(to_network_input(images))
-            scores.extend((logits[:, 1] - logits[:, 0]).tolist())
-        return scores
-
     def _score_scan(self, request, entry, origins, timeout):
-        """Shard origin ranges over the thread pool, plane-compiled if able.
+        """One memo-free tile sweep of the layout (:meth:`_sweep`).
 
-        When the scan geometry is pixel-aligned (see
-        :func:`plane_scan_scale`) and the engine exposes ``plan_scan``,
-        the layout is rasterized **once** as a full plane and windows
-        are scored by the plane-compiled scan engine — workers then
-        shard origin ranges over the shared read-only plan instead of
-        rasterizing every window.  The report is bit-identical either
-        way; the plane path is purely a throughput optimisation, and a
-        failure while *building* the plan falls back to the per-window
-        path instead of failing the sweep.  A failed shard is re-run up
-        to ``shard_retries`` times.
+        Tiles are sized by :func:`scan_tile_budget`, and every window of
+        every tile goes to the engine: on the distinct layouts a scan
+        serves, a score memo would only add keying cost.  A tile whose
+        plan fails to build is a failed tile like any other.  Geometry
+        that is not pixel-aligned raises ``ValueError``.
         """
-        scale = plane_scan_scale(
-            request.layout.size, request.window, request.stride,
-            entry.image_size,
+        job = self._chip_scanner(entry).compile(
+            request.layout, request.window, request.stride,
+            scan_tile_budget(entry.engine, entry.image_size),
         )
-        plan = None
-        if scale is not None:
-            try:
-                plane = self.plane_cache.get(request.layout, scale, "binary")
-                plan = entry.engine.plan_scan(
-                    to_network_input(plane[None]),
-                    entry.image_size,
-                    [(x // scale, y // scale) for x, y in origins],
-                )
-            except Exception:
-                # plan compilation is an optimisation; per-window scan
-                # still serves the sweep (shard failures stay isolated)
-                self.metrics.record_error()
-                plan = None
-        if plan is not None:
-            compiled_plan = plan
-
-            def score_shard(shard: Sequence[tuple[int, int]]) -> list[float]:
-                if self.faults is not None:
-                    corrupt = self.faults.fire("engine")
-                else:
-                    corrupt = False
-                logits = compiled_plan.logits(
-                    [(x // scale, y // scale) for x, y in shard],
-                    batch_size=self.max_batch,
-                )
-                if corrupt:
-                    logits = np.negative(logits)
-                return (logits[:, 1] - logits[:, 0]).tolist()
-
-        else:
-
-            def score_shard(shard: Sequence[tuple[int, int]]) -> list[float]:
-                return self._scan_shard(shard, request, entry)
-
-        outcomes = self.pool.map_shards_tolerant(
-            score_shard, origins, timeout=timeout, retries=self.shard_retries
-        )
-        return outcomes, plan is not None
+        scores, _failed_tiles, retried_shards = self._sweep(job, timeout)
+        return scores.ravel(), retried_shards
 
     # -- full-chip streaming scan path -----------------------------------
 
@@ -712,6 +657,37 @@ class HotspotService(_ServiceBase):
             entry.engine, entry.image_size, batch_size=self.max_batch,
             plane_cache=self.plane_cache, faults=self.faults,
         )
+
+    def _sweep(self, job, timeout):
+        """Score every tile of ``job``, one tile per pool shard.
+
+        The tile sweep behind both :meth:`scan` and :meth:`scan_chip`.
+        Returns the row-major origin-grid scores (NaN where a tile
+        failed after ``shard_retries`` re-runs or missed the deadline),
+        the failed tile indices and the count of shard retries.
+        """
+        score_tile = job.score_tile
+
+        def score_shard(tiles):
+            return [score_tile(tile) for tile in tiles]
+
+        outcomes = self.pool.map_shards_tolerant(
+            score_shard, job.tiles, shards=len(job.tiles),
+            timeout=timeout, retries=self.shard_retries,
+        )
+        scores = job.empty_scores()
+        failed_tiles: list[int] = []
+        retried_shards = 0
+        for outcome in outcomes:
+            retried_shards += outcome.retries
+            if not outcome.ok:
+                failed_tiles.extend(range(outcome.start, outcome.stop))
+                continue
+            for tile, block in zip(
+                job.tiles[outcome.start:outcome.stop], outcome.results
+            ):
+                scores[tile.iy0:tile.iy1, tile.ix0:tile.ix1] = block
+        return scores, tuple(failed_tiles), retried_shards
 
     def _chip_report(
         self,
@@ -775,20 +751,21 @@ class HotspotService(_ServiceBase):
         """Stream-scan a full chip; peak plane memory stays tile-bounded.
 
         The layout is never rasterized whole: the sweep is compiled to
-        halo-correct tiles (:func:`repro.chip.plan_tiles`) and each
-        tile — one contiguous origin range — is rasterized
-        independently, sharded one-tile-per-shard across the worker
-        pool.  All shards of the request share one score memo keyed by
-        window raster, so each distinct window is sent to the engine
-        once per request; the memo is dropped when the request returns
+        halo-correct tiles (:func:`repro.chip.plan_tiles`) under
+        ``request.tile_budget`` bytes of raster per tile, and each tile
+        is rasterized independently, one tile per worker-pool shard —
+        the same sweep :meth:`scan` runs.  Unlike :meth:`scan`, all
+        shards of the request share one score memo keyed by window
+        raster, so each distinct window is sent to the engine once per
+        request; the memo is dropped when the request returns
         (``stats()["chip_windows_scored_total"]`` counts the windows the
-        engine ran).  Scores are bit-identical to
-        :meth:`scan`'s plane path on the same layout (the chip parity
-        gate holds that line), so the choice between the two is purely
-        a memory/size decision.
+        engine ran).  Scores are bit-identical to :meth:`scan` and to a
+        monolithic plane scan of the same layout (the chip parity gate
+        holds that line), so the memo and the budget are purely cost
+        choices.
 
         Partial failure degrades instead of raising, at tile
-        granularity: a tile whose shard keeps failing after
+        granularity: a tile that keeps failing after
         ``shard_retries`` re-runs (or misses the deadline) stays ``NaN``
         in the heatmap and is listed in the report's ``failed_tiles``;
         healthy tiles are returned unchanged.
@@ -817,28 +794,8 @@ class HotspotService(_ServiceBase):
             request.tile_budget or DEFAULT_TILE_BUDGET,
             token=request.token or None,
         )
-        score_tile = job.score_tile
-
-        def score_shard(tiles):
-            return [score_tile(tile) for tile in tiles]
-
         with job.scoring() as memo:
-            outcomes = self.pool.map_shards_tolerant(
-                score_shard, job.tiles, shards=len(job.tiles),
-                timeout=timeout, retries=self.shard_retries,
-            )
-        scores = job.empty_scores()
-        failed_tiles: list[int] = []
-        retried_shards = 0
-        for outcome in outcomes:
-            retried_shards += outcome.retries
-            if not outcome.ok:
-                failed_tiles.extend(range(outcome.start, outcome.stop))
-                continue
-            for tile, block in zip(
-                job.tiles[outcome.start:outcome.stop], outcome.results
-            ):
-                scores[tile.iy0:tile.iy1, tile.ix0:tile.ix1] = block
+            scores, failed_tiles, retried_shards = self._sweep(job, timeout)
         result = ChipScanResult(
             layout=request.layout, heatmap=job.heatmap(scores), job=job,
             tile_budget=job.grid.tile_budget, tiles=len(job.tiles),
@@ -850,7 +807,7 @@ class HotspotService(_ServiceBase):
         )
         return self._chip_report(
             request.request_id, result, entry, started,
-            failed_tiles=tuple(failed_tiles),
+            failed_tiles=failed_tiles,
             retried_shards=retried_shards,
         )
 

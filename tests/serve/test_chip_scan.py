@@ -1,7 +1,7 @@
 """Service-level tests for the streaming chip-scan path.
 
-The contract: ``scan_chip`` flags exactly the windows :meth:`scan`
-flags on the same layout (bit-identical scores, tile-bounded memory),
+The contract: ``scan_chip`` and :meth:`scan` flag exactly the windows a
+monolithic plane scan flags (bit-identical scores, tile-bounded memory),
 ``rescan_chip`` equals a from-scratch ``scan_chip`` of the edited
 layout, and injected tile failures degrade the report instead of
 raising.
@@ -10,7 +10,9 @@ raising.
 import numpy as np
 import pytest
 
-from repro.chip import ChipScanResult
+from repro.binary.inference import ProgramEngine
+from repro.chip import ChipScanResult, origin_steps
+from repro.chip.parity import _monolithic_scores
 from repro.litho.fullchip import (
     apply_edits,
     synthesize_chip,
@@ -55,15 +57,24 @@ def chip_request(layout, **kwargs):
 
 class TestScanChip:
     def test_hits_match_monolithic_scan(self, model, layout):
+        engine = ProgramEngine(model)
+        mono = _monolithic_scores(engine, layout, WINDOW, STRIDE, IMAGE)
+        steps = origin_steps(SIZE, WINDOW, STRIDE)
+        mono_hits = [
+            (x, y, x + WINDOW, y + WINDOW, float(mono[j, i]))
+            for j, y in enumerate(steps) for i, x in enumerate(steps)
+            if mono[j, i] > 0
+        ]
         with HotspotService.from_model(model, IMAGE) as svc:
-            mono = svc.scan(ScanRequest(layout, WINDOW, STRIDE))
             chip = svc.scan_chip(chip_request(layout))
+            scan = svc.scan(ScanRequest(layout, WINDOW, STRIDE))
         assert not chip.degraded and chip.failed_tiles == ()
         assert chip.tiles_total > 1
-        assert chip.windows_scanned == mono.windows_scanned
+        assert chip.windows_scanned == scan.windows_scanned == mono.size
         chip_hits = [(h.x0, h.y0, h.x1, h.y1, h.score) for h in chip.hits()]
-        mono_hits = [(h.x0, h.y0, h.x1, h.y1, h.score) for h in mono.hits]
+        scan_hits = [(h.x0, h.y0, h.x1, h.y1, h.score) for h in scan.hits]
         assert chip_hits == mono_hits
+        assert scan_hits == mono_hits
 
     def test_report_carries_memory_accounting(self, model, layout):
         with HotspotService.from_model(model, IMAGE) as svc:

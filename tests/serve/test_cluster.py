@@ -135,6 +135,17 @@ class TestClusterParity:
             [(h.x0, h.y0, h.score) for h in want.hits]
         assert got.windows_scanned == want.windows_scanned
 
+    def test_plane_cache_reused_across_scans(self, cluster):
+        """The fleet rasterizes a layout's plane once, router-side, and
+        serves a repeat scan of it from the plane cache."""
+        req = ScanRequest(layout=make_layout(seed=11), window=64, stride=32)
+        cache = cluster.plane_cache
+        misses, hits = cache.misses, cache.hits
+        first = cluster.scan(req)
+        second = cluster.scan(req)
+        assert not first.degraded and first.hits == second.hits
+        assert (cache.misses - misses, cache.hits - hits) == (1, 1)
+
     def test_replicas_ready_and_crash_isolated(self, cluster):
         states = cluster.replica_states()
         assert set(states) == {0, 1}
@@ -234,7 +245,7 @@ class TestSharedRequestPath:
 
 
 class TestPlaneScanScale:
-    """The alignment contract shared by the thread pool and the cluster."""
+    """The alignment contract of the cluster's plane path."""
 
     def test_aligned_geometry_yields_scale(self):
         assert plane_scan_scale(256, 64, 32, pixels=16) == 4

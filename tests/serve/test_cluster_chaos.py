@@ -103,7 +103,13 @@ class TestCrashFailover:
     ):
         faults = FaultInjector(seed=0)
         faults.add_kill("worker:0", on_calls=[1])  # slot 0 dies in-flight
-        with make_cluster(model, faults) as svc:
+        # both replicas READY before any task, and four scan bands: the
+        # least-loaded dispatch hands them to slots 0, 1, 0, 1, so slot
+        # 0's second task — the kill's call — always exists
+        with make_cluster(model, faults, scan_shards=4) as svc:
+            svc.start()
+            states = wait_all_ready(svc)
+            assert all(s is ReplicaState.READY for s in states.values())
             report = svc.scan(scan_req, timeout=120)
             stats = svc.stats()
         assert not report.degraded

@@ -13,6 +13,9 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve.service as service_module
+from repro.binary.inference import ProgramEngine
+from repro.chip import plan_tiles
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.nn.serialization import CheckpointError, load_model, save_model
@@ -26,7 +29,6 @@ from repro.serve import (
     ScanRequest,
     window_origins,
 )
-from repro.serve.pool import shard_slices
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,13 @@ def model():
 def make_images(n=8, size=16, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.random((n, size, size)) < 0.3).astype(float)
+
+
+def small_tiles(monkeypatch, model, side_px):
+    """Shrink ``scan``'s tiles to ``side_px`` plane pixels a side."""
+    per_pixel = ProgramEngine(model).plan_bytes_per_pixel()
+    monkeypatch.setattr(service_module, "DEFAULT_TILE_BUDGET",
+                        side_px * side_px * per_pixel)
 
 
 def make_layout(size=2048, seed=1, n=30):
@@ -194,7 +203,11 @@ class TestClassifyUnderFaults:
 
 
 class TestScanUnderFaults:
-    def test_all_shards_failing_enumerates_every_range(self, model):
+    def test_all_shards_failing_enumerates_every_range(self, model,
+                                                        monkeypatch):
+        """Every tile fails: the failed ranges cover each origin exactly
+        once, adjacent tiles' row runs merged into one range."""
+        small_tiles(monkeypatch, model, 32)
         layout = make_layout(seed=5)
         request = ScanRequest(layout, window=512, stride=128)
         origins = window_origins(2048, 512, 128)
@@ -203,17 +216,56 @@ class TestScanUnderFaults:
         with HotspotService.from_model(model, 16, workers=4, faults=faults,
                                        shard_retries=0) as svc:
             report = svc.scan(request)
-        expected_ranges = tuple(
-            (s.start, s.stop) for s in shard_slices(len(origins), 4)
-        )
+        covered = [i for start, stop in report.failed_ranges
+                   for i in range(start, stop)]
+        assert covered == list(range(len(origins)))
+        assert report.failed_ranges == ((0, len(origins)),)
         assert report.degraded
-        assert report.failed_ranges == expected_ranges
         assert report.windows_failed == len(origins)
         assert report.hits == ()
 
-    def test_partial_failure_keeps_healthy_shards_bit_identical(self, model):
+    def test_failed_tile_reports_exactly_its_row_runs(self, model,
+                                                      monkeypatch):
+        """One failing tile of a multi-tile sweep: ``failed_ranges`` are
+        exactly its per-row origin runs, and every other hit is
+        bit-identical to a healthy scan."""
+        small_tiles(monkeypatch, model, 32)
+        layout = make_layout(seed=6)
+        request = ScanRequest(layout, window=512, stride=128)
+        origins = window_origins(2048, 512, 128)
+        budget = service_module.scan_tile_budget(ProgramEngine(model), 16)
+        grid = plan_tiles(2048, 512, 128, 32, budget)
+        n = len(grid.steps)
+        # an interior tile, so its row runs are not adjacent to each other
+        target = grid.tiles[len(grid.tiles) // 2]
+        assert 0 < target.ix0 and target.ix1 < n
+        with HotspotService.from_model(model, 16, workers=4) as healthy:
+            reference = healthy.scan(request)
+
+        faults = FaultInjector(seed=0)
+        faults.add_error("engine", match=lambda args: args[0] == target)
+        with HotspotService.from_model(model, 16, workers=4, faults=faults,
+                                       shard_retries=0) as svc:
+            report = svc.scan(request)
+        expected_ranges = tuple(
+            (j * n + target.ix0, j * n + target.ix1)
+            for j in range(target.iy0, target.iy1)
+        )
+        assert report.failed_ranges == expected_ranges
+        assert report.windows_failed == target.n_origins
+        failed = {origins[i] for start, stop in expected_ranges
+                  for i in range(start, stop)}
+        assert report.hits == tuple(
+            h for h in reference.hits if (h.x0, h.y0) not in failed
+        )
+        assert len(report.hits) < len(reference.hits)
+
+    def test_partial_failure_keeps_healthy_shards_bit_identical(
+        self, model, monkeypatch
+    ):
         """Failed ranges account for exactly the missing windows; every
         surviving window's score matches the healthy sweep bit for bit."""
+        small_tiles(monkeypatch, model, 32)
         layout = make_layout(seed=6)
         request = ScanRequest(layout, window=512, stride=128)
         origins = window_origins(2048, 512, 128)

@@ -2,17 +2,19 @@
 
 import inspect
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.chip.scanner as scanner_module
 import repro.serve.cache as cache_module
 import repro.serve.service as service_module
 from repro.binary import bitpack
-from repro.binary.inference import ProgramEngine
+from repro.binary.inference import PlaneScanPlan, ProgramEngine
+from repro.chip import plan_tiles
 from repro.features.downsample import to_network_input
 from repro.litho.geometry import Clip, Rect
+from repro.litho.raster import rasterize
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.serve import (
     ClipRequest,
@@ -53,6 +55,34 @@ def make_layout(size=2048, seed=1, n=20):
         layout.add(Rect(x0, y0, x0 + int(rng.integers(60, 180)),
                         y0 + int(rng.integers(60, 180))))
     return layout
+
+
+def per_window_hits(model, request):
+    """Independent reference: each window cut out of the layout,
+    rasterized on its own and scored by a freshly compiled engine."""
+    origins = window_origins(
+        request.layout.size, request.window, request.stride
+    )
+    images = np.stack([
+        rasterize(extract_window(request.layout, x, y, request.window),
+                  16, "binary")
+        for x, y in origins
+    ])
+    logits = ProgramEngine(model).predict_logits(to_network_input(images))
+    scores = (logits[:, 1] - logits[:, 0]).tolist()
+    return [(x, y, score) for (x, y), score in zip(origins, scores)
+            if score > 0]
+
+
+def hit_key(report):
+    return [(h.x0, h.y0, h.score) for h in report.hits]
+
+
+def small_tiles(monkeypatch, model, side_px):
+    """Shrink ``scan``'s tiles to ``side_px`` plane pixels a side."""
+    per_pixel = ProgramEngine(model).plan_bytes_per_pixel()
+    monkeypatch.setattr(service_module, "DEFAULT_TILE_BUDGET",
+                        side_px * side_px * per_pixel)
 
 
 class TestWindowGeometry:
@@ -220,18 +250,7 @@ class TestScan:
         layout = make_layout(seed=8)
         request = ScanRequest(layout, window=512, stride=512)
         report = service.scan(request)
-        engine = ProgramEngine(model)
-        expected_hits = []
-        for x, y in window_origins(2048, 512, 512):
-            window = extract_window(layout, x, y, 512)
-            from repro.litho.raster import rasterize
-
-            image = rasterize(window, 16, "binary")
-            logits = engine.predict_logits(to_network_input(image[None]))
-            score = float(logits[0, 1] - logits[0, 0])
-            if score > 0:
-                expected_hits.append((x, y, score))
-        assert [(h.x0, h.y0, h.score) for h in report.hits] == expected_hits
+        assert hit_key(report) == per_window_hits(model, request)
 
     def test_worker_count_invariant(self, model):
         layout = make_layout(seed=9)
@@ -245,8 +264,9 @@ class TestScan:
         assert (reports[0].windows_scanned == reports[1].windows_scanned
                 == reports[2].windows_scanned)
 
-    def test_repeated_cells_hit_the_raster_cache(self, model):
-        """The per-window path rasterizes each repeated window once."""
+    def test_repeated_cells_match_the_reference(self, model, monkeypatch):
+        """Repeated windows are each scored, with no score memo: the
+        engine sees every window of the sweep."""
         layout = Clip(8192)  # gratings stamped on a coarse grid
         for gx in range(0, 8192, 1024):
             for gy in range(0, 8192, 2048):
@@ -254,19 +274,26 @@ class TestScan:
                     x = gx + 100 + wire * 220
                     layout.add(Rect(x, gy + 100, x + 90, gy + 1000))
         request = ScanRequest(layout, window=1024, stride=512)
-        # one worker: concurrent misses on one key would each count
-        with HotspotService.from_model(model, 16, workers=1) as svc, \
-                mock.patch("repro.serve.service.plane_scan_scale",
-                           return_value=None):
-            report = svc.scan(request)
-            cache = svc.stats()["cache"]
-        assert report.windows_scanned == 225  # 15 x 15 origins
-        assert cache["hits"] + cache["misses"] == 225
-        assert cache["hit_rate"] > 0.3
+        rows = []
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                rows.append(len(out))
+                return out
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(PlaneScanPlan, "logits")
+        counting(ProgramEngine, "predict_logits")
         with HotspotService.from_model(model, 16, workers=4) as svc:
-            plane = svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 1
-        assert plane.hits == report.hits
+            report = svc.scan(request)
+        assert report.windows_scanned == 225  # 15 x 15 origins
+        assert sum(rows) == 225
+        monkeypatch.undo()
+        assert hit_key(report) == per_window_hits(model, request)
 
     def test_scan_validation(self):
         layout = make_layout()
@@ -277,33 +304,27 @@ class TestScan:
 
 
 class TestPlaneScan:
-    """The plane-compiled scan path is a silent drop-in: reports must be
-    bit-identical to the per-window path for any worker count."""
-
-    def _per_window_report(self, model, request, workers=1):
-        """Reference report with the plane path forced off."""
-        with HotspotService.from_model(model, 16, workers=workers) as svc, \
-                mock.patch("repro.serve.service.plane_scan_scale",
-                           return_value=None):
-            report = svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 0
-        return report
+    """The tile sweep scores through plane plans, and its reports are
+    bit-identical to an independent per-window reference for any worker
+    count and any tile cut."""
 
     @pytest.mark.parametrize("stride", [32, 64, 128])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_bit_identical_reports(self, model, stride, workers):
+    def test_bit_identical_reports(self, model, stride, workers,
+                                   monkeypatch):
         layout = make_layout(size=512, seed=5)
         request = ScanRequest(layout, window=128, stride=stride)
-        expected = self._per_window_report(model, request, workers=workers)
+        small_tiles(monkeypatch, model, 32)  # a 64 px plane: 2-3 tiles a side
         with HotspotService.from_model(model, 16, workers=workers) as svc:
             report = svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 1
-        assert report.hits == expected.hits  # exact float equality
-        assert report.windows_scanned == expected.windows_scanned
+        assert hit_key(report) == per_window_hits(model, request)
+        assert report.windows_scanned == len(window_origins(512, 128, stride))
 
     def test_rasterizes_the_layout_once(self, model, monkeypatch):
-        """A plane scan rasterizes its layout once, never per window."""
-        calls = {"extract_window": 0, "rasterize": 0, "rasterize_plane": 0}
+        """A scan rasterizes each tile once from the layout geometry:
+        never the whole layout, never per window."""
+        calls = {"extract_window": 0, "rasterize": 0, "rasterize_plane": 0,
+                 "rasterize_region": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -317,21 +338,28 @@ class TestPlaneScan:
         counting(service_module, "extract_window")
         counting(cache_module, "rasterize")
         counting(cache_module, "rasterize_plane")
+        counting(scanner_module, "rasterize_region")
+        small_tiles(monkeypatch, model, 32)
         request = ScanRequest(make_layout(size=512, seed=5), window=128,
                               stride=32)
         with HotspotService.from_model(model, 16, workers=4) as svc:
             svc.scan(request)
             svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 2
+            budget = service_module.scan_tile_budget(
+                svc.registry.get("default").engine, 16
+            )
+            assert svc.plane_cache.hits + svc.plane_cache.misses == 0
+        tiles = len(plan_tiles(512, 128, 32, 8, budget).tiles)
+        assert tiles > 1
         assert calls == {"extract_window": 0, "rasterize": 0,
-                         "rasterize_plane": 1}
+                         "rasterize_plane": 0, "rasterize_region": 2 * tiles}
 
     def test_packed_columns_stay_within_the_tiling_budget(
         self, model, monkeypatch
     ):
-        """The stem's whole-plane conv is lowered in row strips: no
-        packed-column buffer exceeds the tiled kernel's budget, though
-        the untiled plane conv would."""
+        """A tile's stem conv is lowered in row strips: no packed-column
+        buffer exceeds the tiled kernel's budget, though the untiled
+        conv of the tile plane would."""
         budget = inspect.signature(
             bitpack.binary_conv2d_packed_tiled
         ).parameters["max_cols"].default
@@ -347,35 +375,47 @@ class TestPlaneScan:
         size, window = 8320, 128  # 1040 px plane at 8 nm per pixel
         pixels = size // (window // 16)
         assert (pixels - 2) ** 2 > budget  # untiled 3x3 valid conv
+        small_tiles(monkeypatch, model, pixels)  # one tile: the whole plane
         request = ScanRequest(make_layout(size=size, seed=13, n=60),
-                              window=window, stride=4096)
+                              window=window, stride=128)
         with HotspotService.from_model(model, 16) as svc:
             report = svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 1
-        assert report.windows_scanned == 9
+            assert svc.stats()["windows_failed_total"] == 0
+        assert report.windows_scanned == 65 * 65
         assert widths and max(widths) <= budget
 
-    def test_misaligned_geometry_falls_back(self, model):
-        # window 200 is not a whole number of 16-px cells (200 % 16 != 0)
-        layout = make_layout(size=500, seed=6)
-        request = ScanRequest(layout, window=200, stride=100)
+    def test_misaligned_geometry_is_refused(self, model):
+        # window 200 is not a whole number of 16-px cells; stride 100 is
+        # not a whole number of the 8 nm pixels of a 128 nm window
+        layout = make_layout(size=512, seed=6)
         with HotspotService.from_model(model, 16) as svc:
-            svc.scan(request)
-            assert svc.metrics.plane_scan_requests_total == 0
-            assert svc.metrics.scan_requests_total == 1
-            assert len(svc.plane_cache) == 0
+            for window, stride in ((200, 100), (128, 100)):
+                request = ScanRequest(layout, window=window, stride=stride)
+                with pytest.raises(ValueError, match="multiple"):
+                    svc.scan(request)
+            assert svc.metrics.scan_requests_total == 0
+            assert len(svc.cache) == 0 and len(svc.plane_cache) == 0
 
-    def test_plane_cache_reused_across_scans(self, model):
-        layout = make_layout(size=512, seed=7)
-        request = ScanRequest(layout, window=128, stride=64)
+    def test_plan_failure_degrades_the_report(self, model, monkeypatch):
+        """A plan that fails to build fails its tile: the report is
+        degraded, never silently re-scored window by window."""
+
+        def broken(*args, **kwargs):
+            raise MemoryError("plan does not fit")
+
+        calls = []
+        original = service_module.extract_window
+        monkeypatch.setattr(service_module, "extract_window",
+                            lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(ProgramEngine, "plan_scan", broken)
+        request = ScanRequest(make_layout(size=512, seed=5), window=128,
+                              stride=32)
         with HotspotService.from_model(model, 16) as svc:
-            first = svc.scan(request)
-            second = svc.scan(request)
-            stats = svc.stats()
-        assert first.hits == second.hits
-        assert stats["plane_scan_requests_total"] == 2
-        assert stats["plane_cache"]["misses"] == 1
-        assert stats["plane_cache"]["hits"] == 1
+            report = svc.scan(request)
+        assert report.degraded
+        assert report.failed_ranges == ((0, report.windows_scanned),)
+        assert report.hits == ()
+        assert calls == []
 
 
 class TestStatsAndLifecycle:
