@@ -19,9 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from ..nn import functional as F
+from .quantize import channel_sum
 
 __all__ = [
     "WORD_BITS",
+    "MAX_COLS",
     "popcount",
     "popcount_table16",
     "pack_signs",
@@ -37,6 +39,11 @@ __all__ = [
 ]
 
 WORD_BITS = 64
+
+#: packed im2col columns one tiled lowering materialises at most: the
+#: default of :func:`binary_conv2d_packed_tiled`, and the band budget of
+#: the plane scan's whole-plane stage passes
+MAX_COLS = 1 << 20
 
 # One popcount per 16-bit chunk: a 64 KiB table halves the lookups (and
 # the intermediate array) of the classic byte-table fallback.  Built by
@@ -395,7 +402,7 @@ def binary_conv2d_packed_tiled(
     stride: int,
     padding: int,
     in_channels: int | None = None,
-    max_cols: int = 1 << 20,
+    max_cols: int = MAX_COLS,
 ) -> np.ndarray:
     """:func:`binary_conv2d_packed` with a bounded ``cols`` buffer.
 
@@ -470,7 +477,7 @@ def binary_conv2d_packed_channelwise(
         partial = n_kk - 2 * popcount(
             np.bitwise_xor(cols_pc, w_packed_per_channel[filt][:, None, :])
         ).sum(axis=-1, dtype=np.int64)
-        out[filt] = (partial * alpha_cols).sum(axis=0)
+        out[filt] = channel_sum(partial * alpha_cols)
     # C-contiguous for the same layout-canonicalisation reason as
     # binary_conv2d_packed.
     return np.ascontiguousarray(

@@ -10,9 +10,11 @@ the registry, and executed with per-op timing hooks:
   deployment story (training simulates binarization in float,
   inference runs on binary arithmetic); ``backend="float"`` runs
   deployment float MACs over sign values, the bit-identical reference.
-* :class:`PlaneScanPlan` — the plane-compiled sliding-window scan,
-  built on the stem the IR finder exposes
-  (:func:`repro.engine.lower.find_plane_stem`).
+* :class:`PlaneScanPlan` — the plane-compiled sliding-window scan: a
+  prefix of the network (the stem, then whole residual stages, as
+  :func:`repro.engine.lower.plane_prefix` finds them) runs once over
+  the plane, and each window assembles its prefix output from plane
+  cells plus recomputed border bands.
 
 Compiled engines are numerically identical to
 ``model.forward(training=False)`` — verified by the test suite — and
@@ -21,113 +23,92 @@ bit-identical to *each other* (verified by ``repro.engine.parity``).
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
 
 from ..engine.backends import get_backend
 from ..engine.executor import Executor, OpTimings
-from ..engine.ir import FusedBinaryConvOp, Program
+from ..engine.ir import Program
 from ..engine.lower import (
-    find_plane_stem,
     lower,
     pipeline_signature,
+    plane_prefix,
     run_pipeline,
 )
-from ..nn import functional as F
 from ..nn.module import Module
-from . import bitpack, quantize
+from . import bitpack
 
 __all__ = ["PlaneScanPlan", "ProgramEngine"]
 
 _Fn = Callable[[np.ndarray], np.ndarray]
 
+def _phase_cells(stride: int) -> float:
+    """Upper bound on one phase's cells per plane pixel at a cumulative
+    ``stride``.
 
-def _stem_plane_spec(
-    program: Program, executor: Executor, timings: OpTimings
-) -> dict | None:
-    """Describe the program prefix the plane scan engine can amortize.
-
-    Uses :func:`~repro.engine.lower.find_plane_stem` to locate the stem
-    convolution — an optional run of element-wise nodes, then a
-    single-input-channel binary convolution with ordinary geometry.
-    Returns ``None`` (plan falls back to whole-window slicing) when no
-    such stem exists.
-
-    ``pre`` holds the *out-of-place* kernel functions of the prefix
-    (the cached plane must never be mutated); ``rest`` wraps the
-    remaining kernels in a sub-executor that owns its input (the plan
-    hands it freshly assembled stem outputs), sharing the engine's
-    timing table so plane scans show up in the per-op breakdown.
+    A stage's phase plane is ``ceil(h / s)`` cells tall at most, and a
+    plan planes a stage only on planes at least ``8 * (s - 1)`` pixels
+    on a side (:meth:`PlaneScanPlan.max_depth`), where
+    ``ceil(h / s) <= (h + s - 1) / s <= 1.125 * h / s``.
     """
-    index = find_plane_stem(program)
-    if index is None:
-        return None
-    node = program[index]
-    pre = [kernel.fn for kernel in executor.kernels[:index]]
-    if isinstance(node, FusedBinaryConvOp):
-        # the stem's batch-norm lives inside the fused node now; the
-        # plane path still needs it as an element-wise prefix, with the
-        # exact out-of-place expressions of the shared batch-norm kernel
-        if node.bn_scale is not None:
-            scale, shift = node.bn_scale, node.bn_shift
+    return 1.0 if stride == 1 else (1.125 / stride) ** 2
 
-            def bn_plane(x: np.ndarray) -> np.ndarray:
-                shape = [1] * x.ndim
-                shape[1] = scale.size
-                out = x * scale.reshape(shape)
-                out += shift.reshape(shape)
-                return out
 
-            pre.append(bn_plane)
-        if node.w_binary is not None:
-            w_binary, alpha_w = node.w_binary, node.alpha_w
-        else:
-            w_binary, alpha_w = quantize.binarize_weights(node.weight)
-    else:
-        w_binary, alpha_w = quantize.binarize_weights(node.weight)
-    rest_exec = Executor(executor.kernels[index + 1:], timings)
-    return {
-        "pre": pre,
-        "rest": [lambda out: rest_exec.run(out, owned=True)],
-        "w_packed": bitpack.pack_filters(w_binary),
-        "alpha_w": alpha_w,
-        "k": node.kernel_size,
-        "stride": node.stride,
-        "padding": node.padding,
-        "c_out": node.out_channels,
-        "scaling": node.scaling,
-    }
+class _Prefix:
+    """The plane-able stages of a compiled program, with their kernels.
+
+    ``runs[j]`` runs stage ``j`` (the engine's own kernels for its
+    top-level nodes); ``rests[d]`` runs everything after a depth-``d``
+    prefix.  Both share the engine's timing table, so plane passes and
+    border strips show up under the same per-op rows as per-window runs.
+    """
+
+    def __init__(self, program: Program, executor: Executor,
+                 timings: OpTimings):
+        self.stages = plane_prefix(program)
+        kernels = executor.kernels
+        self.runs = [
+            Executor(kernels[stage.start:stage.stop], timings)
+            for stage in self.stages
+        ]
+        self.rests = [
+            Executor(kernels[stop:], timings)
+            for stop in [0] + [stage.stop for stage in self.stages]
+        ]
 
 
 class PlaneScanPlan:
     """A compiled sliding-window scan over one rasterized plane.
 
-    Built by :meth:`ProgramEngine.plan_scan`.  The plan pre-computes,
-    once per plane, everything the stem convolution shares between
-    overlapping windows:
+    Built by :meth:`ProgramEngine.plan_scan`.  The plan runs a prefix of
+    ``depth`` stages (:func:`~repro.engine.lower.plane_prefix`: the stem,
+    then whole residual nodes) **once per plane** and the rest of the
+    network per window:
 
-    * the element-wise prefix (batch-norm of the stem block) applied to
-      the whole plane;
-    * per *phase* — the residue ``(origin - padding) mod stride`` along
-      each axis — a valid (padding-free) grid of integer XNOR/popcount
-      dot products covering every in-plane receptive field, via the
-      tiled packed convolution;
-    * the matching grid of activation scaling means (Eq. 14/15 of the
-      paper), via the tap-ordered :func:`~repro.binary.quantize.box_sums`.
+    * per *phase* — the origin residue modulo the prefix's cumulative
+      stride — each prefix stage runs over the whole plane with the
+      engine's own kernels, in row bands that keep every packed-column
+      buffer within the tiled kernel's budget;
+    * a window's output at stage ``j`` then comes from two sources: the
+      plane's cells for its *interior* (the cells whose receptive field
+      reads none of the window's padding), and border bands recomputed
+      by the same stage kernels from stride-aligned strips of the
+      window's stage ``j - 1`` output — itself assembled the same way,
+      down to slices of the plane — batched across the chunk.
 
-    :meth:`logits` then assembles each window's stem output from plane
-    slices (interior cells) plus thin border strips recomputed per
-    window with the window's own -1 padding, and runs the remaining
-    layers batched.  Because the dot products are exact integers and
-    every float operation is element-wise in the same order as the
-    per-window kernels, the result is **bit-identical** to
-    ``predict_logits`` on the stacked window slices — that equivalence
-    is what lets the serving layer swap this path in silently.
+    Every op in a stage is per-cell and position-independent (element-
+    wise batch-norm, sign and residual add; exact-integer dots;
+    tap-ordered box sums; channel sums in a fixed order), so the result
+    is **bit-identical** to ``predict_logits`` on the stacked window
+    slices.  ``depth`` 0 is the whole-window path: windows are sliced
+    out of the plane and the full network runs per chunk.
 
-    When the model has no plane-able stem the plan still works: it
-    slices whole windows out of the plane and runs the full compiled
-    network per batch (still amortizing rasterisation).
+    :meth:`ProgramEngine.plan_scan` picks the depth with the lowest
+    estimated cost (:meth:`_cheapest_depth`); the constructor takes an
+    explicit ``depth`` up to :attr:`max_depth`.  The plan keeps the
+    plane and one phase's stage planes at a time.
     """
 
     def __init__(
@@ -135,8 +116,8 @@ class PlaneScanPlan:
         plane: np.ndarray,
         window: int,
         origins,
-        stem: dict | None,
-        fn: _Fn,
+        prefix: _Prefix,
+        depth: int | None = None,
         backend: str = "",
         pipeline: str = "",
     ):
@@ -163,182 +144,202 @@ class PlaneScanPlan:
                 raise ValueError(
                     f"window origin ({ox}, {oy}) out of plane bounds"
                 )
-        self._fn = fn
-        self._stem = stem if plane.shape[1] == 1 else None
-        if self._stem is None:
-            return
-        k, s, p = stem["k"], stem["stride"], stem["padding"]
-        oh = F.conv_output_size(self._window, k, s, p)
-        self._oh = oh
-        # interior rows/cols: output cells whose receptive field lies
-        # fully inside the window (no padding contribution)
-        i0 = min(-(-p // s), oh)
-        i1 = (self._window + p - k) // s + 1
-        self._i0, self._i1 = i0, max(min(i1, oh), i0)
-        x = plane
-        for f in stem["pre"]:
-            x = f(x)
-        self._plane_bn = x
-        self._plane_abs = np.abs(x) if stem["scaling"] != "none" else None
-        self._n_bits = k * k
-        self._phases: dict[tuple[int, int], tuple] = {}
-        for ox, oy in self._origins:
-            self._phase_grids((oy - p) % s, (ox - p) % s)
+        self._prefix = prefix
+        #: per plane-able stage: (window output side, interior i0, i1)
+        self._geometry = self._stage_geometry()
+        if depth is None:
+            depth = self._cheapest_depth()
+        elif not 0 <= depth <= self.max_depth:
+            raise ValueError(
+                f"depth {depth} outside 0..{self.max_depth} for this plan"
+            )
+        #: number of prefix stages run once per plane
+        self.depth = depth
+        self._lock = threading.Lock()
+        self._cached: tuple[tuple[int, int], list[np.ndarray]] | None = None
+        if depth and self._origins:
+            ox, oy = self._origins[0]
+            self._phase_planes(self._phase(ox, oy))
 
     @property
-    def uses_plane_stem(self) -> bool:
-        """Whether the stem runs fully-convolutionally on the plane."""
-        return self._stem is not None
+    def max_depth(self) -> int:
+        """Deepest prefix this plane and window allow: stages no wider
+        in stride than the window, each with a non-empty interior, on a
+        plane at least ``8 * (stride - 1)`` pixels on a side (which
+        keeps the footprint of :meth:`ProgramEngine.plan_bytes_per_pixel`)."""
+        return len(self._geometry)
 
-    def _phase_grids(self, phy: int, phx: int) -> tuple:
-        """Valid-conv dot and scaling grids for one origin phase."""
-        grids = self._phases.get((phy, phx))
-        if grids is not None:
-            return grids
-        stem = self._stem
-        k, s = stem["k"], stem["stride"]
-        sub = self._plane_bn[:, :, phy:, phx:]
-        dots = bitpack.binary_conv2d_packed_tiled(
-            sub, stem["w_packed"], stem["c_out"], k, s, 0, in_channels=1
-        )[0]
-        alpha = None
-        if self._plane_abs is not None:
-            alpha = quantize.box_sums(
-                self._plane_abs[:, :, phy:, phx:], k, k, s
-            )[0, 0] / (k * k)
-        grids = (dots, alpha)
-        self._phases[(phy, phx)] = grids
-        return grids
+    def _stage_geometry(self) -> list[tuple[int, int, int]]:
+        stages = self._prefix.stages
+        if not stages or self._plane.shape[1] != stages[0].in_channels:
+            return []
+        geometry = []
+        for stage in stages:
+            if stage.cum_stride > self._window or min(
+                self._plane.shape[2:]
+            ) < 8 * (stage.cum_stride - 1):
+                break
+            try:
+                side = stage.window_size(self._window)
+            except ValueError:  # the window does not reach this stage
+                break
+            i0, i1 = stage.interior(self._window)
+            if i1 <= i0:
+                break
+            geometry.append((side, i0, i1))
+        return geometry
 
-    def _border_strip(
-        self,
-        chunk: list[tuple[int, int]],
-        plane: np.ndarray,
-        fill: float,
-        lo: int,
-        hi: int,
-        rows: bool,
-    ) -> np.ndarray:
-        """Batched slice of the -1/0-padded window views, one side.
+    def _input_side(self, j: int) -> int:
+        """Window side at stage ``j``'s input (the window for ``j = 0``)."""
+        return self._geometry[j - 1][0] if j else self._window
 
-        Returns rows ``[lo, hi)`` (or columns, when ``rows`` is false) of
-        each window's padded view — the exact strip the whole-window
-        assembly would cut, without materialising the windows.
-        ``fill`` is the padding value (-1 in the sign domain, 0 for the
-        |x| plane).
+    def _border(self, j: int, y0: int, y1: int, x0: int, x1: int):
+        """Split region ``[y0, y1) x [x0, x1)`` of stage ``j``'s window
+        output into its interior rectangle and up to four border bands."""
+        _, i0, i1 = self._geometry[j]
+        my0, my1 = max(y0, i0), min(y1, i1)
+        mx0, mx1 = max(x0, i0), min(x1, i1)
+        bands = [
+            (y0, min(y1, i0), x0, x1), (max(y0, i1), y1, x0, x1),
+            (my0, my1, x0, min(x1, i0)), (my0, my1, max(x0, i1), x1),
+        ]
+        return (
+            (my0, my1, mx0, mx1),
+            [b for b in bands if b[0] < b[1] and b[2] < b[3]],
+        )
+
+    def _cheapest_depth(self) -> int:
+        """The depth with the lowest estimated cost for these origins.
+
+        A stage run per window costs its output cells times its
+        multiply-accumulates per cell; planed, it costs the cells of one
+        plane pass per phase in use plus every window's border-band
+        strips.  Unplaned stages keep their per-window cost.
         """
-        p, w = self._stem["padding"], self._window
-        wp = w + 2 * p
-        shape = (
-            (len(chunk), 1, hi - lo, wp) if rows else (len(chunk), 1, wp, hi - lo)
-        )
-        strip = np.full(shape, fill)
-        # overlap of the strip with the window interior, in padded coords
-        y0, y1 = max(lo, p), min(hi, p + w)
-        if y1 <= y0:
-            return strip
-        for b, (ox, oy) in enumerate(chunk):
-            if rows:
-                strip[b, 0, y0 - lo : y1 - lo, p : p + w] = plane[
-                    0, 0, oy + y0 - p : oy + y1 - p, ox : ox + w
-                ]
-            else:
-                strip[b, 0, p : p + w, y0 - lo : y1 - lo] = plane[
-                    0, 0, oy : oy + w, ox + y0 - p : ox + y1 - p
-                ]
-        return strip
+        stages, n = self._prefix.stages, len(self._origins)
+        if not self._geometry or not n:
+            return 0
+        height, width = self._plane.shape[2], self._plane.shape[3]
+        window_cost, strip_cost = [], []
+        for j, (side, _, _) in enumerate(self._geometry):
+            stage, n_in = stages[j], self._input_side(j)
+            window_cost.append(stage.macs * n * side * side)
+            cells = 0
+            for y0, y1, x0, x1 in self._border(j, 0, side, 0, side)[1]:
+                sy0, sy1 = stage.span(y0, y1, n_in)
+                sx0, sx1 = stage.span(x0, x1, n_in)
+                cells += stage.size(sy1 - sy0) * stage.size(sx1 - sx0)
+            strip_cost.append(stage.macs * n * cells)
+        best, best_cost = 0, sum(window_cost)
+        for depth in range(1, len(self._geometry) + 1):
+            stride = stages[depth - 1].cum_stride
+            phases = {(oy % stride, ox % stride) for ox, oy in self._origins}
+            cost = sum(window_cost[depth:]) + sum(strip_cost[:depth])
+            for stage in stages[:depth]:
+                cost += stage.macs * sum(
+                    stage.window_size(height - py)
+                    * stage.window_size(width - px)
+                    for py, px in phases
+                )
+            if cost < best_cost:
+                best, best_cost = depth, cost
+        return best
 
-    def _stem_chunk(self, chunk: list[tuple[int, int]]) -> np.ndarray:
-        """Assemble stem outputs for a chunk of windows; run the rest."""
-        stem = self._stem
-        k, s, p = stem["k"], stem["stride"], stem["padding"]
-        c_out, oh = stem["c_out"], self._oh
-        i0, i1 = self._i0, self._i1
-        w = self._window
-        dots = np.empty((len(chunk), c_out, oh, oh), dtype=np.float64)
-        alpha = (
-            np.empty((len(chunk), 1, oh, oh), dtype=np.float64)
-            if self._plane_abs is not None
-            else None
-        )
-        if i1 > i0:
-            # per-window slice copies: each assignment is a strided
-            # memcpy out of the shared phase grid, which beats any
-            # fancy-indexed batch gather (those materialise a
-            # (c_out, B, ni, ni) temporary plus a transposed copy)
+    def _phase(self, ox: int, oy: int) -> tuple[int, int]:
+        if not self.depth:
+            return 0, 0
+        stride = self._prefix.stages[self.depth - 1].cum_stride
+        return oy % stride, ox % stride
+
+    def _phase_planes(self, phase: tuple[int, int]) -> list[np.ndarray]:
+        """Each prefix stage's output over the plane, for one phase.
+
+        The plane is cut at the phase offset, so cell ``q`` of stage
+        ``j``'s plane is cell ``q - (origin - phase) // cum_stride`` of
+        every window in the phase.  One phase is kept at a time.
+        """
+        with self._lock:
+            if self._cached is not None and self._cached[0] == phase:
+                return self._cached[1]
+            self._cached = None  # never hold two phases at once
+        phy, phx = phase
+        x = self._plane[:, :, phy:, phx:]
+        planes = []
+        for j in range(self.depth):
+            x = self._run_plane(j, x)
+            planes.append(x)
+        with self._lock:
+            self._cached = (phase, planes)
+        return planes
+
+    def _run_plane(self, j: int, x: np.ndarray) -> np.ndarray:
+        """Stage ``j`` over a whole plane, in row bands of at most
+        :data:`~repro.binary.bitpack.MAX_COLS` input cells (the plane
+        is never mutated)."""
+        stage, run = self._prefix.stages[j], self._prefix.runs[j]
+        height, width = x.shape[2], x.shape[3]
+        rows = max(1, bitpack.MAX_COLS // width)
+        if height <= rows:
+            return run.run(x, owned=False)
+        (before, after), s = stage.reach, stage.stride
+        step = max(1, (rows - before - after - s) // s + 1)
+        side = stage.size(height)
+        out = None
+        for a0 in range(0, side, step):
+            a1 = min(a0 + step, side)
+            r0, r1 = stage.span(a0, a1, height)
+            band = run.run(x[:, :, r0:r1], owned=False)
+            if out is None:
+                out = np.empty(band.shape[:2] + (side, band.shape[3]))
+            out[:, :, a0:a1] = band[:, :, a0 - r0 // s : a1 - r0 // s]
+        return out
+
+    def _values(self, j, chunk, planes, phase, y0, y1, x0, x1) -> np.ndarray:
+        """Stage ``j``'s window outputs over ``[y0, y1) x [x0, x1)`` for
+        every window of ``chunk`` (``j = -1``: the window inputs)."""
+        if j < 0:
+            out = np.empty(
+                (len(chunk), self._plane.shape[1], y1 - y0, x1 - x0)
+            )
             for b, (ox, oy) in enumerate(chunk):
-                phy, phx = (oy - p) % s, (ox - p) % s
-                plane_dots, plane_alpha = self._phase_grids(phy, phx)
-                qy, qx = (oy - p - phy) // s, (ox - p - phx) // s
-                dots[b, :, i0:i1, i0:i1] = plane_dots[
-                    :, qy + i0 : qy + i1, qx + i0 : qx + i1
+                out[b] = self._plane[0, :, oy + y0 : oy + y1,
+                                     ox + x0 : ox + x1]
+            return out
+        stage = self._prefix.stages[j]
+        out = np.empty((len(chunk), stage.out_channels, y1 - y0, x1 - x0))
+        (my0, my1, mx0, mx1), bands = self._border(j, y0, y1, x0, x1)
+        if my0 < my1 and mx0 < mx1:
+            # per-window slice copies: each is a strided memcpy out of
+            # the shared plane, cheaper than any fancy-indexed gather
+            plane, s = planes[j], stage.cum_stride
+            phy, phx = phase
+            for b, (ox, oy) in enumerate(chunk):
+                qy, qx = (oy - phy) // s, (ox - phx) // s
+                out[b, :, my0 - y0 : my1 - y0, mx0 - x0 : mx1 - x0] = plane[
+                    0, :, qy + my0 : qy + my1, qx + mx0 : qx + mx1
                 ]
-                if alpha is not None:
-                    alpha[b, 0, i0:i1, i0:i1] = plane_alpha[
-                        qy + i0 : qy + i1, qx + i0 : qx + i1
-                    ]
-        if i0 > 0 or i1 < oh:
-            # border cells read each window's own -1 padding: recompute
-            # them from thin strips of the padded window views, batched
-            # across the whole chunk (one packed conv and one box-sum
-            # per border side, not per window).  Only the strips are
-            # materialised — k-ish rows or columns per side, never the
-            # full padded windows.
-            for a0, a1, rows in (
-                (0, i0, True), (i1, oh, True), (0, i0, False), (i1, oh, False),
-            ):
-                if a1 <= a0:
-                    continue
-                lo, hi = a0 * s, (a1 - 1) * s + k
-                src = self._border_strip(
-                    chunk, self._plane_bn, -1.0, lo, hi, rows
-                )
-                cols = bitpack._pack_activation_columns(src, k, s, 0)
-                shape = (
-                    (c_out, len(chunk), a1 - a0, oh)
-                    if rows
-                    else (c_out, len(chunk), oh, a1 - a0)
-                )
-                strip = bitpack.packed_conv_dots(
-                    cols, stem["w_packed"], self._n_bits
-                ).reshape(shape).transpose(1, 0, 2, 3)
-                if rows:
-                    dots[:, :, a0:a1, :] = strip
-                else:
-                    dots[:, :, :, a0:a1] = strip
-                if alpha is None:
-                    continue
-                a_src = self._border_strip(
-                    chunk, self._plane_abs, 0.0, lo, hi, rows
-                )
-                a_strip = quantize.box_sums(a_src, k, k, s) / (k * k)
-                if rows:
-                    alpha[:, :, a0:a1, :] = a_strip
-                else:
-                    alpha[:, :, :, a0:a1] = a_strip
-        # scaling-factor application replicates the per-window kernels'
-        # multiply order exactly (element-wise, so batch-independent)
-        alpha_w = stem["alpha_w"][None, :, None, None]
-        mode = stem["scaling"]
-        if mode == "xnor":
-            out = dots * alpha_w
-            out *= alpha
-        elif mode == "channelwise":
-            out = dots * alpha
-            out *= alpha_w
-        else:
-            out = dots * alpha_w
-        for f in stem["rest"]:
-            out = f(out)
+        n_in, s = self._input_side(j), stage.stride
+        for by0, by1, bx0, bx1 in bands:
+            sy0, sy1 = stage.span(by0, by1, n_in)
+            sx0, sx1 = stage.span(bx0, bx1, n_in)
+            strip = self._prefix.runs[j].run(
+                self._values(j - 1, chunk, planes, phase, sy0, sy1, sx0, sx1),
+                owned=True,
+            )
+            oy0, ox0 = sy0 // s, sx0 // s
+            out[:, :, by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = strip[
+                :, :, by0 - oy0 : by1 - oy0, bx0 - ox0 : bx1 - ox0
+            ]
         return out
 
     def logits(self, origins=None, batch_size: int = 256) -> np.ndarray:
         """Class logits for ``origins`` (default: all plan origins).
 
-        ``origins`` may be any subset of the plan's origins — the
-        serving layer shards contiguous ranges across workers — and the
-        plan is read-only after construction, so concurrent calls are
-        safe.  Returns ``(len(origins), num_classes)``.
+        ``origins`` may be any in-bounds origins, not only the plan's;
+        windows are grouped by phase and scored in chunks of
+        ``batch_size``, and every window's logits are independent of the
+        grouping.  Concurrent calls are safe.  Returns
+        ``(len(origins), num_classes)``.
         """
         chosen = (
             self._origins
@@ -347,21 +348,25 @@ class PlaneScanPlan:
         )
         if not chosen:
             return np.empty((0, 0), dtype=np.float64)
-        w = self._window
-        outputs = []
-        for start in range(0, len(chosen), batch_size):
-            chunk = chosen[start : start + batch_size]
-            if self._stem is not None:
-                outputs.append(self._stem_chunk(chunk))
-            else:
-                batch = np.stack(
-                    [
-                        self._plane[0, :, oy : oy + w, ox : ox + w]
-                        for ox, oy in chunk
-                    ]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for index, (ox, oy) in enumerate(chosen):
+            groups.setdefault(self._phase(ox, oy), []).append(index)
+        rest = self._prefix.rests[self.depth]
+        side = self._input_side(self.depth)
+        out = None
+        for phase, indices in groups.items():
+            planes = self._phase_planes(phase)
+            for start in range(0, len(indices), batch_size):
+                rows = indices[start : start + batch_size]
+                x = self._values(
+                    self.depth - 1, [chosen[i] for i in rows], planes,
+                    phase, 0, side, 0, side,
                 )
-                outputs.append(self._fn(batch))
-        return np.concatenate(outputs, axis=0)
+                result = rest.run(x, owned=True)
+                if out is None:
+                    out = np.empty((len(chosen),) + result.shape[1:])
+                out[rows] = result
+        return out
 
 
 class ProgramEngine:
@@ -404,9 +409,7 @@ class ProgramEngine:
             self.program, self.op_times
         )
         self._fn: _Fn = self._executor
-        self._stem_spec = _stem_plane_spec(
-            self.program, self._executor, self.op_times
-        )
+        self._prefix = _Prefix(self.program, self._executor, self.op_times)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the compiled network on a batch."""
@@ -429,31 +432,47 @@ class ProgramEngine:
         ``(1, c, h, w)``, already in the ±1 domain); ``window`` the
         window side in plane pixels; ``origins`` the ``(x, y)`` pixel
         origins of the windows to score.  The returned
-        :class:`PlaneScanPlan` yields logits bit-identical to
-        ``predict_logits`` on the stacked window slices.
+        :class:`PlaneScanPlan` runs the prefix depth with the lowest
+        estimated cost for these origins and yields logits
+        bit-identical to ``predict_logits`` on the stacked window
+        slices.
         """
         return PlaneScanPlan(
-            plane, window, origins, self._stem_spec, self._fn,
+            plane, window, origins, self._prefix,
             backend=self.backend_name, pipeline=self.pipeline,
         )
 
     def plan_bytes_per_pixel(self) -> int:
         """Upper bound on the bytes a :meth:`plan_scan` plan holds per
-        plane pixel.
+        plane pixel while it builds and keeps its plane passes.
 
-        The plan keeps the float64 plane, its stem-prefix copy and,
-        unless the stem is unscaled, its |x| plane; per origin phase it
-        builds a dot grid (``c_out`` values per stem output cell) and an
-        α grid.  A stride-``s`` stem has at most ``s * s`` phases, each
-        with one output cell per ``s * s`` pixels, so all phases
-        together hold at most one cell per pixel.  Without a plane stem
-        the plan holds only the plane.
+        Held: the float64 plane and, for one phase at a time, every
+        prefix stage's output plane (:func:`_phase_cells` cells per
+        pixel each, for the deepest prefix).  Transient: one stage pass
+        over the plane allocates at most the backend's
+        :attr:`~repro.engine.backends.Backend.plane_scratch` times the
+        bytes of that stage's input and output planes.  Per-chunk
+        window buffers scale with the batch, not the plane, and are not
+        counted.
         """
-        stem = self._stem_spec
-        if stem is None:
-            return 8
-        scaled = int(stem["scaling"] != "none")
-        return 8 * ((2 + scaled) + (stem["c_out"] + scaled))
+        return int(np.ceil(self._plan_footprint()[1]))
+
+    def _plan_footprint(self) -> tuple[float, float]:
+        """``(held, held + transient)`` bytes per plane pixel."""
+        stages = self._prefix.stages
+        if not stages:
+            return 8.0, 8.0
+        held = [stages[0].in_channels] + [
+            stage.out_channels * _phase_cells(stage.cum_stride)
+            for stage in stages
+        ]
+        scratch = get_backend(self.backend_name).plane_scratch
+        passes = [
+            max(scratch[mode] for mode in stage.scalings)
+            * (held[j] + held[j + 1])
+            for j, stage in enumerate(stages)
+        ]
+        return 8 * sum(held), 8 * (sum(held) + max(passes))
 
     def scan_plane(
         self, plane: np.ndarray, window: int, origins, batch_size: int = 256

@@ -28,6 +28,7 @@ __all__ = [
     "box_sums",
     "input_scale_channelwise",
     "input_scale_xnor",
+    "channel_sum",
 ]
 
 
@@ -118,6 +119,18 @@ def _local_mean_cols(
     means = box_mean(x_abs, kh, kw, stride, padding)  # (n, c, oh, ow)
     n, c = means.shape[:2]
     return means.transpose(1, 0, 2, 3).reshape(c, -1)
+
+
+def channel_sum(x: np.ndarray) -> np.ndarray:
+    """Sum ``x`` over its leading (channel) axis, channel by channel.
+
+    Every column is accumulated in channel order, whatever the number of
+    columns.  ``x.sum(axis=0)`` does that only for two or more columns:
+    a single column is summed pairwise, so the Eq. 14 channel reduction
+    of a batch-1, 1x1 output map would round differently from the same
+    cell in a larger batch.
+    """
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 def input_scale_channelwise(

@@ -3,7 +3,7 @@
 After a layout edit, almost every window of a full-chip sweep is
 untouched: a window's classification reads exactly the pixels of its
 own ``window x window`` nm extent (that *is* the network's receptive
-field — the plane-compiled stem recomputes window borders with the
+field — the plane-compiled scan recomputes window borders with the
 window's own padding, so nothing outside the window ever reaches the
 logits).  A window therefore needs re-scoring **iff** its extent
 overlaps a region whose geometry changed.

@@ -42,8 +42,10 @@ class RectIndex:
         self.size = layout.size
         self.bucket = bucket
         self._rects: dict[int, Rect] = {}
-        #: rect value -> sorted ids of equal rects (remove-first-equal)
-        self._ids: dict[Rect, list[int]] = {}
+        #: rect value -> sorted ids of equal rects (remove-first-equal);
+        #: only :meth:`apply` reads it, so it is built on the first edit
+        #: — a sweep that never edits never hashes a rectangle
+        self._ids: dict[Rect, list[int]] | None = None
         self._buckets: dict[tuple[int, int], list[int]] = {}
         self._next_id = 0
         for rect in layout.rects:
@@ -61,7 +63,8 @@ class RectIndex:
         rect_id = self._next_id
         self._next_id += 1
         self._rects[rect_id] = rect
-        insort(self._ids.setdefault(rect, []), rect_id)
+        if self._ids is not None:
+            insort(self._ids.setdefault(rect, []), rect_id)
         xs, ys = self._bucket_range(rect)
         for by in ys:
             for bx in xs:
@@ -93,6 +96,11 @@ class RectIndex:
         resolved before the index changes, so a missing target raises
         ``ValueError`` and leaves the index as it was.
         """
+        if self._ids is None:
+            # ids ascend in insertion order, so each list comes out sorted
+            self._ids = {}
+            for rect_id, rect in self._rects.items():
+                self._ids.setdefault(rect, []).append(rect_id)
         taken: dict[Rect, int] = {}  # rect -> equal survivors consumed
         removed: list[int] = []
         appended: list[Rect] = []

@@ -6,7 +6,7 @@ The engine package splits inference into four stages:
    ``OpNode``\\ s) carrying frozen weights and geometry;
 2. :mod:`~repro.engine.lower` — one walk of a trained module tree
    emitting the IR (``lower``), plus structural queries on it
-   (``find_plane_stem``);
+   (``plane_prefix``: the stages a plane scan runs once per plane);
 3. :mod:`~repro.engine.passes` — graph-rewrite passes over the IR
    (``run_pipeline``): batch-norm folding into fused threshold convs,
    compile-time scale hoisting, buffer-liveness marking;
@@ -45,10 +45,11 @@ from .ir import (
 from .lower import (
     DEFAULT_PIPELINE,
     LoweringError,
-    find_plane_stem,
+    PlaneStage,
     freeze_batchnorm,
     lower,
     pipeline_signature,
+    plane_prefix,
     run_pipeline,
     run_pipeline_snapshots,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "LoweringError",
     "OpNode",
     "OpTimings",
+    "PlaneStage",
     "PoolOp",
     "Program",
     "ReshapeOp",
@@ -75,7 +77,6 @@ __all__ = [
     "VerifierError",
     "available_backends",
     "describe",
-    "find_plane_stem",
     "freeze_batchnorm",
     "get_backend",
     "infer_shapes",
@@ -83,6 +84,7 @@ __all__ = [
     "lower",
     "output_shape",
     "pipeline_signature",
+    "plane_prefix",
     "register_backend",
     "run_pipeline",
     "run_pipeline_snapshots",

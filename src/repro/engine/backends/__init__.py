@@ -73,6 +73,15 @@ class Backend:
 
     name = "base"
 
+    #: scratch bytes one compiled stage allocates while it runs, per
+    #: byte of the stage's input and output, by the scaling mode of its
+    #: convolutions: the plane-scan footprint bound
+    #: (``ProgramEngine.plan_bytes_per_pixel``) charges it for a stage
+    #: pass over a whole plane.  Measured with ``tracemalloc`` (the
+    #: float reference's im2col columns need about 4.5);
+    #: ``tests/binary/test_scan_plane.py`` holds every backend to it.
+    plane_scratch = {"channelwise": 5.0, "xnor": 5.0, "none": 5.0}
+
     # -- binary ops: the substrate choice subclasses make ---------------
 
     def compile_binary_conv(self, node: ir.BinaryConvOp,

@@ -62,11 +62,10 @@ class FloatBackend(Backend):
                 for filt in range(c_out):
                     # (c, P) channel-resolved partial dots: exact integers,
                     # C-contiguous — the same values and layout as the
-                    # packed kernel's popcount partials, so the
-                    # alpha-weighted channel reduction below sums in the
-                    # identical pairwise order.
+                    # packed kernel's popcount partials, reduced by the
+                    # same channel-ordered sum.
                     partial = np.einsum("ck,ckp->cp", w_sign[filt], cols_pc)
-                    out[filt] = (partial * alpha_cols).sum(axis=0)
+                    out[filt] = quantize.channel_sum(partial * alpha_cols)
                 out4 = np.ascontiguousarray(
                     out.reshape(c_out, n, oh, ow).transpose(1, 0, 2, 3)
                 )

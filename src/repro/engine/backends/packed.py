@@ -42,6 +42,10 @@ __all__ = ["PackedBackend"]
 class PackedBackend(Backend):
     """Compile binary ops to bit-packed popcount kernels."""
 
+    #: channelwise scaling's int8 columns and per-channel partial dots
+    #: need about 2.8; the channel-summed kernels about 1.7
+    plane_scratch = {"channelwise": 3.0, "xnor": 2.0, "none": 2.0}
+
     def compile_binary_conv(self, node: ir.BinaryConvOp,
                             hoisted=None) -> Kernel:
         """Pack the binarized filters once; popcount kernels at call time."""

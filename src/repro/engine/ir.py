@@ -20,8 +20,8 @@ Design rules:
 * **Structure is explicit.**  The only nesting is
   :class:`ResidualOp`, which carries its branches as sub-``Program``\\ s;
   everything else is a flat pipeline, which is what lets the plane-scan
-  engine find a network's stem by scanning the node list instead of
-  pattern-matching layer classes.
+  engine find a network's plane-able prefix by scanning the node list
+  instead of pattern-matching layer classes.
 """
 
 from __future__ import annotations
@@ -209,8 +209,9 @@ class ResidualOp(OpNode):
 
 #: Node types whose computation is element-wise per pixel and channel:
 #: applying them to a full plane and slicing a window afterwards is
-#: bit-identical to slicing first.  The plane-scan engine runs any such
-#: program prefix directly on the plane.
+#: bit-identical to slicing first.  The plane-scan prefix analysis
+#: (:func:`repro.engine.lower.plane_prefix`) folds them into the stage
+#: of the convolution that follows them.
 _POINTWISE_TYPES = (BatchNormAffine, ActivationOp)
 
 

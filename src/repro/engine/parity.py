@@ -18,6 +18,9 @@ the CI quick gate::
 which exercises every registered backend pair on seeded models across
 all scaling modes (including a ``stem_stride=1`` single-channel 3x3
 stem, the table16 fast-path shape) and exits non-zero on any mismatch.
+The same run checks the plane scan (:func:`plan_depth_failures`): on
+every backend, a plan at every prefix depth must reproduce the
+per-window logits bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "seeded_model",
     "compare_backends",
     "assert_backend_parity",
+    "plan_depth_failures",
     "main",
 ]
 
@@ -175,6 +179,41 @@ def assert_backend_parity(
     return result
 
 
+def plan_depth_failures(
+    model, backend: str, image_size: int = 16, seed: int = 0
+) -> tuple[int, list[int]]:
+    """``(max_depth, depths whose plan logits differ)`` for one backend.
+
+    Scans a seeded odd-sized ±1 plane with origins covering every phase
+    of an 8-pixel cumulative stride plus both plane edges, and compares
+    a plane-scan plan at each prefix depth against ``predict_logits`` on
+    the stacked window slices.
+    """
+    from ..binary.inference import PlaneScanPlan, ProgramEngine
+
+    engine = ProgramEngine(model, backend)
+    side = 4 * image_size - 3
+    rng = np.random.default_rng(seed)
+    plane = np.where(rng.random((side, side)) < 0.5, 1.0, -1.0)
+    far = side - image_size
+    xs = sorted(set(range(8)) | {far // 2, far - 1, far})
+    origins = [(x, y) for y in xs for x in xs]
+    windows = np.stack([
+        plane[y : y + image_size, x : x + image_size] for x, y in origins
+    ])[:, None]
+    expected = engine.predict_logits(windows)
+    max_depth = engine.plan_scan(plane, image_size, origins).max_depth
+    failures = [
+        depth for depth in range(max_depth + 1)
+        if not np.array_equal(
+            PlaneScanPlan(plane, image_size, origins, engine._prefix,
+                          depth=depth).logits(),
+            expected,
+        )
+    ]
+    return max_depth, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI gate: parity across all backends, every scaling mode."""
     parser = argparse.ArgumentParser(
@@ -223,6 +262,17 @@ def main(argv: list[str] | None = None) -> int:
                 failed = True
                 print(f"    {pair.left} vs {pair.right}: "
                       f"max |diff| = {pair.max_abs_diff:g}")
+            for name in names:
+                max_depth, bad = plan_depth_failures(
+                    model, name, image_size=args.image_size, seed=args.seed
+                )
+                # a plan that can only run whole windows checks nothing
+                ok = not bad and max_depth >= 2
+                failed = failed or not ok
+                print(f"    plan[{name}] depths 0..{max_depth}: "
+                      + ("OK (bit-identical)" if ok
+                         else f"MISMATCH at {bad}" if bad
+                         else "no residual stage planed"))
     return 1 if failed else 0
 
 

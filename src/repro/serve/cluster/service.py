@@ -841,8 +841,8 @@ class ClusterService(_ServiceBase):
         the fleet as a single shared-memory frame; each shard is a
         contiguous run of window origins plus the ``[y0, y1)`` pixel
         band containing them, and workers ``plan_scan`` only their band
-        slice of the shared plane — zero-copy, stem convolution paid
-        once per band.  Window independence (the plane-scan contract)
+        slice of the shared plane — zero-copy, the plane-scan prefix
+        (stem and shallow residual stages) paid once per band.  Window independence (the plane-scan contract)
         makes the result bit-identical to a single-process sweep, no
         matter how shards land on replicas or how often they fail over.
         A shard that exhausts its failover/retry budget, or is still

@@ -87,6 +87,24 @@ class TestApply:
         expected = [r for r in current.rects if r.intersects(region)]
         assert index.query(region) == expected
 
+    def test_build_hashes_no_rect(self, monkeypatch):
+        """The equal-rect map behind ``apply`` is built on the first
+        edit: a sweep's index, which is never edited, hashes nothing."""
+        calls = []
+        original = Rect.__hash__
+
+        def counting(rect):
+            calls.append(rect)
+            return original(rect)
+
+        layout = random_layout(2, n=100)
+        monkeypatch.setattr(Rect, "__hash__", counting)
+        index = RectIndex(layout, bucket=512)
+        assert calls == []
+        index.apply([LayoutEdit("remove", layout.rects[3])])
+        assert calls  # the first edit builds the map
+        assert index.rects() == list(layout.rects[:3] + layout.rects[4:])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="bucket"):
             RectIndex(Clip(256), bucket=0)

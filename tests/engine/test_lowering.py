@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.binary import BinaryConv2D, BinaryDense
+from repro.binary import BinaryConv2D, BinaryDense, ProgramEngine
 from repro.engine import (
     ActivationOp,
     BatchNormAffine,
@@ -14,9 +14,9 @@ from repro.engine import (
     PoolOp,
     ResidualOp,
     describe,
-    find_plane_stem,
     infer_shapes,
     lower,
+    plane_prefix,
 )
 from repro.models import bnn_resnet8
 from repro.nn import (
@@ -96,23 +96,32 @@ class TestStemFinder:
     def test_resnet_stem_found_after_pointwise_prefix(self):
         model = bnn_resnet8(seed=0, base_width=4)
         program = lower(model)
-        index = find_plane_stem(program)
-        assert index == 1  # after the stem block's batch-norm
-        assert program[index].in_channels == 1
+        stages = plane_prefix(program)
+        # the stem block's batch-norm joins the stem stage; then one
+        # stage per residual block (pooling and the head end the prefix)
+        assert (stages[0].start, stages[0].stop) == (0, 2)
+        assert stages[0].in_channels == 1
+        assert [s.stop for s in stages[1:]] == [3, 4, 5]
+        assert [s.cum_stride for s in stages] == [1, 2, 4, 8]
 
     def test_multichannel_stem_rejected(self, rng):
-        program = lower(Sequential(BinaryConv2D(3, 4, 3, rng=rng)))
-        assert find_plane_stem(program) is None
+        """A 3-channel stem is a plane stage, but a plane with another
+        channel count gets no plane prefix."""
+        model = Sequential(BinaryConv2D(3, 4, 3, rng=rng), GlobalAvgPool2D())
+        (stage,) = plane_prefix(lower(model))
+        assert stage.in_channels == 3
+        plan = ProgramEngine(model).plan_scan(np.ones((32, 32)), 16, [])
+        assert plan.max_depth == 0
 
     def test_exotic_padding_rejected(self, rng):
         program = lower(
             Sequential(BinaryConv2D(1, 4, 3, padding=3, rng=rng))
         )
-        assert find_plane_stem(program) is None
+        assert plane_prefix(program) == ()
 
     def test_no_conv_at_all(self):
         program = lower(Sequential(GlobalAvgPool2D(), Dense(1, 2)))
-        assert find_plane_stem(program) is None
+        assert plane_prefix(program) == ()
 
 
 class TestShapes:

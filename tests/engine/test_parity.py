@@ -98,3 +98,25 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "OK" in out
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("backend", ["packed", "float"])
+    def test_channelwise_logits_do_not_depend_on_the_batch(self, backend):
+        """Channelwise scaling sums channel partials per output cell; a
+        batch of one on a 1x1 map is a single column, which must still
+        be summed channel by channel, as in any larger batch."""
+        from repro.binary.inference import ProgramEngine
+        from repro.models.bnn_resnet import build_bnn_resnet
+
+        rng = np.random.default_rng(99)
+        model = build_bnn_resnet((16, 32, 64), scaling="channelwise",
+                                 seed=0, stem_stride=2)  # 16 px -> 1x1
+        model.forward(rng.normal(size=(8, 1, 16, 16)), training=True)
+        engine = ProgramEngine(model, backend)
+        x = np.where(rng.random((6, 1, 16, 16)) < 0.5, 1.0, -1.0)
+        batched = engine.predict_logits(x)
+        singles = np.concatenate(
+            [engine.predict_logits(x[i : i + 1]) for i in range(len(x))]
+        )
+        np.testing.assert_array_equal(batched, singles)

@@ -357,9 +357,9 @@ class TestPlaneScan:
     def test_packed_columns_stay_within_the_tiling_budget(
         self, model, monkeypatch
     ):
-        """A tile's stem conv is lowered in row strips: no packed-column
-        buffer exceeds the tiled kernel's budget, though the untiled
-        conv of the tile plane would."""
+        """A tile's whole-plane stem pass runs in row bands: no
+        packed-column buffer exceeds the tiled kernel's budget, though
+        the stem conv of the whole tile plane would."""
         budget = inspect.signature(
             bitpack.binary_conv2d_packed_tiled
         ).parameters["max_cols"].default
@@ -376,13 +376,16 @@ class TestPlaneScan:
         pixels = size // (window // 16)
         assert (pixels - 2) ** 2 > budget  # untiled 3x3 valid conv
         small_tiles(monkeypatch, model, pixels)  # one tile: the whole plane
+        # half-window stride: overlapping windows make planing the stem
+        # cheaper than running it per window
         request = ScanRequest(make_layout(size=size, seed=13, n=60),
-                              window=window, stride=128)
+                              window=window, stride=64)
         with HotspotService.from_model(model, 16) as svc:
             report = svc.scan(request)
             assert svc.stats()["windows_failed_total"] == 0
-        assert report.windows_scanned == 65 * 65
-        assert widths and max(widths) <= budget
+        assert report.windows_scanned == 129 * 129
+        # the largest buffer is a band of the stem's whole-plane pass
+        assert widths and budget // 2 < max(widths) <= budget
 
     def test_misaligned_geometry_is_refused(self, model):
         # window 200 is not a whole number of 16-px cells; stride 100 is
