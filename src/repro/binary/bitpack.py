@@ -29,20 +29,17 @@ __all__ = [
     "pack_signs",
     "pack_channels",
     "pack_filters",
-    "pack_activation_plane",
     "packed_dot",
     "packed_matmul",
     "packed_conv_dots",
     "binary_conv2d_packed",
-    "binary_conv2d_packed_tiled",
     "binary_conv2d_packed_channelwise",
 ]
 
 WORD_BITS = 64
 
-#: packed im2col columns one tiled lowering materialises at most: the
-#: default of :func:`binary_conv2d_packed_tiled`, and the band budget of
-#: the plane scan's whole-plane stage passes
+#: packed im2col columns one lowering materialises at most: the band
+#: budget of the plane scan's whole-plane stage passes
 MAX_COLS = 1 << 20
 
 # One popcount per 16-bit chunk: a 64 KiB table halves the lookups (and
@@ -256,30 +253,6 @@ def _pack_activation_columns(
     return words.reshape(words.shape[0], -1)
 
 
-def pack_activation_plane(
-    x: np.ndarray, kernel_size: int, stride: int
-) -> np.ndarray:
-    """Packed im2col grid of a whole feature plane, *valid* positions.
-
-    Packs the sign bits of ``x`` (shape ``(1, c, h, w)``) once and lowers
-    them to the dense tap-packed column layout of
-    :func:`binary_conv2d_packed`, keeping the spatial grid: the result
-    has shape ``(words, oh, ow)`` where ``(oh, ow)`` is the valid
-    (padding-free) output geometry.  A scan window whose receptive
-    fields lie inside the plane reads its activation columns as a plain
-    slice of this shared grid — the packing cost is paid once per plane
-    instead of once per overlapping window.
-    """
-    n, c, h, w = x.shape
-    if n != 1:
-        raise ValueError(f"expected a single plane (1, c, h, w), got {x.shape}")
-    k = kernel_size
-    oh = F.conv_output_size(h, k, stride, 0)
-    ow = F.conv_output_size(w, k, stride, 0)
-    cols = _pack_activation_columns(x, k, stride, 0)
-    return cols.reshape(cols.shape[0], oh, ow)
-
-
 @lru_cache(maxsize=8)
 def _dot_table16(w_bytes: bytes, n_bits: int) -> np.ndarray:
     """Per-filter dot tables over every 16-bit activation word.
@@ -304,10 +277,9 @@ def packed_conv_dots(
     """Integer dot products of packed activation columns and filters.
 
     ``cols`` is a ``(words, P)`` column matrix (from
-    :func:`binary_conv2d_packed`'s internal lowering or a
-    :func:`pack_activation_plane` slice), ``w_packed`` a ``(c_out,
-    words)`` filter bank sharing the same bit layout.  Returns ``(c_out,
-    P)`` dot products ``n_bits - 2 * hamming`` — exact integers, so any
+    :func:`binary_conv2d_packed`'s internal lowering), ``w_packed`` a
+    ``(c_out, words)`` filter bank sharing the same bit layout.  Returns
+    ``(c_out, P)`` dot products ``n_bits - 2 * hamming`` — exact integers, so any
     caller computing the same receptive fields gets bit-identical
     results regardless of how the columns were gathered.  Dots are
     ``int32`` (Hamming distances are summed in ``int32``, exact because
@@ -392,53 +364,6 @@ def binary_conv2d_packed(
     return out.reshape(out_channels, n, oh, ow).transpose(1, 0, 2, 3).astype(
         np.float64, order="C"
     )
-
-
-def binary_conv2d_packed_tiled(
-    x_sign: np.ndarray,
-    w_packed: np.ndarray,
-    out_channels: int,
-    kernel_size: int,
-    stride: int,
-    padding: int,
-    in_channels: int | None = None,
-    max_cols: int = MAX_COLS,
-) -> np.ndarray:
-    """:func:`binary_conv2d_packed` with a bounded ``cols`` buffer.
-
-    The one-shot lowering materialises ``words x (n * oh * ow)`` packed
-    columns, which for a full-layout plane can dwarf the plane itself.
-    This variant splits the *output rows* into tiles of at most
-    ``max_cols`` columns each, lowers and multiplies one tile at a time,
-    and stitches the results.  Each tile sees exactly the same receptive
-    fields (the input is pre-padded with -1, the binary domain's
-    "empty", and tiles are cut on output-row boundaries), and the dot
-    products are exact integers — the output is bit-identical to the
-    untiled kernel.
-    """
-    n, c, h, w = x_sign.shape
-    if in_channels is None:
-        in_channels = c
-    k = kernel_size
-    oh = F.conv_output_size(h, k, stride, padding)
-    ow = F.conv_output_size(w, k, stride, padding)
-    n_bits = in_channels * k * k
-    rows_per_tile = max(1, max_cols // max(1, n * ow))
-    if rows_per_tile >= oh:
-        return binary_conv2d_packed(
-            x_sign, w_packed, out_channels, k, stride, padding, in_channels
-        )
-    padded = F.pad2d(x_sign, padding, value=-1.0)
-    out = np.empty((n, out_channels, oh, ow), dtype=np.float64)
-    for r0 in range(0, oh, rows_per_tile):
-        r1 = min(r0 + rows_per_tile, oh)
-        strip = padded[:, :, r0 * stride : (r1 - 1) * stride + k, :]
-        cols = _pack_activation_columns(strip, k, stride, 0)
-        dots = packed_conv_dots(cols, w_packed, n_bits)
-        out[:, :, r0:r1, :] = dots.reshape(
-            out_channels, n, r1 - r0, ow
-        ).transpose(1, 0, 2, 3)
-    return out
 
 
 def binary_conv2d_packed_channelwise(

@@ -60,7 +60,7 @@ from ..models.bnn_resnet import build_bnn_resnet
 from .durable import DurableChipScan, RetryPolicy
 from .journal import JournalCorruptError, read_journal
 from .scanner import ChipScanner
-from .tiling import TileSpec, origin_steps, plan_tiles
+from .tiling import TileSpec, origin_steps
 
 
 def _monolithic_scores(engine, layout, window, stride, image_size):
@@ -77,18 +77,18 @@ def _monolithic_scores(engine, layout, window, stride, image_size):
 def _service_parity(model, backend, layout, args, reference) -> bool:
     """``HotspotService.scan`` hits equal the monolithic reference's."""
     from ..serve import HotspotService, ScanRequest
-    from ..serve.service import scan_tile_budget, window_origins
+    from ..serve.service import window_origins
 
     origins = window_origins(layout.size, args.window, args.stride)
     expected = [(x, y, score) for (x, y), score
                 in zip(origins, reference.ravel().tolist()) if score > 0]
+    request = ScanRequest(layout, args.window, args.stride)
     with HotspotService.from_model(model, args.image_size,
                                    backend=backend) as service:
-        report = service.scan(ScanRequest(layout, args.window, args.stride))
-        engine = service.registry.get("default").engine
-    tiles = plan_tiles(layout.size, args.window, args.stride,
-                       args.window // args.image_size,
-                       scan_tile_budget(engine, args.image_size)).tiles
+        report = service.scan(request)
+        tiles = service._scan_job(
+            request, service.registry.get("default")
+        ).tiles
     ok = (not report.degraded
           and [(h.x0, h.y0, h.score) for h in report.hits] == expected)
     print(f"[{backend}] service scan parity: {'OK' if ok else 'MISMATCH'} "

@@ -58,7 +58,7 @@ from .index import RectIndex
 from .tiling import TileGrid, TileSpec, plan_tiles
 
 __all__ = ["ChipScanner", "ChipScanJob", "ChipScanResult",
-           "DEFAULT_TILE_BUDGET"]
+           "DEFAULT_TILE_BUDGET", "scan_logits"]
 
 #: Default tile-plane budget: 64 MiB of float64 raster per tile.
 DEFAULT_TILE_BUDGET = 64 * 2**20
@@ -66,6 +66,30 @@ DEFAULT_TILE_BUDGET = 64 * 2**20
 #: Key bytes one call's score memo may hold (128 B per key at 32 px);
 #: past it, new windows are still scored but no longer remembered.
 _MEMO_KEY_BYTES = 16 * 2**20
+
+
+def scan_logits(
+    engine, plane: np.ndarray, window_px: int,
+    origins: list[tuple[int, int]], batch_size: int,
+) -> np.ndarray:
+    """Logits of the ``window_px`` windows at ``origins`` of one plane.
+
+    The one engine call of every tile sweep, in-process and on the
+    fleet's workers alike.  It picks whichever path is cheaper for that
+    many windows: small sets slice their windows out of the plane and
+    run the batched engine, large ones use a plane plan, whose
+    per-phase grids cover the whole plane.  Both are bit-identical (the
+    plan's contract), so the crossover is purely a cost choice.
+    """
+    w = window_px
+    if len(origins) * w * w < plane.shape[2] * plane.shape[3]:
+        # fewer window pixels than plane pixels, so the stack stays
+        # inside the tile budget
+        windows = np.stack(
+            [plane[0, :, oy:oy + w, ox:ox + w] for ox, oy in origins]
+        )
+        return engine.predict_logits(windows, batch_size)
+    return engine.plan_scan(plane, w, origins).logits(batch_size=batch_size)
 
 
 class _ScoreMemo:
@@ -174,15 +198,21 @@ class ChipScanJob:
         """Score every window of one tile; returns ``(ny, nx)`` scores."""
         return self._fault_wrapped(self._score_tile)(tile)
 
-    def _score_tile(self, tile: TileSpec) -> np.ndarray:
+    def tile_input(
+        self, tile: TileSpec
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """Rasterize one tile: its ``(1, 1, h, w)`` ±1 plane and its
+        windows' plane-local origins, row-major."""
         region = tile.region
-        plane = self._region_plane(region)
         origins = [
             self._local_origin(region, i, j)
             for j in range(tile.iy0, tile.iy1)
             for i in range(tile.ix0, tile.ix1)
         ]
-        scores = self._score(plane, origins)
+        return self._region_plane(region), origins
+
+    def _score_tile(self, tile: TileSpec) -> np.ndarray:
+        scores = self._score(*self.tile_input(tile))
         return scores.reshape(tile.iy1 - tile.iy0, tile.ix1 - tile.ix0)
 
     def score_origins(
@@ -236,14 +266,9 @@ class ChipScanJob:
         """The one scoring path: key, look up, score new keys, scatter.
 
         Inside a :meth:`scoring` block each distinct raster the memo
-        lacks is scored once; outside one every window is scored.  The
-        engine call picks whichever path is cheaper for that many
-        windows: small sets slice their windows out of the plane and
-        run the batched engine, large ones use a plane plan, whose
-        per-phase grids cover the whole region.  Both are bit-identical
-        (the plan's contract), so the crossover is purely a cost
-        choice.  Scores enter the memo only after every engine call
-        here succeeded.
+        lacks is scored once; outside one every window is scored, each
+        through :func:`scan_logits`.  Scores enter the memo only after
+        every engine call here succeeded.
         """
         memo = self._memo
         if memo is None:
@@ -276,19 +301,9 @@ class ChipScanJob:
     def _engine_scores(
         self, plane: np.ndarray, origins: list[tuple[int, int]]
     ) -> np.ndarray:
-        w, batch_size = self.scanner.image_size, self.scanner.batch_size
-        engine = self.scanner.engine
-        if len(origins) * w * w < plane.shape[2] * plane.shape[3]:
-            # fewer window pixels than plane pixels, so the stack stays
-            # inside the tile budget
-            windows = np.stack(
-                [plane[0, :, oy:oy + w, ox:ox + w] for ox, oy in origins]
-            )
-            logits = engine.predict_logits(windows, batch_size)
-        else:
-            logits = engine.plan_scan(plane, w, origins).logits(
-                batch_size=batch_size
-            )
+        scanner = self.scanner
+        logits = scan_logits(scanner.engine, plane, scanner.image_size,
+                             origins, scanner.batch_size)
         return logits[:, 1] - logits[:, 0]
 
     def empty_scores(self) -> np.ndarray:

@@ -58,7 +58,6 @@ from .registry import ModelEntry, ModelRegistry, model_from_meta
 from .service import (
     HotspotService,
     extract_window,
-    plane_scan_scale,
     window_origins,
 )
 from .types import (
@@ -104,7 +103,6 @@ __all__ = [
     "HotspotService",
     "extract_window",
     "window_origins",
-    "plane_scan_scale",
     "ClipRequest",
     "Prediction",
     "ScanHit",

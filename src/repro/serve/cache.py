@@ -102,14 +102,12 @@ class RasterCache(_ArrayLRU):
 
 
 class PlaneCache(_ArrayLRU):
-    """Thread-safe LRU cache of plane rasters: whole layouts or chip tiles.
+    """Thread-safe LRU cache of plane rasters: chip tiles (or whole layouts).
 
     Planes are orders of magnitude larger than window rasters, so the
-    default capacity is small.  **Whole-layout mode** (:meth:`get`)
-    serves the cluster router, which ships one layout plane to its
-    worker processes; it is keyed by the layout's exact geometry plus
-    the plane resolution, like :class:`RasterCache`.  The in-process
-    ``scan`` caches no planes.
+    default capacity is small.  Neither service's ``scan`` caches
+    planes; :meth:`HotspotService.scan_chip
+    <repro.serve.service.HotspotService.scan_chip>` uses the chip mode.
 
     **Region-aware chip mode.**  Full-chip streaming scans
     (:mod:`repro.chip`) cannot key by geometry — hashing millions of
@@ -121,15 +119,21 @@ class PlaneCache(_ArrayLRU):
     is the edit hook the ECO re-scan path uses: it drops exactly the
     entries whose region strictly overlaps a dirty rectangle, so clean
     tiles stay warm across re-scans.  Both key shapes share one LRU
-    (chip keys are tagged, so they can never collide with geometry
-    keys).
+    (chip keys are tagged, so they can never collide with the geometry
+    keys of :meth:`get`).
     """
 
     def __init__(self, capacity: int = 8):
         super().__init__(capacity)
 
     def get(self, layout: Clip, scale: float, mode: str = "binary") -> np.ndarray:
-        """Return the plane raster of ``layout``, caching on miss."""
+        """Return the plane raster of ``layout``, caching on miss.
+
+        Keyed by the layout's exact geometry plus the plane resolution,
+        like :class:`RasterCache`.  Nothing in ``src/`` calls it any
+        more; it stays only because ``perfbench/spans.py`` wraps it by
+        name.
+        """
         pixels = round(layout.size / scale)
         key = geometry_key(layout, pixels, mode)
         return self._get_or_build(

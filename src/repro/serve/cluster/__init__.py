@@ -21,7 +21,7 @@ rollout under sustained load must drop zero requests.
 from .fleet import ReplicaState, WorkerHandle
 from .messages import ModelSpec, WorkerConfig
 from .service import ClusterService
-from .shm import Frame, FrameAttachment, FrameRef, put_frame, read_frame
+from .shm import Frame, FrameRef, put_frame, read_frame
 
 __all__ = [
     "ClusterService",
@@ -30,7 +30,6 @@ __all__ = [
     "ModelSpec",
     "WorkerConfig",
     "Frame",
-    "FrameAttachment",
     "FrameRef",
     "put_frame",
     "read_frame",

@@ -32,7 +32,6 @@ __all__ = [
     "PingMsg",
     "ShutdownMsg",
     "LoadModelMsg",
-    "ReleaseFrameMsg",
     "ClassifyTask",
     "ScanShardTask",
     "ReadyMsg",
@@ -100,13 +99,6 @@ class LoadModelMsg:
 
 
 @dataclass(frozen=True)
-class ReleaseFrameMsg:
-    """Drop a cached frame attachment (scan plane no longer needed)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class ClassifyTask:
     """Score one prepared input batch ``(n, 1, s, s)`` from a frame."""
 
@@ -118,25 +110,21 @@ class ClassifyTask:
 
 @dataclass(frozen=True)
 class ScanShardTask:
-    """Score one contiguous origin-range shard of a plane scan.
+    """Score every window of one scan tile.
 
-    The frame holds the full 0/1 plane raster (uint8); ``band`` is the
-    ``[y0, y1)`` pixel-row slice covering this shard's windows plus
-    their receptive halo, and ``origins`` are window origins in *band*
-    pixel coordinates.  Workers cache the attached plane frame and the
-    per-band scan plan keyed by the frame digest, so the stem's
-    full-convolution cost is paid once per (worker, band), not per
-    task.  Window independence (the PR 2 plane-scan contract: a plan
-    over any sub-plane scores fully-contained windows bit-identically
-    to per-window inference) is what makes band-sharding exact.
+    The frame holds the tile's ``(1, 1, h, w)`` ±1 raster, the network
+    input a :class:`~repro.chip.ChipScanJob` builds for the tile, and
+    ``origins`` are its windows' origins in tile pixels, row-major.
+    Every window lies wholly inside its tile (the tiles are
+    halo-correct), so scoring them from the tile raster is
+    bit-identical to scoring them in-process.
     """
 
     task_id: int
     model: str
     version: int
     frame: FrameRef
-    band: tuple[int, int]  #: [y0, y1) plane pixel rows shipped to the plan
-    origins: tuple[tuple[int, int], ...]  #: window origins, band-local px
+    origins: tuple[tuple[int, int], ...]  #: window origins, tile-local px
     window_px: int  #: window side in plane pixels (= model image size)
     batch_size: int = 64
 

@@ -115,6 +115,7 @@ def chaos_gate(args) -> int:
 
     # 1. unfaulted fleet parity: classify + scan, bit-identical
     with _cluster(model, args) as svc:
+        tasks = len(svc._scan_job(req, svc.registry.get("default")).tiles)
         preds = svc.classify_many(clip_reqs(), timeout=args.timeout)
         classify_ok = [p.score for p in preds] == ref_scores
         report = svc.scan(req, timeout=args.timeout)
@@ -122,18 +123,25 @@ def chaos_gate(args) -> int:
     print(f"[cluster] fleet parity: "
           f"{'OK' if classify_ok and scan_ok else 'MISMATCH'} "
           f"({len(rasters)} clips, {len(report.hits)} hits, "
-          f"{args.processes} processes)")
+          f"{args.processes} processes, {tasks} scan tasks)")
     failures += 0 if classify_ok and scan_ok else 1
 
-    # 2. seeded SIGKILLs mid-scan: failover keeps the report identical
+    # 2. seeded SIGKILLs mid-scan: failover keeps the report identical.
+    #    Each worker counts its own "worker" calls, and until a kill
+    #    fires the first-generation workers score all the scan's tasks,
+    #    so one of them reaches call ceil(tasks / processes) - 1: a kill
+    #    drawn below that fires by construction
+    per_worker = -(-tasks // args.processes)
     kill_calls = sorted(
-        int(k) for k in rng.choice(np.arange(1, 6),
-                                   size=min(args.kills, 5), replace=False)
+        int(k) for k in rng.choice(per_worker,
+                                   size=min(args.kills, per_worker),
+                                   replace=False)
     )
     faults = FaultInjector(seed=args.seed)
     faults.add_kill("worker", on_calls=kill_calls)
     failures += _scan_check(
-        f"kill survival (SIGKILL on task {kill_calls})", model, args, req,
+        f"kill survival (SIGKILL on worker call {kill_calls} of a "
+        f"{tasks}-task scan)", model, args, req,
         ref_scan_key, faults, counter="tasks_failed_over_total",
     )
 

@@ -6,20 +6,21 @@ deadlines, prediction and report assembly, ``health()`` and
 ``stats()`` come from the base class it shares with
 :class:`~repro.serve.service.HotspotService`; this module only decides
 where the scoring runs — on a fleet of **crash-isolated worker
-processes**.  What still differs from the in-process executor: the
-fleet admits tasks (one ``max_batch``-row frame or one scan band), not
-single requests, so ``queue_depth`` counts tasks (default 256, vs 1024
-requests in-process); and unaligned scans and chip scans run
-in-process only.  The fleet buys crash isolation and rollout, not
-throughput: no benchmark workload measures a scale-out gain, and none
-is claimed.  Division of labour:
+processes**.  A scan is the same tile sweep as in-process
+(:class:`repro.chip.ChipScanJob`, compiled by the base); the two
+services differ only in who scores a tile.  What still differs from
+the in-process executor: the fleet admits tasks (one frame: a
+``max_batch``-row batch or one scan tile), not single requests, so
+``queue_depth`` counts tasks (default 256, vs 1024 requests
+in-process); and chip scans run in-process only.  The fleet buys crash
+isolation and rollout, not throughput: no benchmark workload measures
+a scale-out gain, and none is claimed.  Division of labour:
 
 * The **router** (this class, in the caller's process) writes the
-  prepared inputs and the cached scan plane into
-  shared-memory frames (:mod:`.shm`, SHA-256 verified), shards scans
-  into contiguous origin-band tasks, load-balances tasks over READY
-  replicas, and reassembles results in task order — so worker count
-  and scheduling never change a report.
+  prepared inputs, and each scan tile's raster, into shared-memory
+  frames (:mod:`.shm`, SHA-256 verified), one frame per task,
+  load-balances tasks over READY replicas, and places results by task
+  — so worker count and scheduling never change a report.
 * Each **worker** (:mod:`.worker`) compiles its own engines from
   shipped weights and scores frames.  A crash takes down one process
   and its in-flight tasks, nothing else.
@@ -69,16 +70,14 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..faults import FaultInjector
-from ..pool import shard_slices
 from ..registry import ModelEntry, ModelRegistry
-from ..service import _remaining, _ServiceBase, plane_scan_scale
+from ..service import _remaining, _ServiceBase
 from .fleet import ReplicaState, WorkerHandle
 from .messages import (
     ClassifyTask,
     LoadModelMsg,
     ModelSpec,
     PingMsg,
-    ReleaseFrameMsg,
     ScanShardTask,
     ShutdownMsg,
     WorkerConfig,
@@ -90,60 +89,47 @@ __all__ = ["ClusterService"]
 
 
 class _FrameHolder:
-    """Router-side owner of one shared-memory frame, with retry refresh.
+    """Router-side owner of one task's shared-memory frame.
 
     Holds the source array so a frame a worker rejected as torn can be
-    re-created (``refresh``), and reference-counts readers (one per
-    task sharing the frame — scan shards all share the plane frame) so
-    the segment is unlinked exactly once, when the last task finishes.
+    re-created (``refresh``); the frame is unlinked when the task
+    finishes (``release``).
     """
 
     def __init__(self, array: np.ndarray, faults: FaultInjector | None,
-                 site: str = "frame", refs: int = 1):
+                 site: str = "frame"):
         self._array = array
         self._faults = faults
         self._site = site
         self._lock = threading.Lock()
-        self._refs = refs
-        # Every frame generation stays linked until the holder is fully
-        # released: sibling tasks still carry refs to a superseded
-        # (torn) segment, and unlinking it under them would turn their
-        # digest-mismatch retry into a hard attach failure.
-        self._frames = [put_frame(array, faults, site)]
-        self.names = [self._frames[-1].ref.name]  #: every segment name used
+        self._frame = put_frame(array, faults, site)
 
     @property
     def ref(self):
         with self._lock:
-            if not self._frames:
+            if self._frame is None:
                 raise RuntimeError("frame already released")
-            return self._frames[-1].ref
+            return self._frame.ref
 
-    def refresh(self, bad_name: str):
-        """Re-create the frame iff ``bad_name`` is the current segment.
+    def refresh(self):
+        """Replace the frame with a fresh copy; None once released.
 
-        Generation-guarded: when many tasks share one torn frame, the
-        first corrupt report rebuilds it and the rest just pick up the
-        already-fresh ref — the frame is written once per tear, not
-        once per shard.
+        Only the task that owns the holder reads the frame, and it is
+        on no worker while its corrupt report is handled, so the torn
+        segment can go at once.
         """
         with self._lock:
-            if not self._frames:
+            if self._frame is None:
                 return None
-            if self._frames[-1].ref.name == bad_name:
-                self._frames.append(
-                    put_frame(self._array, self._faults, self._site)
-                )
-                self.names.append(self._frames[-1].ref.name)
-            return self._frames[-1].ref
+            self._frame.close()
+            self._frame = put_frame(self._array, self._faults, self._site)
+            return self._frame.ref
 
-    def release(self, n: int = 1) -> None:
+    def release(self) -> None:
         with self._lock:
-            self._refs -= n
-            if self._refs <= 0:
-                for frame in self._frames:
-                    frame.close()
-                self._frames = []
+            if self._frame is not None:
+                self._frame.close()
+                self._frame = None
 
 
 class _Task:
@@ -190,7 +176,7 @@ class ClusterService(_ServiceBase):
         (result or pong) before it is declared wedged (e.g. hung
         inside a native kernel mid-task) and killed.  ``None`` trusts
         in-flight workers indefinitely; keep it comfortably above the
-        slowest legitimate shard so a big scan band is never killed
+        slowest legitimate task so a big scan tile is never killed
         mid-score.
     startup_timeout_s:
         Grace for a fresh worker to compile its engines and report
@@ -210,8 +196,6 @@ class ClusterService(_ServiceBase):
     quarantine_after:
         Consecutive crashes (no completed task in between) after which
         a slot is quarantined instead of respawned.
-    scan_shards:
-        Scan fan-out (default: two bands per READY replica).
     faults / faults_in_respawn:
         Chaos injector.  It is deep-copied into every worker of the
         *initial* fleet (sites ``"worker"`` and ``"worker:<slot>"``
@@ -242,8 +226,6 @@ class ClusterService(_ServiceBase):
         respawn_backoff_max_s: float = 5.0,
         quarantine_after: int = 3,
         cache_capacity: int = 2048,
-        plane_cache_capacity: int = 8,
-        scan_shards: int | None = None,
         faults: FaultInjector | None = None,
         faults_in_respawn: bool = False,
     ):
@@ -251,7 +233,7 @@ class ClusterService(_ServiceBase):
             raise ValueError(f"processes must be >= 1, got {processes}")
         super().__init__(
             registry, default_model, max_batch, queue_depth, overflow,
-            default_timeout_s, cache_capacity, plane_cache_capacity, faults,
+            default_timeout_s, cache_capacity, faults,
         )
         if task_retries < 0 or frame_retries < 0:
             raise ValueError("task_retries/frame_retries must be >= 0")
@@ -273,7 +255,6 @@ class ClusterService(_ServiceBase):
         self.respawn_backoff_s = respawn_backoff_s
         self.respawn_backoff_max_s = respawn_backoff_max_s
         self.quarantine_after = quarantine_after
-        self.scan_shards = scan_shards
         self.faults_in_respawn = faults_in_respawn
         # fork shares the parent's imported modules and model weights
         # copy-on-write, so workers start in well under a second; spawn
@@ -481,7 +462,7 @@ class ClusterService(_ServiceBase):
                     frame=task.msg.frame.name,
                 ))
                 return
-            ref = task.holder.refresh(task.msg.frame.name)
+            ref = task.holder.refresh()
             if ref is None:
                 self._fail_locked(task, FrameIntegrityError(
                     f"frame for task {task.task_id} was torn and its "
@@ -828,75 +809,46 @@ class ClusterService(_ServiceBase):
 
     # -- scan path -------------------------------------------------------
 
-    def _scan_fanout_locked(self) -> int:
-        if self.scan_shards is not None:
-            return max(1, self.scan_shards)
-        ready = sum(1 for h in self._handles if h.accepts_work)
-        return max(2, 2 * max(1, ready))
+    def _executors(self) -> int:
+        return self.processes
 
-    def _score_scan(self, request, entry, origins, timeout):
-        """One plane frame, many band tasks across the fleet.
+    def _score_tiles(self, entry, job, timeout):
+        """One frame and one task per tile, scored on the fleet.
 
-        The layout is rasterized **once** (plane cache) and shipped to
-        the fleet as a single shared-memory frame; each shard is a
-        contiguous run of window origins plus the ``[y0, y1)`` pixel
-        band containing them, and workers ``plan_scan`` only their band
-        slice of the shared plane — zero-copy, the plane-scan prefix
-        (stem and shallow residual stages) paid once per band.  Window independence (the plane-scan contract)
-        makes the result bit-identical to a single-process sweep, no
-        matter how shards land on replicas or how often they fail over.
-        A shard that exhausts its failover/retry budget, or is still
-        unfinished at the deadline, leaves its origins unscored (NaN).
-        Geometry that is not pixel-aligned raises ``ValueError``: the
-        fleet has no per-window path.
+        The router rasterizes the job's tiles in order and writes each
+        tile's raster into its own shared-memory frame, with a task
+        carrying the tile's plane-local origins; it submits that task
+        before it rasterizes the next tile, so replicas score while the
+        router rasterizes.  A worker scores a task with the engine call
+        the in-process sweep makes
+        (:func:`repro.chip.scanner.scan_logits`), so which replica
+        scores a tile, and how often it fails over, never changes a
+        score.  A tile whose task exhausts its failover/retry budget,
+        or is unfinished at the deadline, stays NaN.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        scale = plane_scan_scale(
-            request.layout.size, request.window, request.stride,
-            entry.image_size,
-        )
-        if scale is None:
-            raise ValueError(
-                "cluster scan requires pixel-aligned geometry (window a "
-                f"multiple of image_size={entry.image_size}, and the scale "
-                "dividing layout size and stride); got window="
-                f"{request.window}, stride={request.stride}, "
-                f"size={request.layout.size}"
-            )
-        plane = self.plane_cache.get(request.layout, scale, "binary")
-        scaled = [(x // scale, y // scale) for x, y in origins]
         version = self._versions.get(entry.name, 1)
         tasks: list[_Task] = []
-        slices: list[slice] = []
-        holder: _FrameHolder | None = None
         try:
-            with self._cond:
-                self._ensure_fleet_locked()
-                slices = shard_slices(
-                    len(origins), self._scan_fanout_locked()
+            for tile in job.tiles:
+                plane, origins = job.tile_input(tile)
+                holder = _FrameHolder(plane, self.faults)
+                msg = ScanShardTask(
+                    task_id=-1, model=entry.name, version=version,
+                    frame=holder.ref, origins=tuple(origins),
+                    window_px=entry.image_size, batch_size=self.max_batch,
                 )
-                holder = _FrameHolder(
-                    plane, self.faults, refs=len(slices)
-                )
-                for shard in slices:
-                    chunk = scaled[shard]
-                    y0 = min(y for _, y in chunk)
-                    y1 = max(y for _, y in chunk) + entry.image_size
-                    msg = ScanShardTask(
-                        task_id=-1, model=entry.name, version=version,
-                        frame=holder.ref, band=(y0, y1),
-                        origins=tuple((x, y - y0) for x, y in chunk),
-                        window_px=entry.image_size,
-                        batch_size=self.max_batch,
-                    )
-                    tasks.append(self._submit_locked(
-                        msg, holder, deadline=deadline, timeout=timeout,
-                    ))
+                try:
+                    with self._cond:
+                        tasks.append(self._submit_locked(
+                            msg, holder, deadline=deadline, timeout=timeout,
+                        ))
+                except BaseException:
+                    holder.release()
+                    raise
         except Exception:
             with self._cond:
                 self._abandon_locked(tasks)
-            if holder is not None:
-                holder.release(len(slices) - len(tasks))
             raise
         for task in tasks:
             if not task.event.wait(timeout=_remaining(deadline)):
@@ -904,28 +856,15 @@ class ClusterService(_ServiceBase):
                     self._abandon_locked(tasks)
                 self.metrics.record_timeout()
                 break
-        scores = np.full(len(origins), np.nan)
-        retried_shards = 0
-        for shard, task in zip(slices, tasks):
-            retried_shards += task.crashes + task.errors + task.frame_retries
+        scores = job.empty_scores()
+        retries = 0
+        for tile, task in zip(job.tiles, tasks):
+            retries += task.crashes + task.errors + task.frame_retries
             if task.logits is not None:
-                scores[shard] = task.logits[:, 1] - task.logits[:, 0]
-        self._broadcast_release(holder)
-        return scores, retried_shards
-
-    def _broadcast_release(self, holder: _FrameHolder | None) -> None:
-        """Tell live workers to drop their cached plane attachments."""
-        if holder is None:
-            return
-        with self._cond:
-            handles = [h for h in self._handles if h.alive]
-            names = list(holder.names)
-        for handle in handles:
-            for name in names:
-                try:
-                    handle.task_queue.put(ReleaseFrameMsg(name))
-                except Exception:
-                    pass
+                scores[tile.iy0:tile.iy1, tile.ix0:tile.ix1] = (
+                    task.logits[:, 1] - task.logits[:, 0]
+                ).reshape(tile.iy1 - tile.iy0, tile.ix1 - tile.ix0)
+        return scores, retries
 
     # -- rolling rollout -------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Zero-copy array transport between router and worker processes.
+"""Shared-memory array transport between router and worker processes.
 
-Rasters and prepared input batches are the bulky part of every request;
-pickling them through a ``multiprocessing`` queue would copy each array
-twice and serialize it byte-by-byte.  Instead the router writes each
-payload once into a :mod:`multiprocessing.shared_memory` segment and
-ships only a tiny :class:`FrameRef` (name, shape, dtype, SHA-256
-digest) through the queue; workers map the same physical pages.
+Scan tile rasters and prepared input batches are the bulky part of
+every request; pickling them through a ``multiprocessing`` queue would
+copy each array twice and serialize it byte-by-byte.  Instead the
+router writes each payload once into a
+:mod:`multiprocessing.shared_memory` segment and ships only a tiny
+:class:`FrameRef` (name, shape, dtype, SHA-256 digest) through the
+queue; the worker scoring the task reads it once.
 
 Integrity is not optional: a worker that scores a torn or corrupted
 frame would return silently-wrong predictions, which is strictly worse
@@ -16,12 +17,10 @@ the router can re-create the frame and retry.  The chaos suite drives
 this path deliberately via ``FaultInjector.add_tear`` (bytes flipped
 after the digest — exactly a torn write).
 
-Lifecycle: the **writer owns the name** — it unlinks the segment when
-the round-trip completes (POSIX keeps the pages alive for processes
-that still have them mapped).  Readers either copy-and-close
-immediately (:func:`read_frame`, the per-task pattern) or hold a
-verified :class:`FrameAttachment` open across tasks (the scan path,
-where many shards reference one plane frame).  The fleet starts the
+Lifecycle: one frame per task, and the **writer owns the name** — it
+unlinks the segment when the task completes (POSIX keeps the pages
+alive for processes that still have them mapped).  Readers copy, verify
+and close in one step (:func:`read_frame`).  The fleet starts the
 ``resource_tracker`` *before* forking workers, so the whole process
 tree shares one tracker: reader registrations are idempotent, a
 SIGKILLed worker leaks nothing, and cleanup-on-crash of the router
@@ -41,7 +40,7 @@ import numpy as np
 from ..errors import FrameIntegrityError
 from ..faults import FaultInjector
 
-__all__ = ["FrameRef", "Frame", "FrameAttachment", "put_frame", "read_frame"]
+__all__ = ["FrameRef", "Frame", "put_frame", "read_frame"]
 
 
 def _digest(view: memoryview | bytes) -> str:
@@ -145,56 +144,14 @@ def _attach(ref: FrameRef) -> shared_memory.SharedMemory:
     return shared_memory.SharedMemory(name=ref.name)
 
 
-class FrameAttachment:
-    """Reader-side mapping of a frame, digest-verified at attach time.
-
-    ``array`` is a read-only view of the shared pages — zero-copy.  The
-    attachment stays valid even after the writer unlinks the name (the
-    mapping pins the pages); call :meth:`close` when done.  Used by
-    workers to hold a scan's plane frame across many shard tasks.
-    """
-
-    def __init__(self, ref: FrameRef):
-        self.ref = ref
-        self._shm: shared_memory.SharedMemory | None = None
-        self._shm = _attach(ref)
-        try:
-            if _digest(self._shm.buf[: ref.nbytes]) != ref.digest:
-                raise FrameIntegrityError(
-                    f"shared-memory frame {ref.name!r} failed its SHA-256 "
-                    f"digest check (torn or corrupt write); refusing to "
-                    f"score it",
-                    frame=ref.name,
-                )
-            array = np.ndarray(ref.shape, dtype=ref.dtype, buffer=self._shm.buf)
-            array.flags.writeable = False
-            self.array = array
-        except BaseException:
-            self._shm.close()
-            raise
-
-    def close(self) -> None:
-        """Drop the mapping (safe to call repeatedly)."""
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            self.array = None
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        self.close()
-
-
 def read_frame(ref: FrameRef) -> np.ndarray:
     """Attach, verify, copy out, and detach in one step.
 
     The returned array is private to the caller (the copy is taken
     before verification hashes the *shared* bytes again, so a
     concurrent tear between copy and hash is still caught: the hash
-    runs on the copy).  This is the per-task pattern for classify
-    batches, where the frame is consumed exactly once.
+    runs on the copy).  Every task's frame, a classify batch or a scan
+    tile, is consumed exactly once this way.
     """
     shm = _attach(ref)
     try:

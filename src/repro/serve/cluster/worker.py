@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...binary.inference import ProgramEngine
-from ...features.downsample import to_network_input
+from ...chip.scanner import scan_logits
 from ..errors import FrameIntegrityError
 from .messages import (
     ClassifyTask,
@@ -40,21 +40,14 @@ from .messages import (
     PingMsg,
     PongMsg,
     ReadyMsg,
-    ReleaseFrameMsg,
     ScanShardTask,
     ShutdownMsg,
     TaskDoneMsg,
     WorkerConfig,
 )
-from .shm import FrameAttachment
+from .shm import read_frame
 
 __all__ = ["worker_main"]
-
-#: plane-frame attachments a worker keeps mapped (per-scan planes are
-#: large; two covers the common scan-overlap-with-next-scan window)
-_ATTACH_CACHE = 2
-#: compiled per-band scan plans kept per worker (plans are band-sized)
-_PLAN_CACHE = 4
 
 
 @dataclass
@@ -88,8 +81,6 @@ class _Worker:
         self.generation = config.generation
         self.faults = config.faults
         self.models: dict[str, _Served] = {}
-        self.attachments: dict[str, FrameAttachment] = {}
-        self.plans: dict[tuple, object] = {}
         self.tasks_done = 0
 
     # -- chaos ----------------------------------------------------------
@@ -106,52 +97,15 @@ class _Worker:
         self.faults.fire("worker", (task,))
         self.faults.fire(f"worker:{self.slot}", (task,))
 
-    # -- frame / plan caches --------------------------------------------
-
-    def _attachment(self, ref) -> FrameAttachment:
-        cached = self.attachments.get(ref.name)
-        if cached is not None:
-            return cached
-        attachment = FrameAttachment(ref)  # digest verified here
-        while len(self.attachments) >= _ATTACH_CACHE:
-            old = self.attachments.pop(next(iter(self.attachments)))
-            self._drop_plans(old.ref.name)
-            old.close()
-        self.attachments[ref.name] = attachment
-        return attachment
-
-    def _drop_plans(self, frame_name: str) -> None:
-        for key in [k for k in self.plans if k[2] == frame_name]:
-            del self.plans[key]
-
-    def _release_frame(self, name: str) -> None:
-        attachment = self.attachments.pop(name, None)
-        if attachment is not None:
-            attachment.close()
-        self._drop_plans(name)
-
     # -- scoring --------------------------------------------------------
 
-    def _score_classify(self, task: ClassifyTask, served: _Served) -> np.ndarray:
-        from .shm import read_frame
-
-        batch = read_frame(task.frame)  # verified private copy
-        return served.engine.predict_logits(batch)
-
-    def _score_scan(self, task: ScanShardTask, served: _Served) -> np.ndarray:
-        attachment = self._attachment(task.frame)
-        key = (task.model, served.spec.version, task.frame.name, task.band)
-        plan = self.plans.get(key)
-        if plan is None:
-            y0, y1 = task.band
-            band = attachment.array[y0:y1]
-            plan = served.engine.plan_scan(
-                to_network_input(band[None]), task.window_px, task.origins
-            )
-            while len(self.plans) >= _PLAN_CACHE:
-                self.plans.pop(next(iter(self.plans)))
-            self.plans[key] = plan
-        return plan.logits(task.origins, batch_size=task.batch_size)
+    def _score(self, task, served: _Served) -> np.ndarray:
+        """Logits of one task, from a verified private copy of its frame."""
+        batch = read_frame(task.frame)
+        if isinstance(task, ClassifyTask):
+            return served.engine.predict_logits(batch)
+        return scan_logits(served.engine, batch, task.window_px,
+                           list(task.origins), task.batch_size)
 
     # -- protocol -------------------------------------------------------
 
@@ -189,11 +143,7 @@ class _Worker:
             return
         try:
             self._fire_task_faults(task)
-            logits = (
-                self._score_classify(task, served)
-                if isinstance(task, ClassifyTask)
-                else self._score_scan(task, served)
-            )
+            logits = self._score(task, served)
         except FrameIntegrityError as exc:
             self._put(TaskDoneMsg(
                 task_id=task.task_id, slot=self.slot,
@@ -237,8 +187,6 @@ class _Worker:
             ))
             return
         self.models[msg.spec.name] = served
-        # model changed: compiled plans bake in weights
-        self.plans.clear()
         self._put(ModelLoadedMsg(
             slot=self.slot, name=msg.spec.name, version=msg.spec.version,
             provenance=dict(served.provenance),
@@ -270,8 +218,6 @@ class _Worker:
                 ))
             elif isinstance(msg, LoadModelMsg):
                 self._handle_load(msg)
-            elif isinstance(msg, ReleaseFrameMsg):
-                self._release_frame(msg.name)
             elif isinstance(msg, (ClassifyTask, ScanShardTask)):
                 self._handle_task(msg)
             # unknown messages are dropped: a newer router talking to an
@@ -280,9 +226,4 @@ class _Worker:
 
 def worker_main(config: WorkerConfig, task_queue, result_queue) -> int:
     """Process entry point (must stay top-level: spawn pickles it)."""
-    worker = _Worker(config, task_queue, result_queue)
-    try:
-        return worker.run()
-    finally:
-        for attachment in worker.attachments.values():
-            attachment.close()
+    return _Worker(config, task_queue, result_queue).run()

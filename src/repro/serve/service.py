@@ -48,6 +48,7 @@ deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Iterable, Sequence
@@ -91,7 +92,6 @@ __all__ = [
     "HotspotService",
     "window_origins",
     "extract_window",
-    "plane_scan_scale",
 ]
 
 
@@ -117,6 +117,32 @@ def scan_tile_budget(engine, image_size: int) -> int:
     return 8 * max(pixels, image_size * image_size)
 
 
+def _spread_budget(budget: int, request: ScanRequest, image_size: int,
+                   executors: int) -> int:
+    """Cap ``budget`` so a scan of at least ``2 * executors`` windows is
+    cut into at least ``2 * executors`` tiles.
+
+    Tiles are the row-major product of per-axis origin runs, and no run
+    holds more origins than the largest pixel span the budget allows,
+    so capping the span at ``per_run`` origins cuts each axis's ``n``
+    origins into at least ``ceil(n / per_run)`` runs; ``per_run`` is
+    the largest count that still gives ``runs`` of them, the least
+    ``runs`` with ``runs * runs >= 2 * executors``.  Geometry that is
+    not pixel-aligned keeps ``budget``: compiling the sweep refuses it.
+    """
+    want = 2 * executors
+    steps = origin_steps(request.layout.size, request.window, request.stride)
+    n = len(steps)
+    if n * n < want or request.window % image_size:
+        return budget
+    runs = math.isqrt(want - 1) + 1
+    per_run = -(-n // (runs - 1)) - 1
+    side = ((per_run - 1) * request.stride + request.window) // (
+        request.window // image_size
+    )
+    return min(budget, 8 * side * side)
+
+
 def _unscored_ranges(scores: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximal ``[start, stop)`` runs of NaN (unscored) entries."""
     edges = np.diff(np.concatenate(
@@ -125,29 +151,6 @@ def _unscored_ranges(scores: np.ndarray) -> tuple[tuple[int, int], ...]:
     starts = np.flatnonzero(edges == 1).tolist()
     stops = np.flatnonzero(edges == -1).tolist()
     return tuple(zip(starts, stops))
-
-
-def plane_scan_scale(
-    layout_size: int, window: int, stride: int, pixels: int
-) -> int | None:
-    """Integer nm-per-pixel scale of a plane-compatible scan, or None.
-
-    The plane path requires window slices of the full-layout raster to
-    be bit-identical to per-window rasterization (see
-    :func:`repro.litho.raster.rasterize_plane`): the window must be a
-    whole number of pixels per raster cell, and both the layout and
-    every window origin must land on pixel boundaries.  Origins are
-    multiples of the stride plus the snapped last column
-    ``size - window``, so ``scale | size`` and ``scale | stride`` cover
-    them all.  The cluster router (:mod:`repro.serve.cluster`) ships
-    the plane to worker processes under this alignment contract.
-    """
-    if pixels <= 0 or window % pixels:
-        return None
-    scale = window // pixels
-    if layout_size % scale or stride % scale:
-        return None
-    return scale
 
 
 def extract_window(layout: Clip, x0: int, y0: int, window: int) -> Clip:
@@ -186,18 +189,21 @@ class _ServiceBase:
     Owns model selection, request normalisation (through the cached,
     fault-injectable ``"raster"`` site), deadlines, prediction and
     :class:`ScanReport` assembly, metrics, ``health()`` and ``stats()``.
+    A scan is one tile sweep (:class:`repro.chip.ChipScanJob`),
+    compiled here once under one tile-sizing rule (:meth:`_scan_job`).
     Where the scoring runs is the subclass's business, through two
     hooks:
 
     * :meth:`_score_clips` scores prepared network inputs under a
       deadline and yields one logits row per input, in order;
-    * :meth:`_score_scan` scores a scan's window origins and returns
-      one score per origin (NaN where the work failed) plus the count
-      of shard retries.
+    * :meth:`_score_tiles` scores every tile of a compiled job and
+      returns the origin-grid scores (NaN where a tile failed) plus the
+      count of retries.
 
     :class:`HotspotService` runs both in-process (micro-batcher and
     thread pool); :class:`~repro.serve.cluster.ClusterService` runs them
-    on a supervised fleet of worker processes.
+    on a supervised fleet of worker processes.  :meth:`_executors`
+    counts the executors a sweep is spread over.
     """
 
     def __init__(
@@ -209,7 +215,6 @@ class _ServiceBase:
         overflow: str,
         default_timeout_s: float | None,
         cache_capacity: int,
-        plane_cache_capacity: int,
         faults: FaultInjector | None,
     ):
         if queue_depth is not None and queue_depth < 1:
@@ -227,7 +232,6 @@ class _ServiceBase:
         self.faults = faults
         self.metrics = ServiceMetrics()
         self.cache = RasterCache(capacity=cache_capacity)
-        self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
         self._closed = False
 
     @classmethod
@@ -262,10 +266,34 @@ class _ServiceBase:
         """Yield one logits row per network input, in input order."""
         raise NotImplementedError
 
-    def _score_scan(self, request, entry, origins, timeout):
-        """Score ``origins`` -> (score per origin, NaN = unscored;
-        shard retries)."""
+    def _score_tiles(self, entry, job, timeout):
+        """Score every tile of ``job`` -> (origin-grid scores, NaN =
+        unscored; retries)."""
         raise NotImplementedError
+
+    def _executors(self) -> int:
+        """Configured executors a scan's tiles are spread over."""
+        raise NotImplementedError
+
+    def _scan_job(self, request: ScanRequest, entry: ModelEntry):
+        """Compile the tile sweep of one :meth:`scan`.
+
+        Tiles are sized by one rule: the memory bound
+        :func:`scan_tile_budget`, cut further so a scan of at least
+        ``2 * executors`` windows makes at least that many tiles.  The
+        rule reads the configured executor count, so a scan's tile
+        count never depends on which executors are up.  Geometry that
+        is not pixel-aligned raises ``ValueError``.
+        """
+        budget = _spread_budget(
+            scan_tile_budget(entry.engine, entry.image_size), request,
+            entry.image_size, self._executors(),
+        )
+        scanner = ChipScanner(entry.engine, entry.image_size,
+                              batch_size=self.max_batch, faults=self.faults)
+        return scanner.compile(
+            request.layout, request.window, request.stride, budget
+        )
 
     # -- internals -------------------------------------------------------
 
@@ -410,9 +438,10 @@ class _ServiceBase:
         origins = window_origins(
             request.layout.size, request.window, request.stride
         )
-        scores, retried_shards = self._score_scan(
-            request, entry, origins, timeout
+        scores, retried_shards = self._score_tiles(
+            entry, self._scan_job(request, entry), timeout
         )
+        scores = scores.ravel()
         hits = tuple(
             ScanHit(x, y, x + request.window, y + request.window, score)
             for (x, y), score in zip(origins, scores.tolist())
@@ -490,7 +519,6 @@ class _ServiceBase:
         snapshot = self.metrics.stats()
         snapshot["health"] = self.health().state.value
         snapshot["cache"] = _cache_stats(self.cache)
-        snapshot["plane_cache"] = _cache_stats(self.plane_cache)
         snapshot["models"] = {
             name: {
                 "backend": entry.backend,
@@ -571,8 +599,9 @@ class HotspotService(_ServiceBase):
             raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
         super().__init__(
             registry, default_model, max_batch, queue_depth, overflow,
-            default_timeout_s, cache_capacity, plane_cache_capacity, faults,
+            default_timeout_s, cache_capacity, faults,
         )
+        self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
         self.max_wait_ms = max_wait_ms
         self.shard_retries = shard_retries
         self.pool = WorkerPool(workers=workers)
@@ -631,23 +660,15 @@ class HotspotService(_ServiceBase):
 
     # -- scan path -------------------------------------------------------
 
-    def _score_scan(self, request, entry, origins, timeout):
-        """One memo-free tile sweep of the layout (:meth:`_sweep`).
+    def _executors(self) -> int:
+        return self.pool.workers
 
-        Tiles are sized by :func:`scan_tile_budget`, and every window of
-        every tile goes to the engine: on the distinct layouts a scan
-        serves, a score memo would only add keying cost.  A tile whose
-        plan fails to build is a failed tile like any other.  Geometry
-        that is not pixel-aligned raises ``ValueError``.
-        """
-        job = self._chip_scanner(entry).compile(
-            request.layout, request.window, request.stride,
-            scan_tile_budget(entry.engine, entry.image_size),
-        )
+    def _score_tiles(self, entry, job, timeout):
         scores, _failed_tiles, retried_shards = self._sweep(job, timeout)
-        return scores.ravel(), retried_shards
+        return scores, retried_shards
 
-    # -- full-chip streaming scan path -----------------------------------
+    def _extend_stats(self, snapshot: dict[str, object]) -> None:
+        snapshot["plane_cache"] = _cache_stats(self.plane_cache)
 
     def _chip_scanner(self, entry: ModelEntry) -> ChipScanner:
         # the scanner threads every tile/origin scoring call through the
@@ -662,9 +683,13 @@ class HotspotService(_ServiceBase):
         """Score every tile of ``job``, one tile per pool shard.
 
         The tile sweep behind both :meth:`scan` and :meth:`scan_chip`.
-        Returns the row-major origin-grid scores (NaN where a tile
-        failed after ``shard_retries`` re-runs or missed the deadline),
-        the failed tile indices and the count of shard retries.
+        A :meth:`scan` opens no score memo, so every window of every
+        tile goes to the engine: on the distinct layouts a scan serves,
+        a memo would only add keying cost.  A tile whose plan fails to
+        build is a failed tile like any other.  Returns the row-major
+        origin-grid scores (NaN where a tile failed after
+        ``shard_retries`` re-runs or missed the deadline), the failed
+        tile indices and the count of shard retries.
         """
         score_tile = job.score_tile
 

@@ -252,14 +252,15 @@ class ScanHit:
 class ScanReport:
     """Result of a scan request.
 
-    A report can be **degraded**: when a scan tile (or cluster band)
-    keeps failing after retry (or misses the scan deadline), the service
-    returns the other windows' hits instead of discarding the sweep,
-    sets ``degraded``, and enumerates the un-scored windows in
-    ``failed_ranges`` — maximal ``(start, stop)`` half-open ranges of
-    window indices in the sweep's row-major origin order (a failed
-    tile contributes one run per origin row, adjacent runs merged).  ``windows_scanned`` always counts the full
-    sweep; subtract ``windows_failed`` for the number actually scored.
+    A report can be **degraded**: when a scan tile keeps failing after
+    retry (or misses the scan deadline), the service returns the other
+    windows' hits instead of discarding the sweep, sets ``degraded``,
+    and enumerates the un-scored windows in ``failed_ranges`` — maximal
+    ``(start, stop)`` half-open ranges of window indices in the sweep's
+    row-major origin order (a failed tile contributes one run per
+    origin row, adjacent runs merged).  ``windows_scanned`` always
+    counts the full sweep; subtract ``windows_failed`` for the number
+    actually scored.
     """
 
     request_id: str

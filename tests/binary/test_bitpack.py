@@ -187,45 +187,6 @@ class TestPopcountTable16:
         )
 
 
-class TestTiledConv:
-    @pytest.mark.parametrize("c,k,stride,padding", [
-        (1, 3, 2, 1), (1, 3, 1, 1), (8, 3, 2, 1), (80, 3, 1, 1), (4, 1, 1, 0),
-    ])
-    def test_bit_identical_to_untiled(self, rng, c, k, stride, padding):
-        x = quantize.sign(rng.normal(size=(2, c, 12, 12)))
-        w = quantize.sign(rng.normal(size=(5, c, k, k)))
-        w_packed = bitpack.pack_filters(w)
-        full = bitpack.binary_conv2d_packed(x, w_packed, 5, k, stride, padding)
-        for max_cols in (1, 7, 24, 10_000):
-            tiled = bitpack.binary_conv2d_packed_tiled(
-                x, w_packed, 5, k, stride, padding, max_cols=max_cols
-            )
-            np.testing.assert_array_equal(tiled, full)
-
-
-class TestPackActivationPlane:
-    def test_window_columns_are_plane_slices(self, rng):
-        """A window's valid-conv columns are a slice of the plane grid."""
-        k, stride = 3, 2
-        plane = quantize.sign(rng.normal(size=(1, 1, 40, 40)))
-        grid = bitpack.pack_activation_plane(plane, k, stride)
-        oh = (40 - k) // stride + 1
-        assert grid.shape[1:] == (oh, oh)
-        # a 16x16 window at plane offset (8, 12): its valid columns
-        window = plane[:, :, 8 : 8 + 16, 12 : 12 + 16]
-        wcols = bitpack._pack_activation_columns(window, k, stride, 0)
-        woh = (16 - k) // stride + 1
-        view = grid[:, 4 : 4 + woh, 6 : 6 + woh]  # offsets / stride
-        np.testing.assert_array_equal(
-            view.reshape(view.shape[0], -1), wcols
-        )
-
-    def test_rejects_batched_input(self, rng):
-        x = quantize.sign(rng.normal(size=(2, 1, 8, 8)))
-        with pytest.raises(ValueError):
-            bitpack.pack_activation_plane(x, 3, 1)
-
-
 class TestPackedConvDots:
     def test_matches_packed_conv(self, rng):
         """The factored integer core reproduces binary_conv2d_packed."""

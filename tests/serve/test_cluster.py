@@ -7,11 +7,14 @@ transport integrity, provenance aggregation, and health semantics.
 """
 
 import queue as queue_mod
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.serve.service as service_module
+from repro.binary.inference import ProgramEngine
 from repro.engine import available_backends
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
@@ -26,11 +29,9 @@ from repro.serve import (
     InjectedFault,
     ReplicaState,
     ScanRequest,
-    plane_scan_scale,
 )
 from repro.serve.cluster import FrameRef, put_frame, read_frame
 from repro.serve.cluster.messages import ClassifyTask, WorkerConfig
-from repro.serve.cluster.shm import FrameAttachment
 from repro.serve.cluster.worker import _Served, _Worker
 
 pytestmark = pytest.mark.timeout(240)
@@ -63,6 +64,19 @@ def make_images(n=8, size=16, seed=0):
     return (rng.random((n, size, size)) < 0.3).astype(float)
 
 
+def small_tiles(monkeypatch, model, side_px):
+    """Shrink the router's scan tiles to ``side_px`` plane pixels a side."""
+    per_pixel = ProgramEngine(model).plan_bytes_per_pixel()
+    monkeypatch.setattr(service_module, "DEFAULT_TILE_BUDGET",
+                        side_px * side_px * per_pixel)
+
+
+def task_id_is(task_id, args):
+    """Fault match on one task; a module-level partial pickles into
+    every worker's copy of the injector."""
+    return args[0].task_id == task_id
+
+
 def make_layout(size=256, seed=3, n=40):
     rng = np.random.default_rng(seed)
     layout = Clip(size)
@@ -93,21 +107,7 @@ class TestFrames:
         try:
             with pytest.raises(FrameIntegrityError):
                 read_frame(ref)
-            with pytest.raises(FrameIntegrityError):
-                FrameAttachment(ref)
         finally:
-            frame.close()
-
-    def test_attachment_is_zero_copy_and_read_only(self):
-        array = np.arange(12.0).reshape(3, 4)
-        frame = put_frame(array)
-        attachment = FrameAttachment(frame.ref)
-        try:
-            assert np.array_equal(attachment.array, array)
-            with pytest.raises(ValueError):
-                attachment.array[0, 0] = 99.0
-        finally:
-            attachment.close()
             frame.close()
 
     def test_frame_close_is_idempotent(self):
@@ -135,17 +135,6 @@ class TestClusterParity:
             [(h.x0, h.y0, h.score) for h in want.hits]
         assert got.windows_scanned == want.windows_scanned
 
-    def test_plane_cache_reused_across_scans(self, cluster):
-        """The fleet rasterizes a layout's plane once, router-side, and
-        serves a repeat scan of it from the plane cache."""
-        req = ScanRequest(layout=make_layout(seed=11), window=64, stride=32)
-        cache = cluster.plane_cache
-        misses, hits = cache.misses, cache.hits
-        first = cluster.scan(req)
-        second = cluster.scan(req)
-        assert not first.degraded and first.hits == second.hits
-        assert (cache.misses - misses, cache.hits - hits) == (1, 1)
-
     def test_replicas_ready_and_crash_isolated(self, cluster):
         states = cluster.replica_states()
         assert set(states) == {0, 1}
@@ -153,6 +142,70 @@ class TestClusterParity:
         replicas = cluster.stats()["cluster"]["replicas"]
         pids = {r["pid"] for r in replicas.values()}
         assert len(pids) == 2  # distinct worker processes
+
+
+class TestTileScan:
+    """The fleet runs the in-process tile sweep: one frame and one task
+    per tile, scored bit-identically, failing tile by tile."""
+
+    def test_multi_tile_scan_matches_in_process(self, cluster, reference,
+                                                model, monkeypatch):
+        small_tiles(monkeypatch, model, 32)  # a 64 px plane: 3 tiles a side
+        req = ScanRequest(layout=make_layout(seed=5), window=64, stride=32)
+        tiles = cluster._scan_job(req, cluster.registry.get("default")).tiles
+        assert len(tiles) >= 4
+        first = cluster._next_task_id
+        got = cluster.scan(req)
+        assert cluster._next_task_id - first == len(tiles)
+        want = reference.scan(req)
+        assert not got.degraded
+        assert [(h.x0, h.y0, h.score) for h in got.hits] == \
+            [(h.x0, h.y0, h.score) for h in want.hits]
+        assert got.windows_scanned == want.windows_scanned
+
+    def test_failed_tile_reports_exactly_its_row_runs(self, model, reference,
+                                                      monkeypatch):
+        small_tiles(monkeypatch, model, 32)
+        req = ScanRequest(layout=make_layout(seed=6), window=64, stride=32)
+        healthy = reference.scan(req)
+        faults = FaultInjector(seed=0)
+        with ClusterService.from_model(
+            model, image_size=16, processes=2, faults=faults,
+            heartbeat_s=0.2, heartbeat_timeout_s=10.0,
+        ) as svc:
+            job = svc._scan_job(req, svc.registry.get("default"))
+            n = len(job.grid.steps)
+            # an interior tile, so its row runs are not adjacent; a fresh
+            # router numbers the scan's tasks in tile order from 0
+            index = len(job.tiles) // 2
+            target = job.tiles[index]
+            assert 0 < target.ix0 and target.ix1 < n
+            faults.add_error("worker", match=partial(task_id_is, index))
+            report = svc.scan(req, timeout=120)
+            stats = svc.stats()
+        expected_ranges = tuple(
+            (j * n + target.ix0, j * n + target.ix1)
+            for j in range(target.iy0, target.iy1)
+        )
+        assert report.failed_ranges == expected_ranges
+        assert report.windows_failed == target.n_origins
+        assert stats["errors_total"] == 1  # the one task, past its retries
+        steps = job.grid.steps
+        failed = {(steps[i], steps[j]) for j in range(target.iy0, target.iy1)
+                  for i in range(target.ix0, target.ix1)}
+        assert report.hits == tuple(
+            h for h in healthy.hits if (h.x0, h.y0) not in failed
+        )
+        assert len(report.hits) < len(healthy.hits)
+
+    def test_unaligned_scan_is_refused(self, cluster):
+        layout = make_layout(seed=6)
+        scans = cluster.metrics.scan_requests_total
+        for window, stride in ((60, 32), (64, 30)):
+            with pytest.raises(ValueError, match="multiple"):
+                cluster.scan(ScanRequest(layout, window=window,
+                                         stride=stride))
+        assert cluster.metrics.scan_requests_total == scans
 
 
 class TestProvenanceAndHealth:
@@ -244,19 +297,6 @@ class TestSharedRequestPath:
             assert "1 poison requests quarantined" in report.reasons
 
 
-class TestPlaneScanScale:
-    """The alignment contract of the cluster's plane path."""
-
-    def test_aligned_geometry_yields_scale(self):
-        assert plane_scan_scale(256, 64, 32, pixels=16) == 4
-
-    def test_misaligned_stride_disables_plane_path(self):
-        assert plane_scan_scale(256, 64, 30, pixels=16) is None
-
-    def test_window_not_multiple_of_pixels_disables(self):
-        assert plane_scan_scale(256, 60, 32, pixels=16) is None
-
-
 def make_worker():
     """An in-process _Worker with plain queues (no process, no model)."""
     config = WorkerConfig(slot=0, generation=1, models=())
@@ -315,24 +355,6 @@ class TestWorkerTaskGuards:
         msg = worker.results.get_nowait()
         assert "KeyError" in msg.error
         assert "has no model" not in msg.error
-
-
-class TestAttachmentCache:
-    def test_eviction_drops_the_oldest_attachment(self):
-        worker = make_worker()  # _ATTACH_CACHE == 2
-        frames = [put_frame(np.full((2, 2), float(i))) for i in range(3)]
-        try:
-            for frame in frames:
-                worker._attachment(frame.ref)
-            # LRU, not MRU: the first-attached frame is the one evicted
-            assert set(worker.attachments) == {
-                frames[1].ref.name, frames[2].ref.name,
-            }
-        finally:
-            for attachment in worker.attachments.values():
-                attachment.close()
-            for frame in frames:
-                frame.close()
 
 
 class TestVersionedRouting:

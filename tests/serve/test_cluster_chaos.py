@@ -28,6 +28,7 @@ from repro.serve import (
     ScanRequest,
 )
 from repro.serve.cluster.fleet import WorkerHandle
+from repro.serve.cluster.messages import ScanShardTask
 
 pytestmark = [pytest.mark.slow, pytest.mark.timeout(300)]
 
@@ -103,18 +104,28 @@ class TestCrashFailover:
     ):
         faults = FaultInjector(seed=0)
         faults.add_kill("worker:0", on_calls=[1])  # slot 0 dies in-flight
-        # both replicas READY before any task, and four scan bands: the
-        # least-loaded dispatch hands them to slots 0, 1, 0, 1, so slot
-        # 0's second task — the kill's call — always exists
-        with make_cluster(model, faults, scan_shards=4) as svc:
-            svc.start()
-            states = wait_all_ready(svc)
-            assert all(s is ReplicaState.READY for s in states.values())
+        with make_cluster(model, faults) as svc:
+            # the scan makes 2 x processes tile tasks; the first two are
+            # pinned to slot 0, so its second task, the kill's call,
+            # exists by construction, whatever the dispatch timing
+            pinned = []
+            submit = svc._submit_locked
+
+            def pin_first_two(msg, holder, pin_slot=None, **kwargs):
+                if isinstance(msg, ScanShardTask) and len(pinned) < 2:
+                    pinned.append(msg)
+                    pin_slot = 0
+                return submit(msg, holder, pin_slot=pin_slot, **kwargs)
+
+            svc._submit_locked = pin_first_two
+            tiles = svc._scan_job(scan_req, svc.registry.get("default")).tiles
+            assert len(tiles) >= 2 * svc.processes
             report = svc.scan(scan_req, timeout=120)
             stats = svc.stats()
+        assert len(pinned) == 2  # slot 0 was given two scan tasks
+        assert stats["workers_reaped_total"] >= 1  # the kill fired
         assert not report.degraded
         assert hit_key(report) == reference_hits
-        assert stats["workers_reaped_total"] >= 1
         assert stats["tasks_failed_over_total"] >= 1
 
     def test_killed_slot_respawns_ready(self, model):

@@ -1,6 +1,5 @@
 """Tests for the HotspotService front door: classify, scan, stats."""
 
-import inspect
 import threading
 
 import numpy as np
@@ -358,11 +357,9 @@ class TestPlaneScan:
         self, model, monkeypatch
     ):
         """A tile's whole-plane stem pass runs in row bands: no
-        packed-column buffer exceeds the tiled kernel's budget, though
-        the stem conv of the whole tile plane would."""
-        budget = inspect.signature(
-            bitpack.binary_conv2d_packed_tiled
-        ).parameters["max_cols"].default
+        packed-column buffer exceeds ``bitpack.MAX_COLS``, though the
+        stem conv of the whole tile plane would."""
+        budget = bitpack.MAX_COLS
         widths = []
         original = bitpack._pack_activation_columns
 
@@ -374,13 +371,17 @@ class TestPlaneScan:
         monkeypatch.setattr(bitpack, "_pack_activation_columns", tracking)
         size, window = 8320, 128  # 1040 px plane at 8 nm per pixel
         pixels = size // (window // 16)
-        assert (pixels - 2) ** 2 > budget  # untiled 3x3 valid conv
-        small_tiles(monkeypatch, model, pixels)  # one tile: the whole plane
+        small_tiles(monkeypatch, model, pixels)  # memory bound: whole plane
         # half-window stride: overlapping windows make planing the stem
         # cheaper than running it per window
         request = ScanRequest(make_layout(size=size, seed=13, n=60),
                               window=window, stride=64)
-        with HotspotService.from_model(model, 16) as svc:
+        # one worker: the 2-tile spread cuts the plane into a 1032 px
+        # tile and slivers, on any host
+        with HotspotService.from_model(model, 16, workers=1) as svc:
+            job = svc._scan_job(request, svc.registry.get("default"))
+            side = max(max(job.grid.tile_pixels(t)) for t in job.tiles)
+            assert (side - 2) ** 2 > budget  # untiled 3x3 valid conv
             report = svc.scan(request)
             assert svc.stats()["windows_failed_total"] == 0
         assert report.windows_scanned == 129 * 129
