@@ -137,12 +137,15 @@ class ChipScanJob:
             if plane.nbytes > self.peak_tile_bytes:
                 self.peak_tile_bytes = plane.nbytes
 
-    def _build_plane(self, region: Rect) -> np.ndarray:
-        """Rasterize one region into the engine's ±1 input domain."""
-        raster = rasterize_region(
+    def _raster(self, region: Rect) -> np.ndarray:
+        """One region's ``(h, w)`` 0/1 layout raster."""
+        return rasterize_region(
             self.index.query(region), region, self.grid.scale, "binary"
         )
-        return to_network_input(raster[None])
+
+    def _build_plane(self, region: Rect) -> np.ndarray:
+        """Rasterize one region into the engine's ±1 input domain."""
+        return to_network_input(self._raster(region)[None])
 
     def _region_plane(self, region: Rect) -> np.ndarray:
         cache = self.scanner.plane_cache
@@ -198,21 +201,22 @@ class ChipScanJob:
         """Score every window of one tile; returns ``(ny, nx)`` scores."""
         return self._fault_wrapped(self._score_tile)(tile)
 
-    def tile_input(
-        self, tile: TileSpec
-    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Rasterize one tile: its ``(1, 1, h, w)`` ±1 plane and its
-        windows' plane-local origins, row-major."""
-        region = tile.region
-        origins = [
-            self._local_origin(region, i, j)
+    def tile_origins(self, tile: TileSpec) -> list[tuple[int, int]]:
+        """Plane-local origins of one tile's windows, row-major."""
+        return [
+            self._local_origin(tile.region, i, j)
             for j in range(tile.iy0, tile.iy1)
             for i in range(tile.ix0, tile.ix1)
         ]
-        return self._region_plane(region), origins
+
+    def tile_raster(self, tile: TileSpec) -> np.ndarray:
+        """One tile's ``(h, w)`` 0/1 layout raster; its network input
+        is :func:`~repro.features.downsample.to_network_input` of it."""
+        return self._raster(tile.region)
 
     def _score_tile(self, tile: TileSpec) -> np.ndarray:
-        scores = self._score(*self.tile_input(tile))
+        scores = self._score(self._region_plane(tile.region),
+                             self.tile_origins(tile))
         return scores.reshape(tile.iy1 - tile.iy0, tile.ix1 - tile.ix0)
 
     def score_origins(

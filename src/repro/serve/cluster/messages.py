@@ -112,9 +112,10 @@ class ClassifyTask:
 class ScanShardTask:
     """Score every window of one scan tile.
 
-    The frame holds the tile's ``(1, 1, h, w)`` ±1 raster, the network
-    input a :class:`~repro.chip.ChipScanJob` builds for the tile, and
-    ``origins`` are its windows' origins in tile pixels, row-major.
+    The frame holds the tile's ``(h, w)`` uint8 0/1 raster; the worker
+    maps it to the ±1 network input a :class:`~repro.chip.ChipScanJob`
+    builds for the tile.  ``origins`` are the tile's window origins in
+    tile pixels, row-major.
     Every window lies wholly inside its tile (the tiles are
     halo-correct), so scoring them from the tile raster is
     bit-identical to scoring them in-process.

@@ -52,6 +52,7 @@ requests.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import pickle
 import queue as queue_mod
@@ -62,6 +63,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ...chip import origin_steps
 from ...features.downsample import to_network_input
 from ..errors import (
     FrameIntegrityError,
@@ -72,6 +74,7 @@ from ..errors import (
 from ..faults import FaultInjector
 from ..registry import ModelEntry, ModelRegistry
 from ..service import _remaining, _ServiceBase
+from ..types import ScanRequest
 from .fleet import ReplicaState, WorkerHandle
 from .messages import (
     ClassifyTask,
@@ -86,6 +89,33 @@ from .shm import put_frame
 from .worker import worker_main
 
 __all__ = ["ClusterService"]
+
+
+def _spread_budget(budget: int, request: ScanRequest, image_size: int,
+                   tiles: int) -> int:
+    """Cap ``budget`` so a scan of at least ``tiles`` windows is cut
+    into at least ``tiles`` near-equal tiles.
+
+    Tiles are the product of per-axis origin runs, filled greedily up
+    to the largest pixel span the budget allows, so a span of
+    ``per_run`` origins cuts an axis of ``n`` origins into
+    ``ceil(n / per_run)`` runs, all of ``per_run`` origins but the
+    last.  ``per_run`` starts at ``ceil(n / runs)``, equal runs for the
+    least ``runs`` with ``runs * runs >= tiles``, and drops only while
+    the grid still has fewer than ``tiles`` tiles.  Geometry that is
+    not pixel-aligned keeps ``budget``: compiling the sweep refuses it.
+    """
+    n = len(origin_steps(request.layout.size, request.window,
+                         request.stride))
+    if n * n < tiles or request.window % image_size:
+        return budget
+    per_run = -(-n // (math.isqrt(tiles - 1) + 1))
+    while (-(-n // per_run)) ** 2 < tiles:
+        per_run -= 1
+    side = ((per_run - 1) * request.stride + request.window) // (
+        request.window // image_size
+    )
+    return min(budget, 8 * side * side)
 
 
 class _FrameHolder:
@@ -809,33 +839,56 @@ class ClusterService(_ServiceBase):
 
     # -- scan path -------------------------------------------------------
 
-    def _executors(self) -> int:
-        return self.processes
+    def _tile_budget(self, request, entry):
+        """The memory bound, cut so a scan of at least ``2 * processes``
+        windows makes at least that many near-equal tiles: every
+        replica gets work.  The rule reads the configured process
+        count, not the READY one, so a scan's task count never depends
+        on which replicas are up."""
+        return _spread_budget(
+            super()._tile_budget(request, entry), request,
+            entry.image_size, 2 * self.processes,
+        )
 
     def _score_tiles(self, entry, job, timeout):
         """One frame and one task per tile, scored on the fleet.
 
         The router rasterizes the job's tiles in order and writes each
-        tile's raster into its own shared-memory frame, with a task
-        carrying the tile's plane-local origins; it submits that task
-        before it rasterizes the next tile, so replicas score while the
-        router rasterizes.  A worker scores a task with the engine call
-        the in-process sweep makes
-        (:func:`repro.chip.scanner.scan_logits`), so which replica
-        scores a tile, and how often it fails over, never changes a
-        score.  A tile whose task exhausts its failover/retry budget,
-        or is unfinished at the deadline, stays NaN.
+        tile's 0/1 raster, one byte per pixel, into its own
+        shared-memory frame, with a task carrying the tile's
+        plane-local origins.  At most ``2 * processes`` of a scan's
+        tasks (fewer under a smaller ``queue_depth``) are in flight:
+        before it rasterizes the next tile the router waits for the
+        oldest task, so a scan's shared memory and admission slots stay
+        bounded whatever the layout size, and replicas score while the
+        router rasterizes.  A worker maps the raster to the ±1 network
+        input and scores it with the engine call the in-process sweep
+        makes (:func:`repro.chip.scanner.scan_logits`), so which
+        replica scores a tile, and how often it fails over, never
+        changes a score.  A tile whose task exhausts its failover/retry
+        budget, or is unfinished at the deadline, stays NaN.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         version = self._versions.get(entry.name, 1)
+        in_flight = 2 * self.processes
+        if self.queue_depth is not None:
+            in_flight = min(in_flight, self.queue_depth)
         tasks: list[_Task] = []
+        late = False
         try:
-            for tile in job.tiles:
-                plane, origins = job.tile_input(tile)
-                holder = _FrameHolder(plane, self.faults)
+            for k, tile in enumerate(job.tiles):
+                oldest = tasks[k - in_flight] if k >= in_flight else None
+                if oldest is not None and not oldest.event.wait(
+                    timeout=_remaining(deadline)
+                ):
+                    late = True
+                    break
+                holder = _FrameHolder(
+                    job.tile_raster(tile).astype(np.uint8), self.faults
+                )
                 msg = ScanShardTask(
                     task_id=-1, model=entry.name, version=version,
-                    frame=holder.ref, origins=tuple(origins),
+                    frame=holder.ref, origins=tuple(job.tile_origins(tile)),
                     window_px=entry.image_size, batch_size=self.max_batch,
                 )
                 try:
@@ -850,12 +903,12 @@ class ClusterService(_ServiceBase):
             with self._cond:
                 self._abandon_locked(tasks)
             raise
-        for task in tasks:
-            if not task.event.wait(timeout=_remaining(deadline)):
-                with self._cond:
-                    self._abandon_locked(tasks)
-                self.metrics.record_timeout()
-                break
+        if late or not all(
+            task.event.wait(timeout=_remaining(deadline)) for task in tasks
+        ):
+            with self._cond:
+                self._abandon_locked(tasks)
+            self.metrics.record_timeout()
         scores = job.empty_scores()
         retries = 0
         for tile, task in zip(job.tiles, tasks):

@@ -32,6 +32,7 @@ import numpy as np
 
 from ...binary.inference import ProgramEngine
 from ...chip.scanner import scan_logits
+from ...features.downsample import to_network_input
 from ..errors import FrameIntegrityError
 from .messages import (
     ClassifyTask,
@@ -101,11 +102,12 @@ class _Worker:
 
     def _score(self, task, served: _Served) -> np.ndarray:
         """Logits of one task, from a verified private copy of its frame."""
-        batch = read_frame(task.frame)
+        frame = read_frame(task.frame)
         if isinstance(task, ClassifyTask):
-            return served.engine.predict_logits(batch)
-        return scan_logits(served.engine, batch, task.window_px,
-                           list(task.origins), task.batch_size)
+            return served.engine.predict_logits(frame)
+        return scan_logits(served.engine, to_network_input(frame[None]),
+                           task.window_px, list(task.origins),
+                           task.batch_size)
 
     # -- protocol -------------------------------------------------------
 

@@ -48,7 +48,6 @@ deterministically.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Iterable, Sequence
@@ -117,32 +116,6 @@ def scan_tile_budget(engine, image_size: int) -> int:
     return 8 * max(pixels, image_size * image_size)
 
 
-def _spread_budget(budget: int, request: ScanRequest, image_size: int,
-                   executors: int) -> int:
-    """Cap ``budget`` so a scan of at least ``2 * executors`` windows is
-    cut into at least ``2 * executors`` tiles.
-
-    Tiles are the row-major product of per-axis origin runs, and no run
-    holds more origins than the largest pixel span the budget allows,
-    so capping the span at ``per_run`` origins cuts each axis's ``n``
-    origins into at least ``ceil(n / per_run)`` runs; ``per_run`` is
-    the largest count that still gives ``runs`` of them, the least
-    ``runs`` with ``runs * runs >= 2 * executors``.  Geometry that is
-    not pixel-aligned keeps ``budget``: compiling the sweep refuses it.
-    """
-    want = 2 * executors
-    steps = origin_steps(request.layout.size, request.window, request.stride)
-    n = len(steps)
-    if n * n < want or request.window % image_size:
-        return budget
-    runs = math.isqrt(want - 1) + 1
-    per_run = -(-n // (runs - 1)) - 1
-    side = ((per_run - 1) * request.stride + request.window) // (
-        request.window // image_size
-    )
-    return min(budget, 8 * side * side)
-
-
 def _unscored_ranges(scores: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximal ``[start, stop)`` runs of NaN (unscored) entries."""
     edges = np.diff(np.concatenate(
@@ -190,7 +163,8 @@ class _ServiceBase:
     fault-injectable ``"raster"`` site), deadlines, prediction and
     :class:`ScanReport` assembly, metrics, ``health()`` and ``stats()``.
     A scan is one tile sweep (:class:`repro.chip.ChipScanJob`),
-    compiled here once under one tile-sizing rule (:meth:`_scan_job`).
+    compiled here once (:meth:`_scan_job`) with tiles sized by
+    :meth:`_tile_budget`.
     Where the scoring runs is the subclass's business, through two
     hooks:
 
@@ -202,8 +176,7 @@ class _ServiceBase:
 
     :class:`HotspotService` runs both in-process (micro-batcher and
     thread pool); :class:`~repro.serve.cluster.ClusterService` runs them
-    on a supervised fleet of worker processes.  :meth:`_executors`
-    counts the executors a sweep is spread over.
+    on a supervised fleet of worker processes.
     """
 
     def __init__(
@@ -271,28 +244,21 @@ class _ServiceBase:
         unscored; retries)."""
         raise NotImplementedError
 
-    def _executors(self) -> int:
-        """Configured executors a scan's tiles are spread over."""
-        raise NotImplementedError
+    def _tile_budget(self, request: ScanRequest, entry: ModelEntry) -> int:
+        """Raster bytes per tile of one :meth:`scan`: the memory bound
+        :func:`scan_tile_budget`, which depends on the model alone, so
+        the in-process tile count never depends on the host."""
+        return scan_tile_budget(entry.engine, entry.image_size)
 
     def _scan_job(self, request: ScanRequest, entry: ModelEntry):
-        """Compile the tile sweep of one :meth:`scan`.
-
-        Tiles are sized by one rule: the memory bound
-        :func:`scan_tile_budget`, cut further so a scan of at least
-        ``2 * executors`` windows makes at least that many tiles.  The
-        rule reads the configured executor count, so a scan's tile
-        count never depends on which executors are up.  Geometry that
-        is not pixel-aligned raises ``ValueError``.
-        """
-        budget = _spread_budget(
-            scan_tile_budget(entry.engine, entry.image_size), request,
-            entry.image_size, self._executors(),
-        )
+        """Compile the tile sweep of one :meth:`scan` under
+        :meth:`_tile_budget`.  Geometry that is not pixel-aligned raises
+        ``ValueError``."""
         scanner = ChipScanner(entry.engine, entry.image_size,
                               batch_size=self.max_batch, faults=self.faults)
         return scanner.compile(
-            request.layout, request.window, request.stride, budget
+            request.layout, request.window, request.stride,
+            self._tile_budget(request, entry),
         )
 
     # -- internals -------------------------------------------------------
@@ -659,9 +625,6 @@ class HotspotService(_ServiceBase):
             yield logits
 
     # -- scan path -------------------------------------------------------
-
-    def _executors(self) -> int:
-        return self.pool.workers
 
     def _score_tiles(self, entry, job, timeout):
         scores, _failed_tiles, retried_shards = self._sweep(job, timeout)

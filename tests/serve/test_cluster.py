@@ -15,6 +15,7 @@ import pytest
 
 import repro.serve.service as service_module
 from repro.binary.inference import ProgramEngine
+from repro.chip import origin_steps, plan_tiles
 from repro.engine import available_backends
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
@@ -32,6 +33,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import FrameRef, put_frame, read_frame
 from repro.serve.cluster.messages import ClassifyTask, WorkerConfig
+from repro.serve.cluster.service import _spread_budget
 from repro.serve.cluster.worker import _Served, _Worker
 
 pytestmark = pytest.mark.timeout(240)
@@ -198,6 +200,38 @@ class TestTileScan:
         )
         assert len(report.hits) < len(healthy.hits)
 
+    def test_scan_of_more_tiles_than_queue_depth_is_not_shed(
+        self, model, reference, monkeypatch
+    ):
+        """A scan keeps at most ``min(2 * processes, queue_depth)``
+        tasks in flight, so under ``overflow="shed"`` a scan of more
+        tiles than ``queue_depth`` is admitted tile by tile."""
+        small_tiles(monkeypatch, model, 32)
+        req = ScanRequest(layout=make_layout(seed=7), window=64, stride=32)
+        with ClusterService.from_model(
+            model, image_size=16, processes=2, queue_depth=3,
+            overflow="shed", heartbeat_s=0.2, heartbeat_timeout_s=10.0,
+        ) as svc:
+            tiles = svc._scan_job(req, svc.registry.get("default")).tiles
+            assert len(tiles) > svc.queue_depth
+            outstanding = []
+            submit = svc._submit_locked
+
+            def tracking(msg, holder, **kwargs):
+                task = submit(msg, holder, **kwargs)
+                outstanding.append(len(svc._tasks))
+                return task
+
+            svc._submit_locked = tracking
+            got = svc.scan(req, timeout=120)
+            assert svc.metrics.shed_total == 0
+        assert len(outstanding) == len(tiles)
+        assert max(outstanding) <= 3
+        want = reference.scan(req)
+        assert not got.degraded
+        assert [(h.x0, h.y0, h.score) for h in got.hits] == \
+            [(h.x0, h.y0, h.score) for h in want.hits]
+
     def test_unaligned_scan_is_refused(self, cluster):
         layout = make_layout(seed=6)
         scans = cluster.metrics.scan_requests_total
@@ -206,6 +240,27 @@ class TestTileScan:
                 cluster.scan(ScanRequest(layout, window=window,
                                          stride=stride))
         assert cluster.metrics.scan_requests_total == scans
+
+
+class TestTileSpread:
+    @pytest.mark.parametrize("processes", [1, 2, 3, 4, 8])
+    def test_spread_tiles_are_near_equal(self, processes):
+        """A scan of at least ``2 * processes`` windows is cut into at
+        least that many tiles, none holding more than twice an equal
+        share, so no replica is left only slivers."""
+        want = 2 * processes
+        for stride in (32, 48, 100):
+            for size in range(64, 1200, 28):
+                n = len(origin_steps(size, 64, stride))
+                if n * n < want:
+                    continue
+                budget = _spread_budget(
+                    1 << 40, ScanRequest(Clip(size), window=64,
+                                         stride=stride), 16, want,
+                )
+                tiles = plan_tiles(size, 64, stride, 4, budget).tiles
+                assert len(tiles) >= want
+                assert max(t.n_origins for t in tiles) <= 2 * n * n / want
 
 
 class TestProvenanceAndHealth:

@@ -371,22 +371,32 @@ class TestPlaneScan:
         monkeypatch.setattr(bitpack, "_pack_activation_columns", tracking)
         size, window = 8320, 128  # 1040 px plane at 8 nm per pixel
         pixels = size // (window // 16)
-        small_tiles(monkeypatch, model, pixels)  # memory bound: whole plane
+        assert (pixels - 2) ** 2 > budget  # untiled 3x3 valid conv
+        small_tiles(monkeypatch, model, pixels)  # one tile: the whole plane
         # half-window stride: overlapping windows make planing the stem
         # cheaper than running it per window
         request = ScanRequest(make_layout(size=size, seed=13, n=60),
                               window=window, stride=64)
-        # one worker: the 2-tile spread cuts the plane into a 1032 px
-        # tile and slivers, on any host
-        with HotspotService.from_model(model, 16, workers=1) as svc:
-            job = svc._scan_job(request, svc.registry.get("default"))
-            side = max(max(job.grid.tile_pixels(t)) for t in job.tiles)
-            assert (side - 2) ** 2 > budget  # untiled 3x3 valid conv
+        with HotspotService.from_model(model, 16) as svc:
             report = svc.scan(request)
             assert svc.stats()["windows_failed_total"] == 0
         assert report.windows_scanned == 129 * 129
         # the largest buffer is a band of the stem's whole-plane pass
         assert widths and budget // 2 < max(widths) <= budget
+
+    def test_tiles_do_not_depend_on_the_worker_count(self, model):
+        """In-process tiles are the memory bound alone: the pool size,
+        which defaults to the host's CPU count, never re-cuts a scan."""
+        request = ScanRequest(make_layout(size=256, seed=4), window=64,
+                              stride=32)
+        cuts = []
+        for workers in (1, 2, 8):
+            with HotspotService.from_model(model, 16,
+                                           workers=workers) as svc:
+                job = svc._scan_job(request, svc.registry.get("default"))
+                cuts.append([tile.region for tile in job.tiles])
+        assert cuts[0] == cuts[1] == cuts[2]
+        assert len(cuts[0]) == 1  # 256 nm fits one tile's memory bound
 
     def test_misaligned_geometry_is_refused(self, model):
         # window 200 is not a whole number of 16-px cells; stride 100 is
