@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from ..litho.geometry import Clip
-from ..train.checkpoint import fsync_directory
+from ..nn.serialization import atomic_write, fsync_directory
 from .tiling import TileGrid
 
 __all__ = [
@@ -430,20 +430,12 @@ def snapshot_journal(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(_frame(
-                _KIND_HEADER,
-                json.dumps(header, sort_keys=True).encode("utf-8"),
-            ))
-            for record in records:
-                handle.write(_frame(_KIND_TILE, _tile_payload(record)))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(path.parent)
-    return path
+
+    def write(handle) -> None:
+        handle.write(_frame(
+            _KIND_HEADER, json.dumps(header, sort_keys=True).encode("utf-8")
+        ))
+        for record in records:
+            handle.write(_frame(_KIND_TILE, _tile_payload(record)))
+
+    return atomic_write(path, write)

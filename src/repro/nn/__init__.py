@@ -8,7 +8,6 @@ paper.
 """
 
 from . import functional, gradcheck, init
-from .callbacks import BestWeightsKeeper, EarlyStopping
 from .data import (
     ArrayDataset,
     DataLoader,
@@ -60,9 +59,7 @@ __all__ = [
     "gradcheck",
     "init",
     "ArrayDataset",
-    "BestWeightsKeeper",
     "DataLoader",
-    "EarlyStopping",
     "RandomFlip",
     "balanced_weights",
     "capture_rng_state",

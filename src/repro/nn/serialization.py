@@ -17,6 +17,12 @@ fails loudly with :class:`CheckpointError` instead of serving garbage
 predictions.  Truncated or non-zip files raise the same typed error.
 Checkpoints written before a checksum existed load unchanged (no
 checksum recorded, none verified).
+
+Atomicity: :func:`save_model` writes through :func:`atomic_write`
+(temp file + fsync + ``os.replace`` + directory fsync), the helper the
+training run-state checkpoints and the chip-scan journal snapshots use
+too.  A crash or full disk mid-write leaves the previous file at the
+path intact, never a half-written archive.
 """
 
 from __future__ import annotations
@@ -25,12 +31,15 @@ import hashlib
 import os
 import zipfile
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
 from .module import Module
 
 __all__ = [
+    "atomic_write",
+    "fsync_directory",
     "save_model",
     "load_model",
     "load_meta",
@@ -71,6 +80,47 @@ def state_checksum(state: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+def fsync_directory(directory: Path) -> None:
+    """Make a create/rename in ``directory`` durable.
+
+    A no-op where directory fds are unsupported (``os.open`` fails),
+    but an ``fsync`` error propagates: swallowing it would let the
+    caller believe a rename is durable when it may not be.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path: Path, write: Callable[[BinaryIO], None]) -> Path:
+    """Replace ``path`` all-or-nothing with what ``write`` writes.
+
+    ``write(handle)`` fills a ``<name>.tmp-<pid>`` file beside ``path``,
+    which is flushed, fsynced and ``os.replace``-renamed over ``path``;
+    the directory is then fsynced so the rename is durable too.  If
+    ``write`` (or the rename) raises, the temporary file is removed and
+    the previous file at ``path``, if any, is left untouched.  Returns
+    ``path``.
+    """
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fsync_directory(path.parent)
+    return path
+
+
 def checkpoint_path(path: str | os.PathLike) -> Path:
     """Normalize a checkpoint path to carry the ``.npz`` suffix.
 
@@ -97,8 +147,9 @@ def save_model(
     ``content_sha256`` checksum over the parameter arrays and a
     ``meta_sha256`` over the metadata record (architecture knobs,
     decision threshold — everything the registry rebuilds a model from)
-    are always added.  Returns the path actually written (the input
-    with ``.npz`` appended if missing).
+    are always added.  The write is atomic (:func:`atomic_write`).
+    Returns the path actually written (the input with ``.npz`` appended
+    if missing).
     """
     path = checkpoint_path(path)
     state = model.state_dict()
@@ -116,8 +167,7 @@ def save_model(
     state[_META_PREFIX + _META_CHECKSUM_KEY] = np.asarray(
         state_checksum(meta_state)
     )
-    np.savez(path, **state)
-    return path
+    return atomic_write(path, lambda handle: np.savez(handle, **state))
 
 
 def _read_archive(path: Path) -> dict[str, np.ndarray]:

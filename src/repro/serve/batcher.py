@@ -200,7 +200,7 @@ class MicroBatcher:
                     pass
             if self.overflow == "shed":
                 if self.metrics is not None:
-                    self.metrics.record_shed()
+                    self.metrics.add(shed_total=1)
                 raise ServiceOverloaded(
                     f"admission queue full ({self.queue_depth} deep); "
                     "request shed"
@@ -210,7 +210,7 @@ class MicroBatcher:
             )
             if remaining is not None and remaining <= 0:
                 if self.metrics is not None:
-                    self.metrics.record_timeout()
+                    self.metrics.add(timeouts_total=1)
                 raise DeadlineExceeded(
                     f"request not admitted within {timeout}s "
                     f"(queue full at depth {self.queue_depth})",
@@ -241,7 +241,7 @@ class MicroBatcher:
         except FutureTimeoutError:
             future.cancel()
             if self.metrics is not None:
-                self.metrics.record_timeout()
+                self.metrics.add(timeouts_total=1)
             raise DeadlineExceeded(
                 f"inference did not complete within {timeout}s",
                 timeout_s=timeout, stage="infer",
@@ -318,7 +318,7 @@ class MicroBatcher:
                         stage="queue",
                     ))
                     if self.metrics is not None:
-                        self.metrics.record_timeout()
+                        self.metrics.add(timeouts_total=1)
             else:
                 live.append(item)
         return live
@@ -344,17 +344,19 @@ class MicroBatcher:
                 if not batch[0].future.cancelled():
                     batch[0].future.set_exception(exc)
                 if self.metrics is not None and quarantining:
-                    self.metrics.record_quarantine()
+                    self.metrics.add(quarantined_total=1)
                 return
             if self.metrics is not None:
-                self.metrics.record_batch_split()
+                self.metrics.add(batch_splits_total=1)
             mid = len(batch) // 2
             self._execute(batch[:mid], quarantining=True)
             self._execute(batch[mid:], quarantining=True)
             return
         elapsed_ms = (time.perf_counter() - started) * 1e3
         if self.metrics is not None:
-            self.metrics.record_batch(len(batch), elapsed_ms)
+            self.metrics.add(batches_total=1, batched_clips_total=len(batch))
+            self.metrics.peak(max_batch_size=len(batch))
+            self.metrics.observe(batch_latency=elapsed_ms)
         for row, item in enumerate(batch):
             if not item.future.cancelled():
                 item.future.set_result(outputs[row])

@@ -35,21 +35,12 @@ import time
 
 import numpy as np
 
+from ...chip.parity import _gate_model
 from ...litho.geometry import Clip, Rect
-from ...models.bnn_resnet import build_bnn_resnet
 from ..faults import FaultInjector
 from ..service import HotspotService
 from ..types import ClipRequest, ScanRequest
 from .service import ClusterService
-
-
-def _gate_model(image_size: int, seed: int):
-    """The small warmed-up BNN every gate check scores with."""
-    model = build_bnn_resnet((4, 8), scaling="xnor", seed=seed)
-    rng = np.random.default_rng(99)
-    warmup = (rng.random((8, 1, image_size, image_size)) > 0.5) * 2.0 - 1.0
-    model.forward(warmup, training=True)  # give BN non-trivial stats
-    return model
 
 
 def _synth_layout(size: int, seed: int) -> Clip:

@@ -415,7 +415,7 @@ class ClusterService(_ServiceBase):
         )
         proc.start()
         handle.proc = proc
-        self.metrics.record_worker_spawn()
+        self.metrics.add(workers_spawned_total=1)
         collector = threading.Thread(
             target=self._collect,
             args=(handle, generation, handle.result_queue, proc),
@@ -483,7 +483,7 @@ class ClusterService(_ServiceBase):
         if task is None:
             return  # abandoned (deadline) or completed by a sibling
         if msg.frame_corrupt:
-            self.metrics.record_frame_retry()
+            self.metrics.add(frame_retries_total=1)
             task.frame_retries += 1
             if task.frame_retries > self.frame_retries:
                 self._fail_locked(task, FrameIntegrityError(
@@ -521,7 +521,7 @@ class ClusterService(_ServiceBase):
         task.event.set()
 
     def _fail_locked(self, task: _Task, error: BaseException) -> None:
-        self.metrics.record_error()
+        self.metrics.add(errors_total=1)
         task.error = error
         self._finish_locked(task)
 
@@ -554,18 +554,19 @@ class ClusterService(_ServiceBase):
                         crashes=task.crashes,
                     ))
                 else:
-                    self.metrics.record_failover()
+                    self.metrics.add(tasks_failed_over_total=1)
                     self._requeue_locked(task)
             if expected:
                 handle.state = ReplicaState.DEAD
                 self._cond.notify_all()
                 return
-            self.metrics.record_worker_reap(timed_out=handle.timed_out)
+            self.metrics.add(workers_reaped_total=1,
+                             worker_timeouts_total=int(handle.timed_out))
             handle.timed_out = False
             handle.crashes += 1
             if handle.crashes >= self.quarantine_after:
                 handle.state = ReplicaState.QUARANTINED
-                self.metrics.record_slot_quarantine()
+                self.metrics.add(slots_quarantined_total=1)
                 self._fail_pending_if_fleet_lost_locked()
             else:
                 handle.state = ReplicaState.DEAD
@@ -588,18 +589,6 @@ class ClusterService(_ServiceBase):
                 "entire fleet is quarantined after repeated crash loops",
                 crashes=task.crashes,
             ))
-
-    def reset_quarantine(self, slot: int | None = None) -> None:
-        """Operator override: clear crash history and respawn slot(s)."""
-        with self._cond:
-            for handle in self._handles:
-                if slot is not None and handle.slot != slot:
-                    continue
-                if handle.state is ReplicaState.QUARANTINED:
-                    handle.crashes = 0
-                    handle.state = ReplicaState.DEAD
-                    handle.next_spawn_at = 0.0
-            self._cond.notify_all()
 
     # -- supervisor ------------------------------------------------------
 
@@ -757,7 +746,7 @@ class ClusterService(_ServiceBase):
             and len(self._tasks) >= self.queue_depth
         ):
             if self.overflow == "shed":
-                self.metrics.record_shed()
+                self.metrics.add(shed_total=1)
                 raise ServiceOverloaded(
                     f"admission queue full ({self.queue_depth} tasks "
                     f"outstanding) and overflow policy is 'shed'"
@@ -908,7 +897,7 @@ class ClusterService(_ServiceBase):
         ):
             with self._cond:
                 self._abandon_locked(tasks)
-            self.metrics.record_timeout()
+            self.metrics.add(timeouts_total=1)
         scores = job.empty_scores()
         retries = 0
         for tile, task in zip(job.tiles, tasks):
@@ -1000,7 +989,7 @@ class ClusterService(_ServiceBase):
                     passes=passes,
                 )
         except Exception:
-            self.metrics.record_rollout(ok=False)
+            self.metrics.add(rollouts_total=1, rollout_failures_total=1)
             raise
         new_version = old_version + 1
         with self._cond:
@@ -1047,10 +1036,10 @@ class ClusterService(_ServiceBase):
                             handle.state = ReplicaState.READY
                             self._cond.notify_all()
                     raise
-            self.metrics.record_rollout(ok=True)
+            self.metrics.add(rollouts_total=1)
             return entry
         except Exception:
-            self.metrics.record_rollout(ok=False)
+            self.metrics.add(rollouts_total=1, rollout_failures_total=1)
             self._roll_back(name, old_entry, old_version, old_spec,
                             swapped, drain_timeout_s)
             raise

@@ -1,8 +1,11 @@
 """Service observability: counters, latency histograms, batch stats.
 
-Everything is in-process and lock-protected; :meth:`ServiceMetrics.stats`
-returns a plain-dict snapshot suitable for logging, table formatting, or
-export to an external metrics system.  Histograms use fixed logarithmic
+Each counter is declared once, as a row of :data:`COUNTERS`: the table
+alone decides what ``stats()`` reports and in which order, what
+``reset()`` zeroes and which counters degrade a service's ``health()``.
+Everything is in-process and lock-protected; ``stats()`` returns a
+plain-dict snapshot suitable for logging, table formatting, or export
+to an external metrics system.  Histograms use fixed logarithmic
 bucket bounds (Prometheus-style cumulative-free counts) so percentile
 estimates are cheap and allocation-free on the hot path.
 """
@@ -10,9 +13,12 @@ estimates are cheap and allocation-free on the hot path.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from threading import Lock
+from typing import Callable, NamedTuple
 
-__all__ = ["LatencyHistogram", "ServiceMetrics", "DEFAULT_BUCKETS_MS"]
+__all__ = ["COUNTERS", "Counter", "DEFAULT_BUCKETS_MS", "HISTOGRAMS",
+           "LatencyHistogram", "ServiceMetrics"]
 
 #: Upper bounds (milliseconds) of the latency histogram buckets.
 DEFAULT_BUCKETS_MS = (
@@ -78,220 +84,127 @@ class LatencyHistogram:
         }
 
 
+
+
+def _mean_batch_size(counts: dict[str, float]) -> float:
+    """Average clips per engine invocation (0.0 when no batches)."""
+    batches = counts["batches_total"]
+    return counts["batched_clips_total"] / batches if batches else 0.0
+
+
+class Counter(NamedTuple):
+    """One :data:`COUNTERS` row: ``key`` names it in ``stats()``, ``add``
+    and ``peak``.  While a counter with a ``fault`` phrase is non-zero,
+    ``health()`` is DEGRADED with reason ``"<count> <fault>"`` (listed by
+    ``rank``, then in table order).  ``digits`` marks a float counter and
+    its ``stats()`` rounding; ``derive`` computes a value instead.
+    """
+
+    key: str
+    fault: str = ""
+    rank: int = 0
+    digits: int | None = None
+    derive: Callable[[dict[str, float]], float] | None = None
+
+
+#: Every counter, in ``stats()`` order.  Sums are fed by
+#: :meth:`ServiceMetrics.add`, the two high-water marks (commented
+#: below) by :meth:`ServiceMetrics.peak`.
+COUNTERS: tuple[Counter, ...] = (
+    # classify requests and the micro-batcher
+    Counter("requests_total"),
+    Counter("errors_total", "request errors"),
+    Counter("shed_total", "requests shed (queue full)"),
+    Counter("timeouts_total", "deadline timeouts"),
+    Counter("quarantined_total", "poison requests quarantined"),
+    Counter("batches_total"),
+    Counter("batch_splits_total"),
+    Counter("batched_clips_total"),
+    Counter("mean_batch_size", digits=2, derive=_mean_batch_size),
+    Counter("max_batch_size"),  # high-water mark
+    # scans; windows and retries count plane and chip scans alike
+    Counter("scan_requests_total"),
+    Counter("degraded_scans_total", "degraded scans", rank=1),
+    Counter("windows_scanned_total"),
+    Counter("windows_failed_total"),
+    Counter("shard_retries_total"),
+    # streaming chip scans, ECO re-scans and durable (journalled) scans
+    Counter("chip_scan_requests_total"),
+    Counter("chip_rescan_requests_total"),
+    Counter("chip_tiles_scanned_total"),
+    Counter("chip_tiles_failed_total"),
+    Counter("chip_windows_rescored_total"),
+    Counter("chip_windows_scored_total"),
+    Counter("chip_peak_tile_bytes"),  # high-water mark
+    Counter("chip_tiles_replayed_total"),
+    Counter("chip_tile_retries_total"),
+    Counter("chip_backoff_ms_total", digits=3),
+    Counter("chip_windows_quarantined_total"),
+    Counter("chip_resumed_scans_total"),
+    # the worker-process fleet (zero in-process)
+    Counter("workers_spawned_total"),
+    Counter("workers_reaped_total", "workers reaped"),
+    Counter("worker_timeouts_total", "worker heartbeat timeouts"),
+    Counter("tasks_failed_over_total", "tasks failed over"),
+    Counter("frame_retries_total", "frame integrity retries"),
+    Counter("slots_quarantined_total"),
+    Counter("rollouts_total"),
+    Counter("rollout_failures_total", "rollout failures", rank=1),
+)
+
+#: The latency histograms :meth:`ServiceMetrics.observe` feeds, in
+#: ``stats()`` order (after every counter).
+HISTOGRAMS = ("request_latency", "batch_latency", "scan_latency",
+              "chip_scan_latency")
+
+_FAULTS = sorted((r for r in COUNTERS if r.fault), key=attrgetter("rank"))
+
+
 class ServiceMetrics:
     """Thread-safe counters and histograms for one service instance.
 
-    Besides its own counters, the object can host per-model engine
-    op-timing tables (:meth:`register_op_table`): any object with
-    ``snapshot() -> list[dict]`` and ``reset()`` — in practice
-    :class:`repro.engine.executor.OpTimings` — whose rows then appear
-    under ``per_op_ms`` in :meth:`stats`, giving the per-layer time
-    breakdown of everything the engines executed.
+    Counters are read with ``metrics[key]`` and updated with :meth:`add`
+    and :meth:`peak`, histograms with :meth:`observe`; an unknown key
+    raises ``KeyError``.  Besides its own counters, the object can host
+    per-model engine op-timing tables (:meth:`register_op_table`): any
+    object with ``snapshot() -> list[dict]`` and ``reset()`` — in
+    practice :class:`repro.engine.executor.OpTimings` — whose rows then
+    appear under ``per_op_ms`` in :meth:`stats`, giving the per-layer
+    time breakdown of everything the engines executed.
     """
 
     def __init__(self):
         self._lock = Lock()
         self._op_tables: dict[str, object] = {}
-        self.requests_total = 0
-        self.errors_total = 0
-        self.shed_total = 0
-        self.timeouts_total = 0
-        self.quarantined_total = 0
-        self.batches_total = 0
-        self.batch_splits_total = 0
-        self.batched_clips_total = 0
-        self.max_batch_size = 0
-        self.scan_requests_total = 0
-        self.degraded_scans_total = 0
-        self.windows_scanned_total = 0
-        self.windows_failed_total = 0
-        self.shard_retries_total = 0
-        self.chip_scan_requests_total = 0
-        self.chip_rescan_requests_total = 0
-        self.chip_tiles_scanned_total = 0
-        self.chip_tiles_failed_total = 0
-        self.chip_windows_rescored_total = 0
-        self.chip_windows_scored_total = 0
-        self.chip_peak_tile_bytes = 0
-        self.chip_tiles_replayed_total = 0
-        self.chip_tile_retries_total = 0
-        self.chip_backoff_ms_total = 0.0
-        self.chip_windows_quarantined_total = 0
-        self.chip_resumed_scans_total = 0
-        self.workers_spawned_total = 0
-        self.workers_reaped_total = 0
-        self.worker_timeouts_total = 0
-        self.tasks_failed_over_total = 0
-        self.frame_retries_total = 0
-        self.slots_quarantined_total = 0
-        self.rollouts_total = 0
-        self.rollout_failures_total = 0
-        self.request_latency = LatencyHistogram()
-        self.batch_latency = LatencyHistogram()
-        self.scan_latency = LatencyHistogram()
-        self.chip_scan_latency = LatencyHistogram()
+        self.reset()
 
-    # -- recording hooks -------------------------------------------------
+    def __getitem__(self, key: str) -> float:
+        return self._counts[key]
 
-    def record_request(self, latency_ms: float) -> None:
-        """One classify request completed end-to-end."""
+    def add(self, **deltas: float) -> None:
+        """Add each delta to its counter, all under one lock."""
         with self._lock:
-            self.requests_total += 1
-            self.request_latency.observe(latency_ms)
+            for key, delta in deltas.items():
+                self._counts[key] += delta
 
-    def record_error(self) -> None:
-        """One request failed (exception surfaced to the caller)."""
+    def peak(self, **values: float) -> None:
+        """Raise each high-water mark to its value if that is higher."""
         with self._lock:
-            self.errors_total += 1
+            for key, value in values.items():
+                self._counts[key] = max(self._counts[key], value)
 
-    def record_shed(self) -> None:
-        """One request rejected at admission (queue full, shed policy)."""
+    def observe(self, **latencies_ms: float) -> None:
+        """Record one latency sample in each named histogram."""
         with self._lock:
-            self.shed_total += 1
+            for name, latency_ms in latencies_ms.items():
+                self._histograms[name].observe(latency_ms)
 
-    def record_timeout(self) -> None:
-        """One request abandoned past its deadline."""
+    def fault_reasons(self) -> tuple[str, ...]:
+        """One ``health()`` reason per non-zero fault counter."""
         with self._lock:
-            self.timeouts_total += 1
-
-    def record_quarantine(self, n: int = 1) -> None:
-        """``n`` poison requests isolated by batch bisection."""
-        with self._lock:
-            self.quarantined_total += n
-
-    def record_batch_split(self) -> None:
-        """One failed batch bisected to isolate its poison request(s)."""
-        with self._lock:
-            self.batch_splits_total += 1
-
-    def record_batch(self, size: int, latency_ms: float) -> None:
-        """One coalesced engine invocation of ``size`` clips."""
-        with self._lock:
-            self.batches_total += 1
-            self.batched_clips_total += size
-            if size > self.max_batch_size:
-                self.max_batch_size = size
-            self.batch_latency.observe(latency_ms)
-
-    def record_scan(
-        self,
-        windows: int,
-        latency_ms: float,
-        failed_windows: int = 0,
-        retried_shards: int = 0,
-    ) -> None:
-        """One scan request sweeping ``windows`` windows.
-
-        ``failed_windows`` counts windows left unscored even after retry
-        (a degraded scan); ``retried_shards`` counts shard retries that
-        happened (whether or not the retry succeeded).
-        """
-        with self._lock:
-            self.scan_requests_total += 1
-            if failed_windows:
-                self.degraded_scans_total += 1
-            self.windows_scanned_total += windows
-            self.windows_failed_total += failed_windows
-            self.shard_retries_total += retried_shards
-            self.scan_latency.observe(latency_ms)
-
-    def record_chip_scan(
-        self,
-        windows: int,
-        tiles: int,
-        latency_ms: float,
-        failed_tiles: int = 0,
-        failed_windows: int = 0,
-        peak_tile_bytes: int = 0,
-        rescored_windows: int | None = None,
-        scored_windows: int = 0,
-        retried_shards: int = 0,
-        replayed_tiles: int = 0,
-        tile_retries: int = 0,
-        backoff_ms: float = 0.0,
-        quarantined_windows: int = 0,
-        resumed: bool = False,
-    ) -> None:
-        """One full-chip streaming scan (or incremental re-scan).
-
-        ``rescored_windows`` is ``None`` for a full scan; an integer
-        marks the request as an ECO re-scan and accumulates the dirty
-        windows actually re-scored.  ``scored_windows`` is how many
-        windows the engine ran for the request — on a full scan one per
-        distinct window raster, so it falls below the windows covered
-        wherever rasters repeat; on a re-scan each dirty window.  ``peak_tile_bytes`` keeps a
-        high-water mark across requests (the budget-compliance signal
-        an operator watches).
-
-        The durable-scan arguments: ``replayed_tiles`` counts tiles
-        served from a resume journal instead of being re-scored,
-        ``tile_retries``/``backoff_ms`` the retry-policy work spent,
-        ``quarantined_windows`` the poison windows isolated by
-        bisection (these degrade the scan like failed tiles do), and
-        ``resumed`` marks a scan continued from a journal.
-        """
-        with self._lock:
-            self.chip_scan_requests_total += 1
-            if rescored_windows is not None:
-                self.chip_rescan_requests_total += 1
-                self.chip_windows_rescored_total += rescored_windows
-            self.chip_windows_scored_total += scored_windows
-            if failed_tiles or quarantined_windows:
-                self.degraded_scans_total += 1
-            self.chip_tiles_scanned_total += tiles - failed_tiles
-            self.chip_tiles_failed_total += failed_tiles
-            self.windows_scanned_total += windows
-            self.windows_failed_total += failed_windows
-            self.shard_retries_total += retried_shards
-            self.chip_tiles_replayed_total += replayed_tiles
-            self.chip_tile_retries_total += tile_retries
-            self.chip_backoff_ms_total += backoff_ms
-            self.chip_windows_quarantined_total += quarantined_windows
-            if resumed:
-                self.chip_resumed_scans_total += 1
-            if peak_tile_bytes > self.chip_peak_tile_bytes:
-                self.chip_peak_tile_bytes = peak_tile_bytes
-            self.chip_scan_latency.observe(latency_ms)
-
-    # -- cluster (worker-process fleet) hooks ----------------------------
-
-    def record_worker_spawn(self) -> None:
-        """One worker process spawned (initial fleet or a respawn)."""
-        with self._lock:
-            self.workers_spawned_total += 1
-
-    def record_worker_reap(self, timed_out: bool = False) -> None:
-        """One worker process reaped (crash, kill, or heartbeat timeout).
-
-        ``timed_out`` marks a reap forced by a missed heartbeat (the
-        supervisor killed a hung worker) rather than an observed death.
-        """
-        with self._lock:
-            self.workers_reaped_total += 1
-            if timed_out:
-                self.worker_timeouts_total += 1
-
-    def record_failover(self, n: int = 1) -> None:
-        """``n`` in-flight tasks re-queued to sibling workers."""
-        with self._lock:
-            self.tasks_failed_over_total += n
-
-    def record_frame_retry(self) -> None:
-        """One shared-memory frame rejected by digest check and rebuilt."""
-        with self._lock:
-            self.frame_retries_total += 1
-
-    def record_slot_quarantine(self) -> None:
-        """One fleet slot quarantined after a crash loop."""
-        with self._lock:
-            self.slots_quarantined_total += 1
-
-    def record_rollout(self, ok: bool = True) -> None:
-        """One rolling checkpoint rollout finished (or aborted)."""
-        with self._lock:
-            self.rollouts_total += 1
-            if not ok:
-                self.rollout_failures_total += 1
+            counts = self._counts
+            return tuple(f"{counts[row.key]} {row.fault}"
+                         for row in _FAULTS if counts[row.key])
 
     def register_op_table(self, model: str, table: object) -> None:
         """Attach a per-op timing table for ``model`` (idempotent).
@@ -315,53 +228,10 @@ class ServiceMetrics:
         for table in tables:
             table.reset()
         with self._lock:
-            self.requests_total = 0
-            self.errors_total = 0
-            self.shed_total = 0
-            self.timeouts_total = 0
-            self.quarantined_total = 0
-            self.batches_total = 0
-            self.batch_splits_total = 0
-            self.batched_clips_total = 0
-            self.max_batch_size = 0
-            self.scan_requests_total = 0
-            self.degraded_scans_total = 0
-            self.windows_scanned_total = 0
-            self.windows_failed_total = 0
-            self.shard_retries_total = 0
-            self.chip_scan_requests_total = 0
-            self.chip_rescan_requests_total = 0
-            self.chip_tiles_scanned_total = 0
-            self.chip_tiles_failed_total = 0
-            self.chip_windows_rescored_total = 0
-            self.chip_windows_scored_total = 0
-            self.chip_peak_tile_bytes = 0
-            self.chip_tiles_replayed_total = 0
-            self.chip_tile_retries_total = 0
-            self.chip_backoff_ms_total = 0.0
-            self.chip_windows_quarantined_total = 0
-            self.chip_resumed_scans_total = 0
-            self.workers_spawned_total = 0
-            self.workers_reaped_total = 0
-            self.worker_timeouts_total = 0
-            self.tasks_failed_over_total = 0
-            self.frame_retries_total = 0
-            self.slots_quarantined_total = 0
-            self.rollouts_total = 0
-            self.rollout_failures_total = 0
-            self.request_latency = LatencyHistogram()
-            self.batch_latency = LatencyHistogram()
-            self.scan_latency = LatencyHistogram()
-            self.chip_scan_latency = LatencyHistogram()
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average clips per engine invocation (0.0 when no batches)."""
-        if self.batches_total == 0:
-            return 0.0
-        return self.batched_clips_total / self.batches_total
+            self._counts = {row.key: 0.0 if row.digits else 0
+                            for row in COUNTERS if row.derive is None}
+            self._histograms = {name: LatencyHistogram()
+                                for name in HISTOGRAMS}
 
     def stats(self) -> dict[str, object]:
         """Plain-dict snapshot of every counter and histogram summary.
@@ -375,48 +245,14 @@ class ServiceMetrics:
         with self._lock:
             tables = dict(self._op_tables)
         per_op = {name: table.snapshot() for name, table in tables.items()}
+        snapshot: dict[str, object] = {"per_op_ms": per_op}
         with self._lock:
-            return {
-                "per_op_ms": per_op,
-                "requests_total": self.requests_total,
-                "errors_total": self.errors_total,
-                "shed_total": self.shed_total,
-                "timeouts_total": self.timeouts_total,
-                "quarantined_total": self.quarantined_total,
-                "batches_total": self.batches_total,
-                "batch_splits_total": self.batch_splits_total,
-                "batched_clips_total": self.batched_clips_total,
-                "mean_batch_size": round(self.mean_batch_size, 2),
-                "max_batch_size": self.max_batch_size,
-                "scan_requests_total": self.scan_requests_total,
-                "degraded_scans_total": self.degraded_scans_total,
-                "windows_scanned_total": self.windows_scanned_total,
-                "windows_failed_total": self.windows_failed_total,
-                "shard_retries_total": self.shard_retries_total,
-                "chip_scan_requests_total": self.chip_scan_requests_total,
-                "chip_rescan_requests_total": self.chip_rescan_requests_total,
-                "chip_tiles_scanned_total": self.chip_tiles_scanned_total,
-                "chip_tiles_failed_total": self.chip_tiles_failed_total,
-                "chip_windows_rescored_total":
-                    self.chip_windows_rescored_total,
-                "chip_windows_scored_total": self.chip_windows_scored_total,
-                "chip_peak_tile_bytes": self.chip_peak_tile_bytes,
-                "chip_tiles_replayed_total": self.chip_tiles_replayed_total,
-                "chip_tile_retries_total": self.chip_tile_retries_total,
-                "chip_backoff_ms_total": round(self.chip_backoff_ms_total, 3),
-                "chip_windows_quarantined_total":
-                    self.chip_windows_quarantined_total,
-                "chip_resumed_scans_total": self.chip_resumed_scans_total,
-                "workers_spawned_total": self.workers_spawned_total,
-                "workers_reaped_total": self.workers_reaped_total,
-                "worker_timeouts_total": self.worker_timeouts_total,
-                "tasks_failed_over_total": self.tasks_failed_over_total,
-                "frame_retries_total": self.frame_retries_total,
-                "slots_quarantined_total": self.slots_quarantined_total,
-                "rollouts_total": self.rollouts_total,
-                "rollout_failures_total": self.rollout_failures_total,
-                "request_latency": self.request_latency.snapshot(),
-                "batch_latency": self.batch_latency.snapshot(),
-                "scan_latency": self.scan_latency.snapshot(),
-                "chip_scan_latency": self.chip_scan_latency.snapshot(),
-            }
+            counts = self._counts
+            for row in COUNTERS:
+                value = row.derive(counts) if row.derive else counts[row.key]
+                snapshot[row.key] = (
+                    value if row.digits is None else round(value, row.digits)
+                )
+            for name, histogram in self._histograms.items():
+                snapshot[name] = histogram.snapshot()
+        return snapshot

@@ -313,7 +313,7 @@ class _ServiceBase:
         self, stage: str, timeout: float | None, message: str = ""
     ) -> DeadlineExceeded:
         """Count one timeout and build its typed error."""
-        self.metrics.record_timeout()
+        self.metrics.add(timeouts_total=1)
         return DeadlineExceeded(
             message or f"{stage} did not complete within {timeout}s",
             timeout_s=timeout, stage=stage,
@@ -362,7 +362,8 @@ class _ServiceBase:
         for request, logits in zip(prepared, rows):
             score = float(logits[1] - logits[0])
             latency_ms = (time.perf_counter() - started) * 1e3
-            self.metrics.record_request(latency_ms)
+            self.metrics.add(requests_total=1)
+            self.metrics.observe(request_latency=latency_ms)
             predictions.append(
                 Prediction(
                     request_id=request.request_id,
@@ -416,10 +417,14 @@ class _ServiceBase:
         failed_ranges = _unscored_ranges(scores)
         latency_ms = (time.perf_counter() - started) * 1e3
         failed_windows = sum(stop - start for start, stop in failed_ranges)
-        self.metrics.record_scan(
-            len(origins), latency_ms,
-            failed_windows=failed_windows, retried_shards=retried_shards,
+        self.metrics.add(
+            scan_requests_total=1,
+            degraded_scans_total=int(failed_windows > 0),
+            windows_scanned_total=len(origins),
+            windows_failed_total=failed_windows,
+            shard_retries_total=retried_shards,
         )
+        self.metrics.observe(scan_latency=latency_ms)
         return ScanReport(
             request_id=request.request_id,
             windows_scanned=len(origins),
@@ -444,10 +449,9 @@ class _ServiceBase:
         """Probe the service's health state.
 
         ``DRAINING`` once ``close()`` has begun; ``DEGRADED`` when any
-        fault counter (errors, sheds, timeouts, quarantined requests,
-        worker reaps and failovers, frame retries, degraded scans,
-        failed rollouts) has incremented since the metrics were last
-        reset — the reasons enumerate which — or when the executor
+        fault counter (a row of :data:`repro.serve.metrics.COUNTERS`
+        with a ``fault`` phrase) has incremented since the metrics were
+        last reset — the reasons enumerate which — or when the executor
         reports a condition of its own (a fleet's down, draining or
         mixed replicas); ``READY`` otherwise.  Degradation from fault
         counters is sticky until ``metrics.reset()``: a service that
@@ -458,24 +462,7 @@ class _ServiceBase:
             return HealthReport(
                 HealthState.DRAINING, ("service is closed/draining",)
             )
-        m = self.metrics
-        reasons = tuple(
-            f"{count} {what}"
-            for count, what in (
-                (m.errors_total, "request errors"),
-                (m.shed_total, "requests shed (queue full)"),
-                (m.timeouts_total, "deadline timeouts"),
-                (m.quarantined_total, "poison requests quarantined"),
-                (m.workers_reaped_total, "workers reaped"),
-                (m.worker_timeouts_total, "worker heartbeat timeouts"),
-                (m.tasks_failed_over_total, "tasks failed over"),
-                (m.frame_retries_total, "frame integrity retries"),
-                (m.degraded_scans_total, "degraded scans"),
-                (m.rollout_failures_total, "rollout failures"),
-            )
-            if count
-        )
-        reasons += self._health_reasons()
+        reasons = self.metrics.fault_reasons() + self._health_reasons()
         if reasons:
             return HealthReport(HealthState.DEGRADED, reasons)
         return HealthReport(HealthState.READY)
@@ -620,7 +607,7 @@ class HotspotService(_ServiceBase):
                     pending.cancel()
                 raise self._deadline_exceeded("classify", timeout) from None
             except Exception:
-                self.metrics.record_error()
+                self.metrics.add(errors_total=1)
                 raise
             yield logits
 
@@ -693,22 +680,28 @@ class HotspotService(_ServiceBase):
         replayed = int(stats.get("tiles_replayed", 0))
         tile_retries = int(stats.get("tile_retries", 0))
         resumed = bool(stats.get("resumed", False))
-        self.metrics.record_chip_scan(
-            windows=result.windows,
-            tiles=result.tiles,
-            latency_ms=latency_ms,
-            failed_tiles=len(failed_tiles),
-            failed_windows=result.heatmap.n_unscored,
-            peak_tile_bytes=result.peak_tile_bytes,
-            rescored_windows=result.rescored_windows,
-            scored_windows=int(stats.get("scored_windows", 0)),
-            retried_shards=retried_shards,
-            replayed_tiles=replayed,
-            tile_retries=tile_retries,
-            backoff_ms=float(stats.get("backoff_s", 0.0)) * 1e3,
-            quarantined_windows=len(quarantined),
-            resumed=resumed,
+        degraded = bool(failed_tiles or quarantined)
+        # rescored_windows is None on a full scan, an int on an ECO re-scan
+        rescan = result.rescored_windows is not None
+        self.metrics.add(
+            chip_scan_requests_total=1,
+            chip_rescan_requests_total=int(rescan),
+            chip_windows_rescored_total=result.rescored_windows or 0,
+            chip_windows_scored_total=int(stats.get("scored_windows", 0)),
+            degraded_scans_total=int(degraded),
+            chip_tiles_scanned_total=result.tiles - len(failed_tiles),
+            chip_tiles_failed_total=len(failed_tiles),
+            windows_scanned_total=result.windows,
+            windows_failed_total=result.heatmap.n_unscored,
+            shard_retries_total=retried_shards,
+            chip_tiles_replayed_total=replayed,
+            chip_tile_retries_total=tile_retries,
+            chip_backoff_ms_total=float(stats.get("backoff_s", 0.0)) * 1e3,
+            chip_windows_quarantined_total=len(quarantined),
+            chip_resumed_scans_total=int(resumed),
         )
+        self.metrics.peak(chip_peak_tile_bytes=result.peak_tile_bytes)
+        self.metrics.observe(chip_scan_latency=latency_ms)
         return ChipScanReport(
             request_id=request_id,
             windows_scanned=result.windows,
@@ -720,7 +713,7 @@ class HotspotService(_ServiceBase):
             backend=entry.backend,
             pipeline=entry.pipeline,
             latency_ms=latency_ms,
-            degraded=bool(failed_tiles or quarantined),
+            degraded=degraded,
             failed_tiles=failed_tiles,
             rescored_windows=result.rescored_windows,
             quarantined_windows=quarantined,

@@ -9,12 +9,13 @@ so far (the key layout is produced by
 
 Two guarantees matter here:
 
-**Atomicity** — :func:`save_run_state` writes to a temporary file in the
-same directory, flushes and fsyncs it, then ``os.replace``-renames it
-over the final name (and fsyncs the directory so the rename itself is
-durable).  A crash mid-write therefore leaves either the previous
-checkpoint or a stray ``*.tmp-*`` file — never a half-written archive
-under the real name.
+**Atomicity** — :func:`save_run_state` writes through
+:func:`~repro.nn.serialization.atomic_write`: a temporary file in the
+same directory, flushed, fsynced and ``os.replace``-renamed over the
+final name (the directory fsynced so the rename itself is durable).  A
+crash mid-write therefore leaves either the previous checkpoint or a
+stray ``*.tmp-*`` file — never a half-written archive under the real
+name.
 
 **Integrity** — every archive carries a SHA-256 over its full contents
 (the same :func:`~repro.nn.serialization.state_checksum` scheme model
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn.serialization import CheckpointError, state_checksum
+from ..nn.serialization import CheckpointError, atomic_write, state_checksum
 
 __all__ = [
     "CheckpointInfo",
@@ -64,35 +65,7 @@ def save_run_state(path: str | os.PathLike, state: dict[str, np.ndarray]) -> Pat
         raise ValueError(f"state must not contain the reserved key "
                          f"{_RUN_CHECKSUM_KEY!r}")
     record[_RUN_CHECKSUM_KEY] = np.asarray(state_checksum(record))
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **record)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(path.parent)
-    return path
-
-
-def fsync_directory(directory: Path) -> None:
-    """Make a create/rename in ``directory`` durable.
-
-    A no-op where directory fds are unsupported (``os.open`` fails),
-    but an ``fsync`` error propagates: swallowing it would let the
-    caller believe a rename is durable when it may not be.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    return atomic_write(path, lambda handle: np.savez(handle, **record))
 
 
 def load_run_state(path: str | os.PathLike) -> dict[str, np.ndarray]:

@@ -1,16 +1,12 @@
-"""Tests for callbacks, warmup scheduling and the weighted loss."""
+"""Tests for warmup scheduling and the weighted loss."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
-    BestWeightsKeeper,
-    Dense,
-    EarlyStopping,
     LinearWarmup,
     Parameter,
     ReduceLROnPlateau,
-    Sequential,
     SGD,
     SoftmaxCrossEntropy,
     WeightedCrossEntropy,
@@ -19,50 +15,6 @@ from repro.nn import (
 
 def make_opt(lr=1.0):
     return SGD([Parameter(np.zeros(1))], lr=lr)
-
-
-class TestEarlyStopping:
-    def test_stops_after_patience(self):
-        stopper = EarlyStopping(patience=2)
-        assert not stopper.step(1.0)
-        assert not stopper.step(1.0)   # bad epoch 1
-        assert stopper.step(1.0)       # bad epoch 2 -> stop
-
-    def test_improvement_resets(self):
-        stopper = EarlyStopping(patience=2)
-        stopper.step(1.0)
-        stopper.step(1.0)
-        assert not stopper.step(0.5)   # improvement
-        assert not stopper.step(0.5)
-        assert stopper.step(0.5)
-
-    def test_min_delta(self):
-        stopper = EarlyStopping(patience=1, min_delta=0.1)
-        stopper.step(1.0)
-        assert stopper.step(0.95)      # <0.1 better: counts as bad
-
-    def test_invalid_patience_raises(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=0)
-
-
-class TestBestWeightsKeeper:
-    def test_restores_best(self, rng):
-        model = Sequential(Dense(2, 2, rng=rng))
-        keeper = BestWeightsKeeper(model)
-        assert keeper.step(1.0)
-        best_weights = model.layers[0].weight.data.copy()
-        model.layers[0].weight.data += 5.0
-        assert not keeper.step(2.0)    # worse: no snapshot
-        keeper.restore()
-        np.testing.assert_array_equal(
-            model.layers[0].weight.data, best_weights
-        )
-
-    def test_restore_without_snapshot_raises(self, rng):
-        keeper = BestWeightsKeeper(Sequential(Dense(2, 2, rng=rng)))
-        with pytest.raises(RuntimeError):
-            keeper.restore()
 
 
 class TestLinearWarmup:

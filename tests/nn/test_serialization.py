@@ -1,5 +1,7 @@
 """Tests for model checkpointing."""
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,36 @@ class TestSerialization:
         load_model(fresh, path)
         x = rng.normal(size=(2, 1, 3, 3))
         np.testing.assert_allclose(model.forward(x), fresh.forward(x))
+
+
+    def test_failed_write_keeps_previous_checkpoint(self, rng, tmp_path,
+                                                    monkeypatch):
+        """A crash or full disk mid-write must not destroy the checkpoint
+        already at the path: it stays byte-identical and loadable, and
+        no temporary file is left behind."""
+        model = build(rng)
+        path = save_model(model, tmp_path / "ck.npz")
+        before = path.read_bytes()
+        saved = model.layers[0].weight.data.copy()
+
+        def torn_savez(file, **arrays):
+            if hasattr(file, "write"):
+                file.write(before[:100])
+            else:
+                with open(file, "wb") as handle:
+                    handle.write(before[:100])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        model.layers[0].weight.data += 1.0
+        with pytest.raises(OSError, match="No space"):
+            save_model(model, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+        fresh = build(np.random.default_rng(3))
+        load_model(fresh, path)
+        np.testing.assert_array_equal(fresh.layers[0].weight.data, saved)
 
 
 class TestCheckpointPath:

@@ -1,15 +1,13 @@
 """Integration tests combining the framework extensions: warmup
-schedules, weighted losses, callbacks and the trainer loop."""
+schedules, weighted losses and the trainer loop."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
     ArrayDataset,
-    BestWeightsKeeper,
     DataLoader,
     Dense,
-    EarlyStopping,
     LinearWarmup,
     NAdam,
     ReduceLROnPlateau,
@@ -83,29 +81,3 @@ class TestWarmupInTrainer:
         val = DataLoader(ds, 16, shuffle=False)
         trainer.fit(loader, epochs=5, val_loader=val)
         assert opt.lr < 1e-8  # the inner plateau scheduler decayed
-
-
-class TestCallbacksWithTrainer:
-    def test_early_stopping_driven_loop(self, rng):
-        """Manual epoch loop with EarlyStopping + BestWeightsKeeper —
-        the pattern the ablation experiments use."""
-        ds = imbalanced_blobs(rng, n=64)
-        model = make_model(rng)
-        trainer = Trainer(model, NAdam(model.parameters(), lr=0.01))
-        loader = DataLoader(ds, 16, rng=np.random.default_rng(0))
-        val = DataLoader(ds, 16, shuffle=False)
-        # require substantial (1e-2) improvement so the stop triggers
-        # once convergence slows, not only on exact plateaus
-        stopper = EarlyStopping(patience=2, min_delta=1e-2)
-        keeper = BestWeightsKeeper(model)
-        epochs_run = 0
-        for _ in range(50):
-            history = trainer.fit(loader, epochs=1, val_loader=val)
-            epochs_run += 1
-            val_loss = history.val_loss[-1]
-            keeper.step(val_loss)
-            if stopper.step(val_loss):
-                break
-        keeper.restore()
-        assert epochs_run < 50  # converged and stopped early
-        assert keeper.best < 1.0

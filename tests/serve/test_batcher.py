@@ -57,7 +57,7 @@ class TestMicroBatcher:
         assert max(sizes) > 1  # coalescing happened
         assert all(size <= 8 for size in sizes)  # cap respected
         assert sum(sizes) == 20
-        assert metrics.batches_total == len(sizes)
+        assert metrics["batches_total"] == len(sizes)
         for i, out in enumerate(results):  # order preserved
             np.testing.assert_array_equal(out, np.full((1, 2, 2), float(i)))
 
@@ -133,8 +133,8 @@ class TestMicroBatcher:
                         future.result(timeout=10),
                         np.full((1, 2, 2), 10.0 * i),
                     )
-        assert metrics.quarantined_total == 1
-        assert metrics.batch_splits_total >= 1
+        assert metrics["quarantined_total"] == 1
+        assert metrics["batch_splits_total"] >= 1
 
     def test_shed_policy_raises_typed_overload(self):
         release = threading.Event()
@@ -153,7 +153,7 @@ class TestMicroBatcher:
             queued = batcher.submit(np.ones((1, 2, 2)))  # fills the queue
             with pytest.raises(ServiceOverloaded):
                 batcher.submit(np.ones((1, 2, 2)))
-            assert metrics.shed_total == 1
+            assert metrics["shed_total"] == 1
         finally:
             release.set()
             batcher.close()
@@ -198,7 +198,7 @@ class TestMicroBatcher:
             release.set()
             with pytest.raises(DeadlineExceeded):
                 stale.result(timeout=5)
-            assert metrics.timeouts_total == 1
+            assert metrics["timeouts_total"] == 1
         finally:
             release.set()
             batcher.close()

@@ -224,7 +224,7 @@ class TestTileScan:
 
             svc._submit_locked = tracking
             got = svc.scan(req, timeout=120)
-            assert svc.metrics.shed_total == 0
+            assert svc.metrics["shed_total"] == 0
         assert len(outstanding) == len(tiles)
         assert max(outstanding) <= 3
         want = reference.scan(req)
@@ -234,12 +234,12 @@ class TestTileScan:
 
     def test_unaligned_scan_is_refused(self, cluster):
         layout = make_layout(seed=6)
-        scans = cluster.metrics.scan_requests_total
+        scans = cluster.metrics["scan_requests_total"]
         for window, stride in ((60, 32), (64, 30)):
             with pytest.raises(ValueError, match="multiple"):
                 cluster.scan(ScanRequest(layout, window=window,
                                          stride=stride))
-        assert cluster.metrics.scan_requests_total == scans
+        assert cluster.metrics["scan_requests_total"] == scans
 
 
 class TestTileSpread:
@@ -323,7 +323,7 @@ class TestDeadlines:
                 svc.classify(make_layout(size=128, n=5), timeout=1e-6)
             assert excinfo.value.timeout_s == 1e-6
             assert excinfo.value.stage == "classify"
-            assert svc.metrics.timeouts_total == 1
+            assert svc.metrics["timeouts_total"] == 1
 
 
 class TestSharedRequestPath:
@@ -346,7 +346,7 @@ class TestSharedRequestPath:
         with ClusterService.from_model(
             model, image_size=16, processes=2
         ) as svc:
-            svc.metrics.record_quarantine()
+            svc.metrics.add(quarantined_total=1)
             report = svc.health()
             assert report.state is HealthState.DEGRADED
             assert "1 poison requests quarantined" in report.reasons

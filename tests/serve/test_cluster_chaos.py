@@ -28,7 +28,7 @@ from repro.serve import (
     ScanRequest,
 )
 from repro.serve.cluster.fleet import WorkerHandle
-from repro.serve.cluster.messages import ScanShardTask
+from repro.serve.cluster.messages import ClassifyTask, ScanShardTask
 
 pytestmark = [pytest.mark.slow, pytest.mark.timeout(300)]
 
@@ -132,8 +132,19 @@ class TestCrashFailover:
         faults = FaultInjector(seed=0)
         faults.add_kill("worker:0", on_calls=[0])
         with make_cluster(model, faults) as svc:
+            # the classify task is pinned to slot 0, so the kill's call
+            # exists by construction, whatever the dispatch timing
+            submit = svc._submit_locked
+
+            def pin_classify(msg, holder, pin_slot=None, **kwargs):
+                if isinstance(msg, ClassifyTask):
+                    pin_slot = 0
+                return submit(msg, holder, pin_slot=pin_slot, **kwargs)
+
+            svc._submit_locked = pin_classify
             image = np.zeros((16, 16))
             svc.classify(ClipRequest(image=image), timeout=120)
+            assert svc.stats()["workers_reaped_total"] == 1  # the kill fired
             states = wait_all_ready(svc)
             assert all(s is ReplicaState.READY for s in states.values())
             assert svc.stats()["workers_spawned_total"] >= 3  # 2 + respawn

@@ -17,6 +17,7 @@ from repro.litho.raster import rasterize
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.serve import (
     ClipRequest,
+    ClusterService,
     HealthState,
     HotspotService,
     ModelRegistry,
@@ -26,6 +27,7 @@ from repro.serve import (
     extract_window,
     window_origins,
 )
+from repro.serve.metrics import COUNTERS, HISTOGRAMS, ServiceMetrics
 
 
 @pytest.fixture(scope="module")
@@ -222,13 +224,13 @@ class TestBurstCoalescing:
         with HotspotService.from_model(model, 16, max_batch=1,
                                        max_wait_ms=0.0) as single:
             alone = [single.classify(image) for image in images]
-            assert single.metrics.mean_batch_size == 1.0
+            assert single.stats()["mean_batch_size"] == 1.0
         # the wait bound only caps a partial batch: a burst of 64 fills
         # four batches of 16 long before it runs out
         with HotspotService.from_model(model, 16, max_batch=16,
                                        max_wait_ms=1000.0) as batched:
             burst = batched.classify_many(list(images))
-            assert batched.metrics.mean_batch_size > 4
+            assert batched.stats()["mean_batch_size"] > 4
         assert [p.score for p in burst] == [p.score for p in alone]
         assert [p.label for p in burst] == [p.label for p in alone]
 
@@ -407,7 +409,7 @@ class TestPlaneScan:
                 request = ScanRequest(layout, window=window, stride=stride)
                 with pytest.raises(ValueError, match="multiple"):
                     svc.scan(request)
-            assert svc.metrics.scan_requests_total == 0
+            assert svc.metrics["scan_requests_total"] == 0
             assert len(svc.cache) == 0 and len(svc.plane_cache) == 0
 
     def test_plan_failure_degrades_the_report(self, model, monkeypatch):
@@ -490,14 +492,14 @@ class TestStatsAndLifecycle:
                     batcher.submit(np.ascontiguousarray(image[None, None]))
                 except ServiceOverloaded:
                     shed += 1
-            assert svc.metrics.shed_total == shed
+            assert svc.metrics["shed_total"] == shed
 
 
 class TestHealth:
     def test_ready_then_degraded_then_draining(self, service):
         assert service.health().state is HealthState.READY
         assert service.health().ok
-        service.metrics.record_shed()
+        service.metrics.add(shed_total=1)
         report = service.health()
         assert report.state is HealthState.DEGRADED
         assert report.ok  # degraded still serves
@@ -509,21 +511,102 @@ class TestHealth:
         assert final.state is HealthState.DRAINING
         assert not final.ok
 
-    def test_each_fault_counter_degrades_with_reason(self, service):
-        counters = {
-            "record_shed": "shed",
-            "record_timeout": "timeout",
-            "record_quarantine": "quarantined",
-        }
-        for method, needle in counters.items():
-            service.metrics.reset()
-            getattr(service.metrics, method)()
-            report = service.health()
-            assert report.state is HealthState.DEGRADED
-            assert any(needle in reason for reason in report.reasons), (
-                method, report.reasons
-            )
+    @pytest.mark.parametrize(
+        "row", [row for row in COUNTERS if row.fault], ids=lambda row: row.key
+    )
+    def test_each_fault_counter_degrades_with_reason(self, service, row):
+        service.metrics.add(**{row.key: 2})
+        report = service.health()
+        assert report.state is HealthState.DEGRADED
+        assert report.reasons == (f"2 {row.fault}",)
         service.metrics.reset()
+        assert service.health().state is HealthState.READY
+
+    def test_every_fault_reason_in_order(self, service):
+        """The exact reasons, in the order operators have always seen
+        them, when every fault counter has ticked."""
+        service.metrics.add(**{row.key: 1 for row in COUNTERS if row.fault})
+        assert service.health().reasons == (
+            "1 request errors",
+            "1 requests shed (queue full)",
+            "1 deadline timeouts",
+            "1 poison requests quarantined",
+            "1 workers reaped",
+            "1 worker heartbeat timeouts",
+            "1 tasks failed over",
+            "1 frame integrity retries",
+            "1 degraded scans",
+            "1 rollout failures",
+        )
+
+
+#: The counter block of ``stats()``, in order, on both services.
+COUNTER_KEYS = [
+    "requests_total", "errors_total", "shed_total", "timeouts_total",
+    "quarantined_total", "batches_total", "batch_splits_total",
+    "batched_clips_total", "mean_batch_size", "max_batch_size",
+    "scan_requests_total", "degraded_scans_total", "windows_scanned_total",
+    "windows_failed_total", "shard_retries_total",
+    "chip_scan_requests_total", "chip_rescan_requests_total",
+    "chip_tiles_scanned_total", "chip_tiles_failed_total",
+    "chip_windows_rescored_total", "chip_windows_scored_total",
+    "chip_peak_tile_bytes", "chip_tiles_replayed_total",
+    "chip_tile_retries_total", "chip_backoff_ms_total",
+    "chip_windows_quarantined_total", "chip_resumed_scans_total",
+    "workers_spawned_total", "workers_reaped_total", "worker_timeouts_total",
+    "tasks_failed_over_total", "frame_retries_total",
+    "slots_quarantined_total", "rollouts_total", "rollout_failures_total",
+    "request_latency", "batch_latency", "scan_latency", "chip_scan_latency",
+]
+
+
+class TestCounterTable:
+    def test_stats_keys_of_both_services(self, service, model):
+        assert list(service.stats()) == [
+            "per_op_ms", *COUNTER_KEYS, "health", "cache", "models",
+            "plane_cache",
+        ]
+        # the fleet starts lazily: stats() spawns no worker
+        with ClusterService.from_model(model, image_size=16,
+                                       processes=2) as fleet:
+            assert list(fleet.stats()) == [
+                "per_op_ms", *COUNTER_KEYS, "health", "cache", "models",
+                "cluster",
+            ]
+
+    def test_reset_zeroes_every_counter_and_histogram(self):
+        metrics = ServiceMetrics()
+        metrics.add(**{row.key: 3 for row in COUNTERS if not row.derive})
+        metrics.observe(**{name: 4.0 for name in HISTOGRAMS})
+        stats = metrics.stats()
+        assert all(stats[row.key] for row in COUNTERS)
+        assert all(stats[name]["count"] == 1 for name in HISTOGRAMS)
+        metrics.reset()
+        stats = metrics.stats()
+        assert all(stats[row.key] == 0 for row in COUNTERS)
+        assert all(stats[name] == {"count": 0, "mean_ms": 0.0,
+                                   "p50_ms": 0.0, "p95_ms": 0.0,
+                                   "p99_ms": 0.0, "max_ms": 0.0}
+                   for name in HISTOGRAMS)
+
+    def test_sums_peaks_and_rounding(self):
+        metrics = ServiceMetrics()
+        assert repr(metrics.stats()["chip_backoff_ms_total"]) == "0.0"
+        for size in (5, 3):
+            metrics.add(batches_total=1, batched_clips_total=size)
+            metrics.peak(max_batch_size=size)
+        metrics.add(chip_backoff_ms_total=1.23456)
+        metrics.add(chip_backoff_ms_total=1.0)
+        stats = metrics.stats()
+        assert stats["mean_batch_size"] == 4.0
+        assert stats["max_batch_size"] == 5
+        assert stats["chip_backoff_ms_total"] == 2.235
+        metrics.add(batches_total=1, batched_clips_total=0)
+        assert metrics.stats()["mean_batch_size"] == 2.67
+        with pytest.raises(KeyError):
+            metrics.add(mean_batch_size=1)
+        with pytest.raises(KeyError):
+            metrics.add(no_such_total=1)
 
 
 class TestScanReportContract:
