@@ -10,7 +10,6 @@ from .harness import (
     run_detectors,
 )
 from .plots import ascii_roc, bar_chart
-from .stats import SeedSummary, bootstrap_ci, run_over_seeds, summarize_values
 from .tables import format_table
 from .timing import Stopwatch, stopwatch
 
@@ -24,10 +23,6 @@ __all__ = [
     "format_table",
     "ascii_roc",
     "bar_chart",
-    "SeedSummary",
-    "bootstrap_ci",
-    "run_over_seeds",
-    "summarize_values",
     "Stopwatch",
     "stopwatch",
 ]

@@ -3,7 +3,6 @@ bit-packed inference engine (Sections 3.2-3.4 of the paper)."""
 
 from . import bitpack, quantize
 from .binary_conv import SCALING_MODES, BinaryConv2D
-from .binary_dense import BinaryDense
 from .block import BNNConvBlock, clip_binary_weights
 from .fixed_point import Int8Conv2D, dequantize_int8, fake_quantize, quantize_int8
 from .inference import PlaneScanPlan, ProgramEngine
@@ -14,7 +13,6 @@ __all__ = [
     "quantize",
     "SCALING_MODES",
     "BinaryConv2D",
-    "BinaryDense",
     "BNNConvBlock",
     "clip_binary_weights",
     "Int8Conv2D",

@@ -29,8 +29,6 @@ __all__ = [
     "pack_signs",
     "pack_channels",
     "pack_filters",
-    "packed_dot",
-    "packed_matmul",
     "packed_conv_dots",
     "binary_conv2d_packed",
     "binary_conv2d_packed_channelwise",
@@ -83,9 +81,9 @@ def pack_signs(x: np.ndarray) -> np.ndarray:
 
     ``x`` of shape ``(..., n)`` becomes ``(..., ceil(n/64))``.  Positive
     entries set their bit; tail padding bits of the last word stay 0.
-    Because the tail is 0 in *both* operands of any subsequent
-    :func:`packed_dot`, it never produces a mismatch, and the
-    ``n - 2*hamming`` formula (with the true ``n``) stays exact.
+    Because the tail is 0 in *both* operands of an XOR, it never
+    produces a mismatch, and the ``n - 2*hamming`` formula (with the
+    true ``n``) stays exact.
     """
     bits = np.asarray(x) > 0
     packed8 = np.packbits(bits, axis=-1, bitorder="little")
@@ -95,36 +93,6 @@ def pack_signs(x: np.ndarray) -> np.ndarray:
         pad = np.zeros(bits.shape[:-1] + (target - n_bytes,), dtype=np.uint8)
         packed8 = np.concatenate([packed8, pad], axis=-1)
     return np.ascontiguousarray(packed8).view(np.uint64)
-
-
-def packed_dot(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Dot product of packed {-1,+1} vectors along the last axis.
-
-    ``a`` and ``b`` are broadcast-compatible packed arrays; ``n`` is the
-    true (unpadded) vector length.  Returns ``n - 2 * hamming`` as
-    ``int64``.  Tail padding bits are zero in both operands, so they
-    never contribute to the Hamming distance.
-    """
-    hamming = popcount(np.bitwise_xor(a, b)).sum(axis=-1, dtype=np.int64)
-    return n - 2 * hamming
-
-
-def packed_matmul(a_packed: np.ndarray, b_packed: np.ndarray, n: int) -> np.ndarray:
-    """All-pairs packed dot products.
-
-    ``a_packed`` has shape ``(rows, words)``, ``b_packed`` shape
-    ``(cols, words)``; returns ``(rows, cols)`` of int64 dot products.
-    Loops over the smaller operand to bound temporary memory.
-    """
-    rows, cols = a_packed.shape[0], b_packed.shape[0]
-    out = np.empty((rows, cols), dtype=np.int64)
-    if rows <= cols:
-        for i in range(rows):
-            out[i, :] = packed_dot(a_packed[i], b_packed, n)
-    else:
-        for j in range(cols):
-            out[:, j] = packed_dot(a_packed, b_packed[j], n)
-    return out
 
 
 def pack_channels(x: np.ndarray) -> np.ndarray:

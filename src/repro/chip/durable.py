@@ -47,6 +47,9 @@ from .tiling import TileSpec, split_tile
 
 __all__ = ["DurableChipScan", "RetryPolicy", "ScanPreemptedError"]
 
+#: Tiles a concurrent wave scores between journal flushes.
+WAVE_SIZE = 32
+
 
 class ScanPreemptedError(RuntimeError):
     """A durable scan stopped gracefully on request (resumable).
@@ -151,8 +154,8 @@ class DurableChipScan:
     backoff delays (patch it to keep chaos tests fast), ``tile_hook``
     is called with the tile index after each tile is durably journaled
     (the chaos harness's kill vector — raising from it models a crash
-    at a tile boundary, *after* the fsync).  ``wave_size`` bounds how
-    many tiles a concurrent wave (``run(parallel=...)``) scores
+    at a tile boundary, *after* the fsync).  :data:`WAVE_SIZE` bounds
+    how many tiles a concurrent wave (``run(parallel=...)``) scores
     between journal flushes — the most scoring work a crash or
     preemption can lose; the sequential path journals every tile.
     """
@@ -171,12 +174,9 @@ class DurableChipScan:
         handle_signals: bool = False,
         sleep=time.sleep,
         tile_hook=None,
-        wave_size: int = 32,
     ):
         if journal is None:
             raise ValueError("a durable scan needs a journal= path")
-        if wave_size < 1:
-            raise ValueError(f"wave_size must be >= 1, got {wave_size}")
         self.scanner = scanner
         self.layout = layout
         self.window = window
@@ -189,7 +189,6 @@ class DurableChipScan:
         self.handle_signals = handle_signals
         self._sleep = sleep
         self._tile_hook = tile_hook
-        self.wave_size = wave_size
         self._preempted = False
         self._preempt_reason = "preemption requested"
         self._score_fn = None  # bound to the compiled job in run()
@@ -366,12 +365,12 @@ class DurableChipScan:
             else:
                 # concurrent: bounded chunks, journaled between chunks,
                 # so a crash or preemption mid-scan loses at most
-                # wave_size tiles of scoring work — never the whole
+                # WAVE_SIZE tiles of scoring work — never the whole
                 # sweep's
-                for start in range(0, len(remaining), self.wave_size):
+                for start in range(0, len(remaining), WAVE_SIZE):
                     if self._preempted:
                         break  # uncommitted tiles stay pending
-                    batch = remaining[start:start + self.wave_size]
+                    batch = remaining[start:start + WAVE_SIZE]
                     wave = self._score_wave(
                         [tile for _, tile in batch], parallel
                     )

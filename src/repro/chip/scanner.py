@@ -63,6 +63,10 @@ __all__ = ["ChipScanner", "ChipScanJob", "ChipScanResult",
 #: Default tile-plane budget: 64 MiB of float64 raster per tile.
 DEFAULT_TILE_BUDGET = 64 * 2**20
 
+#: Spatial-index bucket side in nm (the tile scale of typical scans;
+#: any positive value is correct).
+INDEX_BUCKET = 4096
+
 #: Key bytes one call's score memo may hold (128 B per key at 32 px);
 #: past it, new windows are still scored but no longer remembered.
 _MEMO_KEY_BYTES = 16 * 2**20
@@ -348,8 +352,9 @@ class ChipScanResult:
     failed_tiles: tuple[int, ...] = ()
     #: per-call counters: ``"scored_windows"`` (windows the engine ran:
     #: one per distinct raster on a sweep, each dirty window on a
-    #: re-scan) on every path, plus the durable path's
-    #: replay/retry/quarantine counters
+    #: re-scan) on every path, a re-scan's ``"retries"`` (tile scoring
+    #: re-attempts), and the durable path's replay/retry/quarantine
+    #: counters
     stats: dict[str, object] = field(default_factory=dict)
 
     def summary(self, bias: float = 0.0) -> dict[str, object]:
@@ -384,9 +389,6 @@ ProgramEngine` — packed or float; results are bit-identical across
         Optional region-keyed tile-plane cache (chip mode of
         :class:`repro.serve.cache.PlaneCache`); only consulted when a
         scan carries a session ``token``.
-    index_bucket:
-        Spatial-index bucket side in nm (defaults to the tile scale of
-        typical scans; any positive value is correct).
     faults:
         Optional :class:`repro.serve.faults.FaultInjector` (duck-typed:
         anything with ``wrap(site, fn)``); every tile/origin scoring
@@ -400,7 +402,6 @@ ProgramEngine` — packed or float; results are bit-identical across
         image_size: int,
         batch_size: int = 256,
         plane_cache=None,
-        index_bucket: int = 4096,
         faults=None,
     ):
         if image_size <= 0:
@@ -411,7 +412,6 @@ ProgramEngine` — packed or float; results are bit-identical across
         self.image_size = image_size
         self.batch_size = batch_size
         self.plane_cache = plane_cache
-        self.index_bucket = index_bucket
         self.faults = faults
 
     # -- full scan -------------------------------------------------------
@@ -437,7 +437,7 @@ ProgramEngine` — packed or float; results are bit-identical across
             )
         scale = window // self.image_size
         grid = plan_tiles(layout.size, window, stride, scale, tile_budget)
-        index = RectIndex(layout, bucket=max(self.index_bucket, window))
+        index = RectIndex(layout, bucket=max(INDEX_BUCKET, window))
         return ChipScanJob(self, layout, grid, index, token)
 
     def scan(
@@ -518,7 +518,7 @@ ProgramEngine` — packed or float; results are bit-identical across
         ``tolerant=True`` a tile that still fails leaves its dirty
         windows NaN (never a stale score of the pre-edit layout) and is
         listed in the result's ``failed_tiles`` — otherwise the error
-        propagates.
+        propagates.  ``stats["retries"]`` counts the re-attempts made.
         """
         started = time.perf_counter()
         job = previous.job
@@ -541,7 +541,7 @@ ProgramEngine` — packed or float; results are bit-identical across
         for i, j in sorted(dirty, key=lambda ij: (ij[1], ij[0])):
             by_tile.setdefault(grid.tile_index_of(i, j), []).append((i, j))
         failed_tiles: list[int] = []
-        failed_windows = 0
+        failed_windows = retried = 0
         for tile_index, indices in sorted(by_tile.items()):
             tile = grid.tiles[tile_index]
             if cache is not None and previous.token is not None:
@@ -567,6 +567,7 @@ ProgramEngine` — packed or float; results are bit-identical across
                     break
                 except Exception:
                     if attempt < retries:
+                        retried += 1
                         continue
                     if not tolerant:
                         raise
@@ -590,5 +591,6 @@ ProgramEngine` — packed or float; results are bit-identical across
             rescored_windows=len(dirty) - failed_windows,
             token=previous.token,
             failed_tiles=tuple(failed_tiles),
-            stats={"scored_windows": len(dirty) - failed_windows},
+            stats={"scored_windows": len(dirty) - failed_windows,
+                   "retries": retried},
         )

@@ -23,17 +23,13 @@ backend pair must produce bit-identical logits on seeded models.
 from .backends import Backend, available_backends, get_backend, register_backend
 from .executor import Executor, Kernel, OpTimings
 from .ir import (
-    ActivationOp,
     BatchNormAffine,
     BinaryConvOp,
-    BinaryDenseOp,
-    ConvOp,
     DenseOp,
     FusedBinaryConvOp,
     OpNode,
     PoolOp,
     Program,
-    ReshapeOp,
     ResidualOp,
     VerifierError,
     describe,
@@ -55,12 +51,9 @@ from .lower import (
 )
 
 __all__ = [
-    "ActivationOp",
     "Backend",
     "BatchNormAffine",
     "BinaryConvOp",
-    "BinaryDenseOp",
-    "ConvOp",
     "DEFAULT_PIPELINE",
     "DenseOp",
     "Executor",
@@ -72,7 +65,6 @@ __all__ = [
     "PlaneStage",
     "PoolOp",
     "Program",
-    "ReshapeOp",
     "ResidualOp",
     "VerifierError",
     "available_backends",

@@ -1,27 +1,24 @@
 """Backend registry: named compilers from IR programs to kernels.
 
-A backend's job is tiny by design: provide kernels for the two
-binarized op types (:class:`~repro.engine.ir.BinaryConvOp`,
-:class:`~repro.engine.ir.BinaryDenseOp`) — the ops where an arithmetic
-substrate choice exists at all.  Everything else (frozen batch-norm,
-activations, pooling, the float head, residual structure) is shared
-here in :class:`Backend`, compiled identically for every backend, which
-is half of how cross-backend bit-identity is achieved (the other half
-is the exact-integer dot-product contract on the binary ops — see
-``repro.engine.parity``).
+A backend's job is tiny by design: provide the kernel for the binary
+convolution (:class:`~repro.engine.ir.BinaryConvOp`) — the op where an
+arithmetic substrate choice exists at all.  Everything else (frozen
+batch-norm, global pooling, the float head, residual structure) is
+shared here in :class:`Backend`, compiled identically for every
+backend, which is half of how cross-backend bit-identity is achieved
+(the other half is the exact-integer dot-product contract on the binary
+convolution — see ``repro.engine.parity``).
 
 Adding a backend is one module: subclass :class:`Backend`, implement
-``compile_binary_conv`` / ``compile_binary_dense``, decorate with
-:func:`register_backend`, and import it below.  The parity harness then
-picks it up automatically and gates it against every existing backend.
+``compile_binary_conv``, decorate with :func:`register_backend`, and
+import it below.  The parity harness then picks it up automatically and
+gates it against every existing backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...nn import functional as F
-from ...nn.layers.activations import sign
 from .. import ir
 from ..executor import Executor, Kernel, OpTimings
 
@@ -82,7 +79,7 @@ class Backend:
     #: ``tests/binary/test_scan_plane.py`` holds every backend to it.
     plane_scratch = {"channelwise": 5.0, "xnor": 5.0, "none": 5.0}
 
-    # -- binary ops: the substrate choice subclasses make ---------------
+    # -- the binary convolution: the substrate choice subclasses make ---
 
     def compile_binary_conv(self, node: ir.BinaryConvOp,
                             hoisted=None) -> Kernel:
@@ -92,11 +89,6 @@ class Backend:
         ``hoist-scales`` pass already computed for a fused op; ``None``
         means binarize ``node.weight`` here (Eq. 8).
         """
-        raise TypeError(
-            f"backend {self.name!r} cannot compile {type(node).__name__}"
-        )
-
-    def compile_binary_dense(self, node: ir.BinaryDenseOp) -> Kernel:
         raise TypeError(
             f"backend {self.name!r} cannot compile {type(node).__name__}"
         )
@@ -179,18 +171,10 @@ class Backend:
             return self.compile_fused_conv(node)
         if isinstance(node, ir.BinaryConvOp):
             return self.compile_binary_conv(node)
-        if isinstance(node, ir.BinaryDenseOp):
-            return self.compile_binary_dense(node)
         if isinstance(node, ir.BatchNormAffine):
             return _batchnorm_kernel(node)
-        if isinstance(node, ir.ActivationOp):
-            return _activation_kernel(node)
         if isinstance(node, ir.PoolOp):
             return _pool_kernel(node)
-        if isinstance(node, ir.ReshapeOp):
-            return _reshape_kernel(node)
-        if isinstance(node, ir.ConvOp):
-            return _conv_kernel(node)
         if isinstance(node, ir.DenseOp):
             return _dense_kernel(node)
         if isinstance(node, ir.ResidualOp):
@@ -255,51 +239,10 @@ def _batchnorm_kernel(node: ir.BatchNormAffine) -> Kernel:
     return Kernel(node, run, inplace_fn=run_inplace)
 
 
-def _activation_kernel(node: ir.ActivationOp) -> Kernel:
-    if node.kind == "relu":
-        return Kernel(
-            node,
-            lambda x: np.maximum(x, 0.0),
-            inplace_fn=lambda x: np.maximum(x, 0.0, out=x),
-        )
-    if node.kind == "hardtanh":
-        return Kernel(
-            node,
-            lambda x: np.clip(x, -1.0, 1.0),
-            inplace_fn=lambda x: np.clip(x, -1.0, 1.0, out=x),
-        )
-    if node.kind == "sign":
-        return Kernel(node, sign)
-    if node.kind == "identity":
-        return Kernel(node, lambda x: x, passthrough=True)
-    raise TypeError(f"unknown activation kind {node.kind!r}")
-
-
 def _pool_kernel(node: ir.PoolOp) -> Kernel:
-    if node.kind == "max":
-        k, s = node.kernel_size, node.stride
-        return Kernel(node, lambda x: F.maxpool2d_forward(x, k, s)[0])
-    if node.kind == "avg":
-        k, s = node.kernel_size, node.stride
-        return Kernel(node, lambda x: F.avgpool2d_forward(x, k, s))
-    if node.kind == "global_avg":
-        return Kernel(node, lambda x: x.mean(axis=(2, 3)))
-    raise TypeError(f"unknown pool kind {node.kind!r}")
-
-
-def _reshape_kernel(node: ir.ReshapeOp) -> Kernel:
-    if node.kind != "flatten":
-        raise TypeError(f"unknown reshape kind {node.kind!r}")
-    # usually a view of the input buffer, hence passthrough
-    return Kernel(node, lambda x: x.reshape(x.shape[0], -1), passthrough=True)
-
-
-def _conv_kernel(node: ir.ConvOp) -> Kernel:
-    weight, bias = node.weight, node.bias
-    stride, padding = node.stride, node.padding
-    return Kernel(
-        node, lambda x: F.conv2d_forward(x, weight, bias, stride, padding)[0]
-    )
+    if node.kind != "global_avg":
+        raise TypeError(f"unknown pool kind {node.kind!r}")
+    return Kernel(node, lambda x: x.mean(axis=(2, 3)))
 
 
 def _dense_kernel(node: ir.DenseOp) -> Kernel:

@@ -34,7 +34,7 @@ __all__ = ["FloatBackend"]
 
 @register_backend("float")
 class FloatBackend(Backend):
-    """Compile binary ops to exact-integer float-MAC kernels."""
+    """Compile binary convolutions to exact-integer float-MAC kernels."""
 
     def compile_binary_conv(self, node: ir.BinaryConvOp,
                             hoisted=None) -> Kernel:
@@ -89,21 +89,6 @@ class FloatBackend(Backend):
             if mode == "xnor":
                 alpha_map = quantize.input_scale_xnor(x, k, k, stride, padding)
                 out *= alpha_map.reshape(n, 1, oh, ow)
-            return out
-
-        return Kernel(node, run)
-
-    def compile_binary_dense(self, node: ir.BinaryDenseOp) -> Kernel:
-        w = node.weight
-        alpha_w = np.abs(w).mean(axis=0)
-        w_sign = sign(w)  # (in, out) ±1
-        scaling = node.scaling
-
-        def run(x: np.ndarray) -> np.ndarray:
-            dots = sign(x) @ w_sign  # exact integer dots
-            out = dots * alpha_w
-            if scaling:
-                out = out * np.abs(x).mean(axis=1, keepdims=True)
             return out
 
         return Kernel(node, run)

@@ -40,7 +40,7 @@ __all__ = ["PackedBackend"]
 
 @register_backend("packed")
 class PackedBackend(Backend):
-    """Compile binary ops to bit-packed popcount kernels."""
+    """Compile binary convolutions to bit-packed popcount kernels."""
 
     #: channelwise scaling's int8 columns and per-channel partial dots
     #: need about 2.8; the channel-summed kernels about 1.7
@@ -84,24 +84,6 @@ class PackedBackend(Backend):
                 n, _, oh, ow = out.shape
                 alpha_map = quantize.input_scale_xnor(x, k, k, stride, padding)
                 out *= alpha_map.reshape(n, 1, oh, ow)  # in-place, bit-equal
-            return out
-
-        return Kernel(node, run)
-
-    def compile_binary_dense(self, node: ir.BinaryDenseOp) -> Kernel:
-        """Packed dense layer: one popcount dot per output unit."""
-        w = node.weight
-        n_in = node.in_features
-        alpha_w = np.abs(w).mean(axis=0)
-        w_packed = bitpack.pack_signs(sign(w).T)  # (out, words)
-        scaling = node.scaling
-
-        def run(x: np.ndarray) -> np.ndarray:
-            x_packed = bitpack.pack_signs(sign(x))
-            dots = bitpack.packed_matmul(x_packed, w_packed, n_in)
-            out = dots.astype(np.float64) * alpha_w
-            if scaling:
-                out = out * np.abs(x).mean(axis=1, keepdims=True)
             return out
 
         return Kernel(node, run)

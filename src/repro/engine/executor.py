@@ -5,7 +5,7 @@ chains them with two cross-cutting services the closure-chain engines
 could not offer:
 
 **Activation-buffer reuse.**  Element-wise kernels (batch-norm affine,
-ReLU, hard-tanh, the in-place scaling multiplies) may provide an
+the fused convolution's batch-norm prologue) may provide an
 ``inplace_fn`` that mutates its input instead of allocating a fresh
 array.  The executor tracks buffer *ownership*: the caller's input is
 never mutated, but once any kernel has produced a fresh intermediate
@@ -43,16 +43,13 @@ class Kernel:
 
     ``fn`` must never mutate its input.  ``inplace_fn``, when provided,
     may mutate and return its input and must be bit-identical to ``fn``;
-    the executor only calls it on buffers the chain owns.
-    ``passthrough`` marks kernels whose output is (or may be) the input
-    array or a view of it — identity, flatten — so ownership of the
-    caller's input is not claimed by running them.
+    the executor only calls it on buffers the chain owns.  Every kernel
+    returns a fresh array, so the chain owns its buffer after the first.
     """
 
     node: OpNode
     fn: Callable[[np.ndarray], np.ndarray]
     inplace_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    passthrough: bool = False
     timed: bool = True
 
 
@@ -146,8 +143,7 @@ class Executor:
                 timings.record(kernel.node.name, time.perf_counter() - start)
             else:
                 x = fn(x)
-            if not kernel.passthrough:
-                owned = True
+            owned = True
         return x
 
     __call__ = run

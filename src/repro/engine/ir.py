@@ -13,10 +13,13 @@ Design rules:
 * **Nodes are frozen snapshots.**  Weight arrays are copied at lowering
   time, so a compiled program never changes under further training of
   the source model (a snapshot guarantee shared by every backend).
-* **Inference-only.**  Training-time concerns (dropout masks, batch-norm
-  batch statistics, STE gradients) are resolved away during lowering:
-  dropout lowers to an identity :class:`ActivationOp`, batch-norm to a
-  frozen per-channel :class:`BatchNormAffine`.
+* **Inference-only.**  Training-time concerns (batch-norm batch
+  statistics, STE gradients) are resolved away during lowering:
+  batch-norm lowers to a frozen per-channel :class:`BatchNormAffine`.
+* **The served network's ops and nothing else.**  The IR holds the op
+  types the paper's BNN-ResNet lowers to (plus the fused op the passes
+  produce); any other layer raises
+  :class:`~repro.engine.lower.LoweringError`.
 * **Structure is explicit.**  The only nesting is
   :class:`ResidualOp`, which carries its branches as sub-``Program``\\ s;
   everything else is a flat pipeline, which is what lets the plane-scan
@@ -37,13 +40,9 @@ __all__ = [
     "OpNode",
     "BatchNormAffine",
     "BinaryConvOp",
-    "BinaryDenseOp",
     "FusedBinaryConvOp",
-    "ConvOp",
     "DenseOp",
     "PoolOp",
-    "ReshapeOp",
-    "ActivationOp",
     "ResidualOp",
     "Program",
     "is_pointwise",
@@ -105,16 +104,6 @@ class BinaryConvOp(OpNode):
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryDenseOp(OpNode):
-    """Binarized fully connected layer (one popcount dot per unit)."""
-
-    in_features: int
-    out_features: int
-    scaling: bool  #: apply the per-row ``mean|x|`` activation scale
-    weight: np.ndarray  #: master weights ``(in_features, out_features)``
-
-
-@dataclass(frozen=True, eq=False)
 class FusedBinaryConvOp(OpNode):
     """A fused BatchNormAffine→Binarize→BinaryConv→scale chain.
 
@@ -152,19 +141,6 @@ class FusedBinaryConvOp(OpNode):
 
 
 @dataclass(frozen=True, eq=False)
-class ConvOp(OpNode):
-    """Plain float convolution (kept for non-binarized stems/baselines)."""
-
-    in_channels: int
-    out_channels: int
-    kernel_size: int
-    stride: int
-    padding: int
-    weight: np.ndarray
-    bias: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class DenseOp(OpNode):
     """Plain float fully connected layer (the network head)."""
 
@@ -176,25 +152,8 @@ class DenseOp(OpNode):
 
 @dataclass(frozen=True, eq=False)
 class PoolOp(OpNode):
-    """Spatial pooling: ``kind`` is ``"max"``, ``"avg"``, or
-    ``"global_avg"`` (which collapses ``(n, c, h, w)`` to ``(n, c)``)."""
-
-    kind: str
-    kernel_size: int = 0  #: 0 for ``global_avg``
-    stride: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class ReshapeOp(OpNode):
-    """Pure layout change; ``"flatten"`` maps ``(n, ...)`` to ``(n, -1)``."""
-
-    kind: str = "flatten"
-
-
-@dataclass(frozen=True, eq=False)
-class ActivationOp(OpNode):
-    """Element-wise activation: ``"relu"``, ``"hardtanh"``, ``"sign"``,
-    or ``"identity"`` (what inference-time dropout lowers to)."""
+    """Spatial pooling; the one ``kind`` is ``"global_avg"``, which
+    collapses ``(n, c, h, w)`` to ``(n, c)``."""
 
     kind: str
 
@@ -207,17 +166,15 @@ class ResidualOp(OpNode):
     shortcut: "Program | None"
 
 
-#: Node types whose computation is element-wise per pixel and channel:
-#: applying them to a full plane and slicing a window afterwards is
-#: bit-identical to slicing first.  The plane-scan prefix analysis
-#: (:func:`repro.engine.lower.plane_prefix`) folds them into the stage
-#: of the convolution that follows them.
-_POINTWISE_TYPES = (BatchNormAffine, ActivationOp)
-
-
 def is_pointwise(node: OpNode) -> bool:
-    """Whether ``node`` acts element-wise (plane/window commuting)."""
-    return isinstance(node, _POINTWISE_TYPES)
+    """Whether ``node`` acts element-wise per pixel and channel.
+
+    Applying such a node to a full plane and slicing a window afterwards
+    is bit-identical to slicing first.  The plane-scan prefix analysis
+    (:func:`repro.engine.lower.plane_prefix`) folds it into the stage of
+    the convolution that follows it.
+    """
+    return isinstance(node, BatchNormAffine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,23 +204,17 @@ class Program:
 
 def output_shape(node: OpNode, shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape produced by ``node`` on an input of ``shape`` (batch-first)."""
-    if isinstance(node, (BatchNormAffine, ActivationOp)):
+    if isinstance(node, BatchNormAffine):
         return shape
-    if isinstance(node, (BinaryConvOp, ConvOp, FusedBinaryConvOp)):
+    if isinstance(node, (BinaryConvOp, FusedBinaryConvOp)):
         n, _, h, w = shape
         k, s, p = node.kernel_size, node.stride, node.padding
         return (n, node.out_channels,
                 F.conv_output_size(h, k, s, p), F.conv_output_size(w, k, s, p))
-    if isinstance(node, (BinaryDenseOp, DenseOp)):
+    if isinstance(node, DenseOp):
         return (shape[0], node.out_features)
     if isinstance(node, PoolOp):
-        if node.kind == "global_avg":
-            return shape[:2]
-        n, c, h, w = shape
-        k, s = node.kernel_size, node.stride
-        return (n, c, (h - k) // s + 1, (w - k) // s + 1)
-    if isinstance(node, ReshapeOp):
-        return (shape[0], int(np.prod(shape[1:])))
+        return shape[:2]
     if isinstance(node, ResidualOp):
         out = shape
         for sub in node.main:
@@ -309,17 +260,15 @@ def _node_detail(node: OpNode) -> str:
         if node.inplace_input:
             detail += " inplace"
         return detail
-    if isinstance(node, (BinaryConvOp, ConvOp)):
+    if isinstance(node, BinaryConvOp):
         return (f"{node.in_channels}->{node.out_channels} "
-                f"k{node.kernel_size} s{node.stride} p{node.padding}"
-                + (f" {node.scaling}" if isinstance(node, BinaryConvOp) else ""))
-    if isinstance(node, (BinaryDenseOp, DenseOp)):
+                f"k{node.kernel_size} s{node.stride} p{node.padding} "
+                f"{node.scaling}")
+    if isinstance(node, DenseOp):
         return f"{node.in_features}->{node.out_features}"
     if isinstance(node, BatchNormAffine):
         return f"c={node.channels}"
     if isinstance(node, PoolOp):
-        return node.kind
-    if isinstance(node, (ActivationOp, ReshapeOp)):
         return node.kind
     if isinstance(node, ResidualOp):
         return (f"main[{len(node.main)}]"

@@ -24,31 +24,22 @@ from typing import NamedTuple
 import numpy as np
 
 from ..binary.binary_conv import BinaryConv2D
-from ..binary.binary_dense import BinaryDense
 from ..binary.block import BNNConvBlock
 from ..nn.functional import conv_output_size
-from ..nn.layers.activations import HardTanh, ReLU, SignSTE
 from ..nn.layers.batchnorm import BatchNorm2D
 from ..nn.layers.container import Sequential
-from ..nn.layers.conv import Conv2D
 from ..nn.layers.dense import Dense
-from ..nn.layers.dropout import Dropout
-from ..nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from ..nn.layers.pooling import GlobalAvgPool2D
 from ..nn.layers.residual import ResidualBlock
-from ..nn.layers.shape import Flatten
 from ..nn.module import Module
 from .ir import (
-    ActivationOp,
     BatchNormAffine,
     BinaryConvOp,
-    BinaryDenseOp,
-    ConvOp,
     DenseOp,
     FusedBinaryConvOp,
     OpNode,
     PoolOp,
     Program,
-    ReshapeOp,
     ResidualOp,
     is_pointwise,
 )
@@ -79,6 +70,10 @@ __all__ = [
 class LoweringError(TypeError):
     """A module tree contains a layer the IR cannot represent.
 
+    The IR holds the ops the served BNN-ResNet lowers to; every other
+    layer (float convolutions, activations, local pooling, flatten,
+    dropout, ...) raises this error naming its class.
+
     Subclasses :class:`TypeError` so callers of the historical compile
     APIs (which raised ``TypeError`` on unknown layers) keep working;
     ``layer_type`` carries the offending class name for fallback-reason
@@ -102,14 +97,6 @@ def freeze_batchnorm(layer: BatchNorm2D, name: str) -> BatchNormAffine:
 
 def _join(prefix: str, part: str) -> str:
     return part if not prefix else f"{prefix}.{part}"
-
-
-_ACTIVATION_KINDS: list[tuple[type, str]] = [
-    (ReLU, "relu"),
-    (HardTanh, "hardtanh"),
-    (SignSTE, "sign"),
-    (Dropout, "identity"),  # inference-time dropout is the identity
-]
 
 
 def _lower_into(module: Module, name: str, out: list[OpNode]) -> None:
@@ -150,31 +137,8 @@ def _lower_into(module: Module, name: str, out: list[OpNode]) -> None:
             weight=module.weight.data.copy(),
         ))
         return
-    if isinstance(module, BinaryDense):
-        weight = module.weight.data
-        out.append(BinaryDenseOp(
-            name=name,
-            in_features=int(weight.shape[0]),
-            out_features=int(weight.shape[1]),
-            scaling=bool(module.scaling),
-            weight=weight.copy(),
-        ))
-        return
     if isinstance(module, BatchNorm2D):
         out.append(freeze_batchnorm(module, name))
-        return
-    if isinstance(module, Conv2D):
-        weight = module.weight.data
-        out.append(ConvOp(
-            name=name,
-            in_channels=int(weight.shape[1]),
-            out_channels=int(weight.shape[0]),
-            kernel_size=int(weight.shape[2]),
-            stride=module.stride,
-            padding=module.padding,
-            weight=weight.copy(),
-            bias=None if module.bias is None else module.bias.data.copy(),
-        ))
         return
     if isinstance(module, Dense):
         weight = module.weight.data
@@ -186,24 +150,9 @@ def _lower_into(module: Module, name: str, out: list[OpNode]) -> None:
             bias=None if module.bias is None else module.bias.data.copy(),
         ))
         return
-    if isinstance(module, MaxPool2D):
-        out.append(PoolOp(name=name, kind="max",
-                          kernel_size=module.kernel_size, stride=module.stride))
-        return
-    if isinstance(module, AvgPool2D):
-        out.append(PoolOp(name=name, kind="avg",
-                          kernel_size=module.kernel_size, stride=module.stride))
-        return
     if isinstance(module, GlobalAvgPool2D):
         out.append(PoolOp(name=name, kind="global_avg"))
         return
-    if isinstance(module, Flatten):
-        out.append(ReshapeOp(name=name, kind="flatten"))
-        return
-    for layer_type, kind in _ACTIVATION_KINDS:
-        if isinstance(module, layer_type):
-            out.append(ActivationOp(name=name, kind=kind))
-            return
     raise LoweringError(
         f"cannot lower layer type {type(module).__name__} to the engine IR",
         layer_type=type(module).__name__,

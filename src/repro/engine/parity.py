@@ -20,7 +20,9 @@ all scaling modes (including a ``stem_stride=1`` single-channel 3x3
 stem, the table16 fast-path shape) and exits non-zero on any mismatch.
 The same run checks the plane scan (:func:`plan_depth_failures`): on
 every backend, a plan at every prefix depth must reproduce the
-per-window logits bit for bit.
+per-window logits bit for bit.  It also fails unless its variants
+compiled every IR node type (every ``OpNode`` subclass), so an op added
+without parity coverage turns the gate red.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 
 from .backends import available_backends, get_backend
 from .executor import Executor
+from .ir import OpNode
 from .lower import lower, pipeline_signature, run_pipeline
 
 __all__ = [
@@ -61,6 +64,8 @@ class ParityResult:
 
     backends: tuple[str, ...]
     pairs: list[PairResult] = field(default_factory=list)
+    #: IR node type names the compared programs hold
+    op_types: set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -136,8 +141,10 @@ def compare_backends(
         )
     variants: list[str] = []
     logits: dict[str, np.ndarray] = {}
+    op_types: set[str] = set()
     for spec in specs:
         program = run_pipeline(lowered, spec)
+        op_types.update(type(node).__name__ for node in program.walk())
         tag = pipeline_signature(spec)
         for name in names:
             executor: Executor = get_backend(name).compile(program)
@@ -146,7 +153,7 @@ def compare_backends(
             # fresh copy per variant: a kernel mutating its input would
             # otherwise corrupt the comparison instead of failing it
             logits[variant] = executor.run(images.copy())
-    result = ParityResult(backends=tuple(variants))
+    result = ParityResult(backends=tuple(variants), op_types=op_types)
     for i, left in enumerate(variants):
         for right in variants[i + 1:]:
             identical, diff = _bit_identical(logits[left], logits[right])
@@ -246,6 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"backends:  {', '.join(names)}")
     print(f"pipelines: {', '.join(pipeline_signature(p) for p in pipelines)}")
     failed = False
+    compiled: set[str] = set()
     for scaling in scalings:
         for stem_stride in strides:
             model = seeded_model(
@@ -256,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
                 model, image_size=args.image_size,
                 batch=args.batch, seed=args.seed, pipelines=pipelines,
             )
+            compiled |= result.op_types
             status = "OK (bit-identical)" if result.ok else "MISMATCH"
             print(f"scaling={scaling:<12} stem_stride={stem_stride}  {status}")
             for pair in result.failures():
@@ -273,7 +282,11 @@ def main(argv: list[str] | None = None) -> int:
                       + ("OK (bit-identical)" if ok
                          else f"MISMATCH at {bad}" if bad
                          else "no residual stage planed"))
-    return 1 if failed else 0
+    missing = {cls.__name__ for cls in OpNode.__subclasses__()} - compiled
+    print(f"node types compiled: {', '.join(sorted(compiled))}  "
+          + ("OK (every OpNode type)" if not missing
+             else f"MISSING {', '.join(sorted(missing))}"))
+    return 1 if failed or missing else 0
 
 
 if __name__ == "__main__":

@@ -19,10 +19,9 @@ FusedBinaryConvOp` nodes whose binarization is a threshold compare.
 2. ``hoist-scales`` — compute the Eq. 8 weight-side constants
    (``sign(W)``, per-filter ``mean|W|``) once at compile time and store
    them on the fused nodes.
-3. ``liveness`` — drop identity ops and mark fused nodes whose input
-   buffer dies at the node (never the head of a residual branch, whose
-   input is shared with a sibling), licensing in-place kernel
-   variants.
+3. ``liveness`` — mark fused nodes whose input buffer dies at the
+   node (never the head of a residual branch, whose input is shared
+   with a sibling), licensing in-place kernel variants.
 
 ``hoist-scales`` and ``liveness`` touch disjoint fields and commute;
 ``fold-bn`` must run before both (they only act on fused nodes) — the

@@ -1,19 +1,13 @@
-"""Buffer-liveness pass: drop dead ops, mark inputs that die in place.
+"""Buffer-liveness pass: mark fused inputs that die in place.
 
-Two rewrites, both driven by the same question — *who else reads this
-buffer?*:
-
-* ``identity`` :class:`~repro.engine.ir.ActivationOp` nodes (what
-  inference-time dropout lowers to) copy their input to their output;
-  nobody observes the copy, so the node is removed outright.
-* A fused convolution reads its input once (the threshold compare and
-  the Eq. 15 ``|x|`` accumulation are single passes), so when no other
-  node will read that buffer again the backend may treat it as scratch.
-  The pass marks such nodes ``inplace_input=True``.  Exceptions, kept
-  conservative: the first node of either residual branch (the branch
-  input is shared with the sibling branch — and with the post-branch
-  add when the shortcut is the identity) and the first node of the
-  top-level program (the caller's array).
+A fused convolution reads its input once (the threshold compare and
+the Eq. 15 ``|x|`` accumulation are single passes), so when no other
+node will read that buffer again the backend may treat it as scratch.
+The pass marks such nodes ``inplace_input=True``.  Exceptions, kept
+conservative: the first node of either residual branch (the branch
+input is shared with the sibling branch — and with the post-branch add
+when the shortcut is the identity) and the first node of the top-level
+program (the caller's array).
 
 The executor's ownership tracking is the second line of defense — it
 only offers a kernel's in-place variant a buffer the pipeline owns —
@@ -24,58 +18,42 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..ir import (
-    ActivationOp,
-    FusedBinaryConvOp,
-    OpNode,
-    Program,
-    ResidualOp,
-)
+from ..ir import FusedBinaryConvOp, OpNode, Program, ResidualOp
 from . import Pass, register_pass
 
 
-def _sweep(program: Program, branch_head_shared: bool) -> Program:
+def _sweep(program: Program) -> Program:
     nodes: list[OpNode] = []
-    first_kept = True
-    for node in program:
-        if isinstance(node, ActivationOp) and node.kind == "identity":
-            continue
-        protect = first_kept and branch_head_shared
+    for index, node in enumerate(program):
         if isinstance(node, FusedBinaryConvOp):
-            want = not protect
+            # a program's (or branch's) input is never this pass's to
+            # reuse: it is the caller's array or shared with a sibling
+            want = index > 0
             if node.inplace_input != want:
                 node = replace(node, inplace_input=want)
         elif isinstance(node, ResidualOp):
             node = ResidualOp(
                 name=node.name,
-                main=_sweep(node.main, branch_head_shared=True),
+                main=_sweep(node.main),
                 shortcut=(
-                    None
-                    if node.shortcut is None
-                    else _sweep(node.shortcut, branch_head_shared=True)
+                    None if node.shortcut is None else _sweep(node.shortcut)
                 ),
             )
         nodes.append(node)
-        first_kept = False
     return Program(tuple(nodes))
 
 
 @register_pass("liveness")
 class Liveness(Pass):
-    """Remove identity ops; annotate fused inputs that die in place."""
+    """Annotate fused inputs that die in place."""
 
     def run(self, program: Program) -> Program:
-        return _sweep(program, branch_head_shared=True)
+        return _sweep(program)
 
     def notes(self, before: Program, after: Program) -> dict[str, object]:
-        dropped = sum(
-            1
-            for node in before.walk()
-            if isinstance(node, ActivationOp) and node.kind == "identity"
-        )
         inplace = sum(
             1
             for node in after.walk()
             if isinstance(node, FusedBinaryConvOp) and node.inplace_input
         )
-        return {"identity_dropped": dropped, "inplace_marked": inplace}
+        return {"inplace_marked": inplace}

@@ -90,6 +90,20 @@ from .worker import worker_main
 
 __all__ = ["ClusterService"]
 
+#: grace for a fresh worker to compile its engines and report ready
+#: before the supervisor gives up on it
+STARTUP_TIMEOUT_S = 60.0
+#: failover budget per task: worker losses (crashes) or reported
+#: scoring errors a task survives by resubmission before it fails with
+#: :class:`~repro.serve.errors.WorkerCrashError` (a poison task must not
+#: crash-loop the fleet)
+TASK_RETRIES = 2
+#: rebuilds of a digest-rejected (torn) frame, each resubmitting the
+#: task, before it fails with ``FrameIntegrityError``
+FRAME_RETRIES = 2
+#: cap of a slot's exponential respawn backoff
+RESPAWN_BACKOFF_MAX_S = 5.0
+
 
 def _spread_budget(budget: int, request: ScanRequest, image_size: int,
                    tiles: int) -> int:
@@ -208,21 +222,10 @@ class ClusterService(_ServiceBase):
         in-flight workers indefinitely; keep it comfortably above the
         slowest legitimate task so a big scan tile is never killed
         mid-score.
-    startup_timeout_s:
-        Grace for a fresh worker to compile its engines and report
-        ready before the supervisor gives up on it.
-    task_retries:
-        Failover budget per task: how many worker losses (crashes) or
-        reported scoring errors a single task may survive by
-        resubmission before it fails with
-        :class:`~repro.serve.errors.WorkerCrashError` (a poison task
-        must not crash-loop the fleet).
-    frame_retries:
-        How often a digest-rejected (torn) frame is rebuilt and the
-        task resubmitted before failing with ``FrameIntegrityError``.
-    respawn_backoff_s / respawn_backoff_max_s:
-        Capped exponential backoff between a slot's death and its
-        respawn (doubles per consecutive crash).
+    respawn_backoff_s:
+        Exponential backoff between a slot's death and its respawn
+        (doubles per consecutive crash, capped at
+        :data:`RESPAWN_BACKOFF_MAX_S`).
     quarantine_after:
         Consecutive crashes (no completed task in between) after which
         a slot is quarantined instead of respawned.
@@ -249,13 +252,8 @@ class ClusterService(_ServiceBase):
         heartbeat_s: float = 0.5,
         heartbeat_timeout_s: float = 5.0,
         task_timeout_s: float | None = 300.0,
-        startup_timeout_s: float = 60.0,
-        task_retries: int = 2,
-        frame_retries: int = 2,
         respawn_backoff_s: float = 0.25,
-        respawn_backoff_max_s: float = 5.0,
         quarantine_after: int = 3,
-        cache_capacity: int = 2048,
         faults: FaultInjector | None = None,
         faults_in_respawn: bool = False,
     ):
@@ -263,10 +261,8 @@ class ClusterService(_ServiceBase):
             raise ValueError(f"processes must be >= 1, got {processes}")
         super().__init__(
             registry, default_model, max_batch, queue_depth, overflow,
-            default_timeout_s, cache_capacity, faults,
+            default_timeout_s, faults,
         )
-        if task_retries < 0 or frame_retries < 0:
-            raise ValueError("task_retries/frame_retries must be >= 0")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError(
                 f"task_timeout_s must be > 0 or None, got {task_timeout_s}"
@@ -279,11 +275,7 @@ class ClusterService(_ServiceBase):
         self.heartbeat_s = heartbeat_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.task_timeout_s = task_timeout_s
-        self.startup_timeout_s = startup_timeout_s
-        self.task_retries = task_retries
-        self.frame_retries = frame_retries
         self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_backoff_max_s = respawn_backoff_max_s
         self.quarantine_after = quarantine_after
         self.faults_in_respawn = faults_in_respawn
         # fork shares the parent's imported modules and model weights
@@ -485,7 +477,7 @@ class ClusterService(_ServiceBase):
         if msg.frame_corrupt:
             self.metrics.add(frame_retries_total=1)
             task.frame_retries += 1
-            if task.frame_retries > self.frame_retries:
+            if task.frame_retries > FRAME_RETRIES:
                 self._fail_locked(task, FrameIntegrityError(
                     f"frame for task {task.task_id} failed its digest "
                     f"check {task.frame_retries} times: {msg.error}",
@@ -504,7 +496,7 @@ class ClusterService(_ServiceBase):
             return
         if msg.error is not None:
             task.errors += 1
-            if task.errors > self.task_retries:
+            if task.errors > TASK_RETRIES:
                 self._fail_locked(
                     task, RuntimeError(f"worker task failed: {msg.error}")
                 )
@@ -546,10 +538,10 @@ class ClusterService(_ServiceBase):
                 if task is None:
                     continue
                 task.crashes += 1
-                if task.crashes > self.task_retries:
+                if task.crashes > TASK_RETRIES:
                     self._fail_locked(task, WorkerCrashError(
                         f"task {task_id} lost to {task.crashes} worker "
-                        f"crashes (failover budget {self.task_retries}); "
+                        f"crashes (failover budget {TASK_RETRIES}); "
                         f"refusing to keep crash-looping the fleet",
                         crashes=task.crashes,
                     ))
@@ -571,7 +563,7 @@ class ClusterService(_ServiceBase):
             else:
                 handle.state = ReplicaState.DEAD
                 backoff = min(
-                    self.respawn_backoff_max_s,
+                    RESPAWN_BACKOFF_MAX_S,
                     self.respawn_backoff_s * (2 ** (handle.crashes - 1)),
                 )
                 handle.next_spawn_at = time.monotonic() + backoff
@@ -633,7 +625,7 @@ class ClusterService(_ServiceBase):
                             continue
                     else:
                         limit = (
-                            self.startup_timeout_s
+                            STARTUP_TIMEOUT_S
                             if state is ReplicaState.STARTING
                             else self.heartbeat_timeout_s
                         )

@@ -30,18 +30,15 @@ DEFAULT_BUCKETS_MS = (
 class LatencyHistogram:
     """Fixed-bucket latency histogram with mean and percentile estimates."""
 
-    def __init__(self, bounds_ms: tuple[float, ...] = DEFAULT_BUCKETS_MS):
-        if not bounds_ms or bounds_ms[-1] != math.inf:
-            raise ValueError("bucket bounds must end with +inf")
-        self.bounds_ms = bounds_ms
-        self.counts = [0] * len(bounds_ms)
+    def __init__(self):
+        self.counts = [0] * len(DEFAULT_BUCKETS_MS)
         self.total = 0
         self.sum_ms = 0.0
         self.max_ms = 0.0
 
     def observe(self, latency_ms: float) -> None:
         """Record one latency sample."""
-        for i, bound in enumerate(self.bounds_ms):
+        for i, bound in enumerate(DEFAULT_BUCKETS_MS):
             if latency_ms <= bound:
                 self.counts[i] += 1
                 break
@@ -68,7 +65,7 @@ class LatencyHistogram:
         for i, count in enumerate(self.counts):
             seen += count
             if seen >= rank and count:
-                bound = self.bounds_ms[i]
+                bound = DEFAULT_BUCKETS_MS[i]
                 return bound if math.isfinite(bound) else self.max_ms
         return self.max_ms
 

@@ -187,7 +187,6 @@ class _ServiceBase:
         queue_depth: int | None,
         overflow: str,
         default_timeout_s: float | None,
-        cache_capacity: int,
         faults: FaultInjector | None,
     ):
         if queue_depth is not None and queue_depth < 1:
@@ -204,7 +203,8 @@ class _ServiceBase:
         self.default_timeout_s = default_timeout_s
         self.faults = faults
         self.metrics = ServiceMetrics()
-        self.cache = RasterCache(capacity=cache_capacity)
+        # LRU window rasters (2048) shared by every model and request type
+        self.cache = RasterCache()
         self._closed = False
 
     @classmethod
@@ -503,8 +503,6 @@ class HotspotService(_ServiceBase):
     max_batch / max_wait_ms:
         Micro-batching knobs (see :class:`MicroBatcher`).  ``max_batch``
         is also the engine chunk size of every scan tile.
-    cache_capacity:
-        LRU raster cache entries shared by every model and request type.
     plane_cache_capacity:
         LRU entries of tile planes kept for :meth:`scan_chip` requests
         that carry a session ``token`` (tiles are large, keep this
@@ -537,7 +535,6 @@ class HotspotService(_ServiceBase):
         default_model: str | None = None,
         max_batch: int = 64,
         max_wait_ms: float = 2.0,
-        cache_capacity: int = 2048,
         plane_cache_capacity: int = 8,
         workers: int | None = None,
         queue_depth: int | None = 1024,
@@ -552,7 +549,7 @@ class HotspotService(_ServiceBase):
             raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
         super().__init__(
             registry, default_model, max_batch, queue_depth, overflow,
-            default_timeout_s, cache_capacity, faults,
+            default_timeout_s, faults,
         )
         self.plane_cache = PlaneCache(capacity=plane_cache_capacity)
         self.max_wait_ms = max_wait_ms
@@ -860,7 +857,9 @@ class HotspotService(_ServiceBase):
         itself is tolerant: a dirty tile that keeps failing after
         ``max_retries`` re-attempts (default: the service's
         ``shard_retries``) goes NaN and the merged report is degraded —
-        never a stale pre-edit score.
+        never a stale pre-edit score.  Those re-attempts count into
+        ``stats()["shard_retries_total"]``, like a sweep's shard
+        retries.
 
         Passing ``journal=`` checkpoints the merged heatmap as an
         atomically-written scan journal of the *edited* layout: a later
@@ -886,7 +885,8 @@ class HotspotService(_ServiceBase):
         )
         if journal:
             self._snapshot_rescan(journal, merged)
-        return self._chip_report(request_id, merged, entry, started)
+        return self._chip_report(request_id, merged, entry, started,
+                                 retried_shards=merged.stats["retries"])
 
     @staticmethod
     def _snapshot_rescan(path: str, merged: ChipScanResult) -> None:

@@ -114,10 +114,9 @@ class TrainingRun:
         run is not resumable).
     keep:
         Retention: keep the last ``keep`` checkpoints + the best-val one.
-    checkpoint_every:
-        Epoch cadence of boundary checkpoints (1 = every epoch).
     checkpoint_every_steps:
-        Optional additional step cadence for mid-epoch checkpoints.
+        Optional step cadence for mid-epoch checkpoints, on top of the
+        one at every epoch boundary.
     max_retries:
         Divergence rollbacks allowed without completing an epoch before
         :class:`~repro.train.errors.DivergenceError` is raised.
@@ -139,7 +138,6 @@ class TrainingRun:
         phases: list[TrainingPhase],
         checkpoint_dir=None,
         keep: int = 3,
-        checkpoint_every: int = 1,
         checkpoint_every_steps: int | None = None,
         max_retries: int = 3,
         lr_cut: float = 0.5,
@@ -157,10 +155,6 @@ class TrainingRun:
                 raise ValueError(
                     f"phase {phase.name!r} trains a different model object"
                 )
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         if checkpoint_every_steps is not None and checkpoint_every_steps < 1:
             raise ValueError(
                 "checkpoint_every_steps must be >= 1, got "
@@ -177,7 +171,6 @@ class TrainingRun:
             if checkpoint_dir is not None
             else None
         )
-        self.checkpoint_every = checkpoint_every
         self.checkpoint_every_steps = checkpoint_every_steps
         self.max_retries = max_retries
         self.lr_cut = lr_cut
@@ -248,7 +241,6 @@ class TrainingRun:
     # -- main loop -------------------------------------------------------
 
     def _loop(self) -> None:
-        epochs_since_checkpoint = 0
         while self._phase_index < len(self.phases):
             phase = self.phases[self._phase_index]
             if self._epoch_in_phase >= phase.epochs:
@@ -270,17 +262,10 @@ class TrainingRun:
                 self._phase_index += 1
                 self._epoch_in_phase = 0
             self._retries = 0
-            epochs_since_checkpoint += 1
-            done = self._phase_index >= len(self.phases)
             saved = None
             self._last_good = self._capture_state()
-            if self.manager is not None and (
-                done
-                or self._preempted
-                or epochs_since_checkpoint >= self.checkpoint_every
-            ):
+            if self.manager is not None:  # a checkpoint at every epoch end
                 saved = self.manager.save(self._global_step, self._last_good)
-                epochs_since_checkpoint = 0
             if self._preempted:
                 raise self._preemption_error(saved)
 

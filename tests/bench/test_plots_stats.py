@@ -1,15 +1,9 @@
-"""Tests for ASCII plotting and multi-seed statistics."""
+"""Tests for ASCII plotting."""
 
 import numpy as np
 import pytest
 
 from repro.bench.plots import ascii_roc, bar_chart
-from repro.bench.stats import (
-    SeedSummary,
-    bootstrap_ci,
-    run_over_seeds,
-    summarize_values,
-)
 
 
 class TestBarChart:
@@ -55,51 +49,3 @@ class TestAsciiRoc:
         with pytest.raises(ValueError):
             ascii_roc(np.zeros(3), np.zeros(4))
 
-
-class TestStats:
-    def test_summary_fields(self):
-        summary = summarize_values([1.0, 2.0, 3.0])
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.std == pytest.approx(1.0)
-        assert summary.ci_low <= summary.mean <= summary.ci_high
-        assert "n=3" in str(summary)
-
-    def test_single_value(self):
-        summary = summarize_values([5.0])
-        assert summary.mean == 5.0
-        assert summary.std == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize_values([])
-
-    def test_bootstrap_interval_contains_mean_of_tight_data(self, rng):
-        values = 10.0 + 0.01 * rng.normal(size=30)
-        low, high = bootstrap_ci(values)
-        assert low <= values.mean() <= high
-        assert high - low < 0.02
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([], confidence=0.95)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-    def test_run_over_seeds(self):
-        def experiment(seed):
-            rng = np.random.default_rng(seed)
-            return {"accuracy": 0.8 + 0.01 * rng.random(),
-                    "fa": float(rng.integers(10, 20))}
-
-        summaries = run_over_seeds(experiment, seeds=[0, 1, 2, 3])
-        assert set(summaries) == {"accuracy", "fa"}
-        assert isinstance(summaries["accuracy"], SeedSummary)
-        assert 0.8 <= summaries["accuracy"].mean <= 0.81
-
-    def test_run_over_seeds_validation(self):
-        with pytest.raises(ValueError):
-            run_over_seeds(lambda s: {}, seeds=[])
-
-        outputs = iter([{"a": 1.0}, {"b": 2.0}])
-        with pytest.raises(ValueError):
-            run_over_seeds(lambda s: next(outputs), seeds=[0, 1])

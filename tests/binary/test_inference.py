@@ -4,27 +4,9 @@ float-simulated forward pass."""
 import numpy as np
 import pytest
 
-from repro.binary import (
-    BinaryConv2D,
-    BinaryDense,
-    BNNConvBlock,
-    ProgramEngine,
-)
+from repro.binary import BinaryConv2D, ProgramEngine
 from repro.models import bnn_resnet8, bnn_resnet12
-from repro.nn import (
-    BatchNorm2D,
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2D,
-    HardTanh,
-    MaxPool2D,
-    Module,
-    ReLU,
-    Sequential,
-    SignSTE,
-)
+from repro.nn import BatchNorm2D, Module
 
 
 class TestLayerParity:
@@ -37,13 +19,6 @@ class TestLayerParity:
             ProgramEngine(layer).forward(x), layer.forward(x), atol=1e-9
         )
 
-    def test_binary_dense(self, rng):
-        layer = BinaryDense(70, 4, rng=rng)
-        x = rng.normal(size=(3, 70))
-        np.testing.assert_allclose(
-            ProgramEngine(layer).forward(x), layer.forward(x), atol=1e-9
-        )
-
     def test_batchnorm_uses_running_stats(self, rng):
         bn = BatchNorm2D(3)
         for _ in range(5):
@@ -51,22 +26,6 @@ class TestLayerParity:
         x = rng.normal(size=(2, 3, 4, 4))
         np.testing.assert_allclose(
             ProgramEngine(bn).forward(x), bn.forward(x, training=False), atol=1e-12
-        )
-
-    def test_float_conv_and_misc_layers(self, rng):
-        net = Sequential(
-            Conv2D(1, 3, 3, padding=1, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            HardTanh(),
-            SignSTE(),
-            Dropout(0.5, rng=rng),
-            Flatten(),
-            Dense(3 * 4 * 4, 2, rng=rng),
-        )
-        x = rng.normal(size=(2, 1, 8, 8))
-        np.testing.assert_allclose(
-            ProgramEngine(net).forward(x), net.forward(x), atol=1e-9
         )
 
     def test_unknown_layer_raises(self):

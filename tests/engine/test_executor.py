@@ -4,13 +4,33 @@ import numpy as np
 import pytest
 
 from repro.engine import Executor, Kernel, OpTimings, get_backend, lower
-from repro.engine.ir import ActivationOp
+from repro.engine.ir import BatchNormAffine, Program, ResidualOp
 from repro.models import bnn_resnet8
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1)
+
+
+def _affine(name):
+    return BatchNormAffine(name=name, channels=1, scale=np.ones(1),
+                           shift=np.zeros(1))
+
+
+def _spies(seen):
+    """An out-of-place / in-place doubling kernel pair that logs its calls."""
+
+    def fn(x):
+        seen.append("out_of_place")
+        return x * 2.0
+
+    def inplace_fn(x):
+        seen.append("inplace")
+        x *= 2.0
+        return x
+
+    return fn, inplace_fn
 
 
 def _warm_model(rng, **kwargs):
@@ -83,52 +103,34 @@ class TestOwnership:
         borrowed = executor.run(x.copy(), owned=False)
         assert owned.tobytes() == borrowed.tobytes()
 
-    def test_passthrough_kernel_does_not_claim_ownership(self):
-        node = ActivationOp(name="id", kind="identity")
+    def test_borrowed_input_is_copied_once(self):
         seen = []
-
-        def spy(x):
-            seen.append("out_of_place")
-            return x * 2.0
-
-        def spy_inplace(x):
-            seen.append("inplace")
-            x *= 2.0
-            return x
-
+        fn, inplace_fn = _spies(seen)
         kernels = [
-            Kernel(node=node, fn=lambda x: x, passthrough=True),
-            Kernel(node=node, fn=spy, inplace_fn=spy_inplace),
+            Kernel(node=_affine("a"), fn=fn, inplace_fn=inplace_fn),
+            Kernel(node=_affine("b"), fn=fn, inplace_fn=inplace_fn),
         ]
         executor = Executor(kernels, OpTimings())
         x = np.ones(4)
         out = executor.run(x, owned=False)
-        # the identity passthrough must not mark the borrowed buffer
-        # owned, so the doubling kernel has to copy
-        assert seen == ["out_of_place"]
+        # the first kernel must copy the caller's array; its fresh output
+        # is the chain's own, so the second kernel runs in place on it
+        assert seen == ["out_of_place", "inplace"]
         np.testing.assert_array_equal(x, np.ones(4))
-        np.testing.assert_array_equal(out, np.full(4, 2.0))
+        np.testing.assert_array_equal(out, np.full(4, 4.0))
 
     def test_owned_buffer_uses_inplace_kernels(self):
-        node = ActivationOp(name="dbl", kind="relu")
         seen = []
-
-        def fn(x):
-            seen.append("out_of_place")
-            return x * 2.0
-
-        def inplace_fn(x):
-            seen.append("inplace")
-            x *= 2.0
-            return x
-
-        executor = Executor([Kernel(node=node, fn=fn, inplace_fn=inplace_fn)],
-                            OpTimings())
+        fn, inplace_fn = _spies(seen)
+        executor = Executor(
+            [Kernel(node=_affine("dbl"), fn=fn, inplace_fn=inplace_fn)],
+            OpTimings(),
+        )
         executor.run(np.ones(4), owned=True)
         assert seen == ["inplace"]
 
     def test_untimed_kernel_absent_from_snapshot(self):
-        node = ActivationOp(name="quiet", kind="identity")
+        node = ResidualOp(name="quiet", main=Program(()), shortcut=None)
         timings = OpTimings()
         executor = Executor(
             [Kernel(node=node, fn=lambda x: x + 1.0, timed=False)], timings

@@ -3,31 +3,51 @@
 import numpy as np
 import pytest
 
-from repro.binary import BinaryConv2D, BinaryDense, ProgramEngine
+from repro.binary import BinaryConv2D, ProgramEngine
+from repro.detect.bnn_detector import stages_for_image_size
 from repro.engine import (
-    ActivationOp,
     BatchNormAffine,
     BinaryConvOp,
-    BinaryDenseOp,
     DenseOp,
+    FusedBinaryConvOp,
     LoweringError,
     PoolOp,
     ResidualOp,
     describe,
+    get_backend,
     infer_shapes,
     lower,
     plane_prefix,
+    run_pipeline,
 )
 from repro.models import bnn_resnet8
+from repro.models.bnn_resnet import build_bnn_resnet
 from repro.nn import (
+    AvgPool2D,
     BatchNorm2D,
+    Conv2D,
     Dense,
     Dropout,
+    Flatten,
     GlobalAvgPool2D,
+    HardTanh,
+    MaxPool2D,
     Module,
     ReLU,
     Sequential,
+    SignSTE,
 )
+
+
+class Strange(Module):
+    pass
+
+
+#: the node types the paper's network lowers to, plus the passes' fused op
+KEPT_NODE_TYPES = {
+    BatchNormAffine, BinaryConvOp, FusedBinaryConvOp, ResidualOp, PoolOp,
+    DenseOp,
+}
 
 
 @pytest.fixture
@@ -71,25 +91,30 @@ class TestLower:
             node.shift, bn.beta.data - bn.running_mean * expected_scale
         )
 
-    def test_dropout_lowers_to_identity(self):
-        program = lower(Sequential(Dropout(0.5)))
-        assert isinstance(program[0], ActivationOp)
-        assert program[0].kind == "identity"
-
-    def test_unknown_layer_raises_typed_error(self):
-        class Strange(Module):
-            pass
-
-        with pytest.raises(LoweringError) as excinfo:
-            lower(Sequential(Strange()))
-        assert excinfo.value.layer_type == "Strange"
+    @pytest.mark.parametrize("layer", [
+        Strange(), Conv2D(1, 2, 3), MaxPool2D(2), AvgPool2D(2), Flatten(),
+        ReLU(), HardTanh(), SignSTE(), Dropout(0.5),
+    ], ids=lambda layer: type(layer).__name__)
+    def test_unknown_layer_raises_typed_error(self, layer):
+        name = type(layer).__name__
+        with pytest.raises(LoweringError, match=name) as excinfo:
+            lower(Sequential(BinaryConv2D(1, 2, 3), layer))
+        assert excinfo.value.layer_type == name
         assert isinstance(excinfo.value, TypeError)  # legacy contract
 
-    def test_binary_dense_node(self, rng):
-        program = lower(Sequential(BinaryDense(6, 2, rng=rng)))
-        node = program[0]
-        assert isinstance(node, BinaryDenseOp)
-        assert node.in_features == 6 and node.out_features == 2
+    @pytest.mark.parametrize("stem_stride", [1, 2])
+    @pytest.mark.parametrize("scaling", ["channelwise", "xnor", "none"])
+    def test_paper_network_holds_only_kept_node_types(self, scaling,
+                                                      stem_stride):
+        stages = stages_for_image_size(32, stem_stride=stem_stride)
+        model = build_bnn_resnet([4 << i for i in range(stages)],
+                                 scaling=scaling, stem_stride=stem_stride)
+        program = run_pipeline(lower(model), "default")
+        assert {type(node) for node in program.walk()} <= KEPT_NODE_TYPES
+        out = get_backend("packed").compile(program).run(
+            np.ones((1, 1, 32, 32))
+        )
+        assert out.shape == (1, 2)
 
 
 class TestStemFinder:
@@ -136,8 +161,6 @@ class TestShapes:
         assert shapes[last.name][1] == (2, 2)
 
     def test_shapes_match_execution(self, rng):
-        from repro.engine import get_backend
-
         model = bnn_resnet8(seed=0, base_width=4)
         model.forward(rng.normal(size=(4, 1, 16, 16)), training=True)
         program = lower(model)
@@ -153,7 +176,3 @@ class TestShapes:
         text = describe(program, input_shape=(1, 1, 16, 16))
         assert "BinaryConvOp" in text and "ResidualOp" in text
         assert "-> (1, 2)" in text
-
-    def test_relu_lowering(self):
-        program = lower(Sequential(ReLU()))
-        assert program[0].kind == "relu"

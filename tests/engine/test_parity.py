@@ -98,6 +98,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "OK" in out
+        assert "OK (every OpNode type)" in out
+
+    def test_node_type_without_coverage_fails(self, capsys):
+        # without the default passes no variant compiles a fused op
+        code = main([
+            "--image-size", "16", "--base-width", "4", "--batch", "4",
+            "--scaling", "xnor", "--stem-stride", "1", "--passes", "none",
+        ])
+        assert code == 1
+        assert "MISSING FusedBinaryConvOp" in capsys.readouterr().out
 
 
 class TestBatchInvariance:

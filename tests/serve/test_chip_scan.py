@@ -131,6 +131,21 @@ class TestRescanChip:
         assert (stats["chip_windows_rescored_total"]
                 == rescanned.rescored_windows > 0)
 
+    def test_rescan_retries_count_as_shard_retries(self, model, layout):
+        edits = synthesize_edit_trace(
+            layout, 2, seed=42, region=Rect(0, 0, 1024, 1024)
+        )
+        faults = FaultInjector(seed=0)
+        with HotspotService.from_model(
+            model, IMAGE, faults=faults, shard_retries=1
+        ) as svc:
+            baseline = svc.scan_chip(chip_request(layout))
+            faults.add_error("engine", times=1)  # the first dirty tile
+            rescanned = svc.rescan_chip(baseline, edits)
+            stats = svc.metrics.stats()
+        assert not rescanned.degraded and rescanned.failed_tiles == ()
+        assert stats["shard_retries_total"] == 1
+
     def test_requires_scanner_state(self, model, layout):
         with HotspotService.from_model(model, IMAGE) as svc:
             report = svc.scan_chip(chip_request(layout))
