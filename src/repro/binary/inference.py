@@ -118,15 +118,7 @@ class PlaneScanPlan:
         origins,
         prefix: _Prefix,
         depth: int | None = None,
-        backend: str = "",
-        pipeline: str = "",
     ):
-        #: provenance: the backend name and pass-pipeline signature of
-        #: the engine that compiled this plan.  Scan reports and durable
-        #: journals record both, so a resume refuses to mix artifacts
-        #: produced under different compilation pipelines.
-        self.backend = backend
-        self.pipeline = pipeline
         plane = np.asarray(plane, dtype=np.float64)
         if plane.ndim == 2:
             plane = plane[None, None]
@@ -380,9 +372,8 @@ class ProgramEngine:
     Compilation is strict: an unknown ``backend`` raises ``ValueError``
     listing the registered backends, and a model containing a layer the
     IR cannot represent raises :class:`~repro.engine.lower.LoweringError`
-    naming the layer type.  ``passes`` selects the optimization pipeline
-    (``"default"``, ``"none"``, or a list of pass names — see
-    :mod:`repro.engine.passes`).
+    naming the layer type.  The lowered program always runs the default
+    pass pipeline (:data:`~repro.engine.passes.DEFAULT_PIPELINE`).
 
     Per-op wall-clock timings accumulate in :attr:`op_times` across
     every ``forward`` / ``predict_logits`` / plane-scan call (the table
@@ -391,18 +382,13 @@ class ProgramEngine:
     :meth:`reset_op_timings`.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        backend: str = "packed",
-        passes: str | list[str] | tuple[str, ...] | None = "default",
-    ):
+    def __init__(self, model: Module, backend: str = "packed"):
         compiler = get_backend(backend)  # unknown names fail before lowering
-        #: canonical signature of the pass pipeline the program was
-        #: compiled under (``"none"`` when run verbatim) — recorded on
-        #: scan plans, reports, and checkpoints as provenance
-        self.pipeline: str = pipeline_signature(passes)
-        self.program: Program = run_pipeline(lower(model), passes)
+        #: signature of the pass pipeline the program was compiled under
+        #: — recorded on serving entries, scan reports and journals as
+        #: provenance
+        self.pipeline: str = pipeline_signature("default")
+        self.program: Program = run_pipeline(lower(model))
         self.backend_name = backend
         self.op_times = OpTimings()
         self._executor: Executor = compiler.compile(
@@ -437,10 +423,7 @@ class ProgramEngine:
         bit-identical to ``predict_logits`` on the stacked window
         slices.
         """
-        return PlaneScanPlan(
-            plane, window, origins, self._prefix,
-            backend=self.backend_name, pipeline=self.pipeline,
-        )
+        return PlaneScanPlan(plane, window, origins, self._prefix)
 
     def plan_bytes_per_pixel(self) -> int:
         """Upper bound on the bytes a :meth:`plan_scan` plan holds per

@@ -66,16 +66,20 @@ class ScanPreemptedError(RuntimeError):
         self.total = total
 
 
+#: exception types never retried: deterministic programming errors
+#: (bad geometry, shape bugs) fail the same way on the same inputs
+PERMANENT_ERRORS: tuple[type, ...] = (ValueError, TypeError)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded, deterministic retry schedule for tile failures.
 
-    ``permanent`` exception types (deterministic programming errors —
-    bad geometry, shape bugs) are never retried: the same inputs would
-    fail the same way.  Everything else is presumed transient (worker
-    died, I/O hiccup, injected fault) and re-attempted up to
-    ``max_retries`` times per tile, capped globally by ``retry_budget``
-    re-attempts per job so a sick fleet cannot retry forever.
+    :data:`PERMANENT_ERRORS` are never retried.  Everything else is
+    presumed transient (worker died, I/O hiccup, injected fault) and
+    re-attempted up to ``max_retries`` times per tile, capped globally
+    by ``retry_budget`` re-attempts per job so a sick fleet cannot
+    retry forever.
 
     The backoff before attempt ``k`` (1-based) is capped exponential
     with deterministic jitter::
@@ -92,7 +96,6 @@ class RetryPolicy:
     max_delay_s: float = 2.0
     retry_budget: int = 64
     seed: int = 0
-    permanent: tuple[type, ...] = (ValueError, TypeError)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -108,7 +111,7 @@ class RetryPolicy:
 
     def is_transient(self, exc: BaseException) -> bool:
         """Whether ``exc`` is worth retrying."""
-        return not isinstance(exc, self.permanent)
+        return not isinstance(exc, PERMANENT_ERRORS)
 
     def delay_s(self, attempt: int, key: int = 0) -> float:
         """Deterministically jittered backoff before retry ``attempt``."""

@@ -177,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_describe.add_argument("--stem-stride", type=int, default=None,
                             help="default: 2 when image size >= 64, else 1")
     p_describe.add_argument("--passes", default="default",
-                            help="pipeline spec: 'default', 'none', or "
-                                 "comma-separated pass names (see "
-                                 "repro.engine.passes)")
+                            choices=["default", "none"],
+                            help="pass pipeline: 'default' (what every "
+                                 "engine compiles) or 'none' (the lowered "
+                                 "program only)")
     p_describe.add_argument("--batch", type=int, default=1,
                             help="batch size for buffer-byte accounting")
     p_describe.add_argument("--full", action="store_true",
@@ -613,21 +614,18 @@ def _cmd_engine_describe(args) -> int:
         source = (f"seeded model ({image_size}px, width {args.base_width}, "
                   f"{args.scaling}, stem stride {stem_stride})")
 
-    spec = args.passes
-    if spec not in ("default", "none"):
-        spec = tuple(name for name in spec.split(",") if name)
     input_shape = (args.batch, 1, image_size, image_size)
     try:
         program = lower(model)
         snapshots = run_pipeline_snapshots(
-            program, spec, input_shape=input_shape
+            program, args.passes, input_shape=input_shape
         )
     except (LoweringError, ValueError) as exc:
         print(f"cannot describe: {exc}")
         return 2
 
     print(f"model:    {source}")
-    print(f"pipeline: {pipeline_signature(spec)}")
+    print(f"pipeline: {pipeline_signature(args.passes)}")
     print(f"input:    {input_shape}")
     baseline = None
     for index, snap in enumerate(snapshots):

@@ -46,7 +46,7 @@ from .ir import (
 
 # Re-exported so callers can treat lowering + optimization as one
 # module: ``lower()`` emits the verbatim program, ``run_pipeline()``
-# rewrites it (see :mod:`repro.engine.passes` for the pass registry).
+# rewrites it (see :mod:`repro.engine.passes` for the passes).
 from .passes import (  # noqa: F401
     DEFAULT_PIPELINE,
     pipeline_signature,

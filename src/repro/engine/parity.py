@@ -119,7 +119,7 @@ def compare_backends(
     image_size: int = 16,
     batch: int = 8,
     seed: int = 0,
-    pipelines: list | None = None,
+    pipelines: list[str] | None = None,
 ) -> ParityResult:
     """Lower ``model`` once, run every backend × pipeline, compare pairs.
 
@@ -242,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--passes", action="append", default=None,
+        choices=["default", "none"],
         help="pass pipeline(s) to test (default: 'none' and 'default')",
     )
     args = parser.parse_args(argv)

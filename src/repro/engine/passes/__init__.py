@@ -41,17 +41,12 @@ from ..ir import Program, verify_program
 __all__ = [
     "Pass",
     "PassSnapshot",
-    "register_pass",
-    "available_passes",
-    "get_pass",
     "DEFAULT_PIPELINE",
     "resolve_pipeline",
     "pipeline_signature",
     "run_pipeline",
     "run_pipeline_snapshots",
 ]
-
-_REGISTRY: dict[str, type["Pass"]] = {}
 
 
 class Pass:
@@ -67,69 +62,39 @@ class Pass:
         return {}
 
 
-def register_pass(name: str):
-    """Class decorator adding a :class:`Pass` to the registry."""
-
-    def decorate(cls: type[Pass]) -> type[Pass]:
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def available_passes() -> list[str]:
-    """Registered pass names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_pass(name: str) -> Pass:
-    """Instantiate a pass by name; unknown names list what exists."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pass {name!r} "
-            f"(available: {', '.join(available_passes())})"
-        ) from None
-    return cls()
-
+# The concrete passes subclass Pass, so they import after it.
+from .fold_bn import FoldBatchNorm  # noqa: E402
+from .hoist_scales import HoistScales  # noqa: E402
+from .liveness import Liveness  # noqa: E402
 
 #: The default pipeline, in execution order.
-DEFAULT_PIPELINE = ("fold-bn", "hoist-scales", "liveness")
+DEFAULT_PIPELINE: tuple[Pass, ...] = (
+    FoldBatchNorm(), HoistScales(), Liveness(),
+)
 
 
-def resolve_pipeline(
-    spec: str | list[str] | tuple[str, ...] | None,
-) -> tuple[Pass, ...]:
+def resolve_pipeline(spec: str) -> tuple[Pass, ...]:
     """Resolve a pipeline spec to pass instances.
 
-    ``"default"`` (or ``None``) is :data:`DEFAULT_PIPELINE`; ``"none"``
-    is the empty pipeline (execute the lowered program verbatim); a
-    list/tuple names passes explicitly, run in the given order.
+    ``"default"`` is :data:`DEFAULT_PIPELINE`; ``"none"`` is the empty
+    pipeline (execute the lowered program verbatim), the reference the
+    parity gate and ``repro engine describe`` compare against.
     """
-    if spec is None or spec == "default":
-        names: tuple[str, ...] = DEFAULT_PIPELINE
-    elif spec == "none":
-        names = ()
-    elif isinstance(spec, str):
-        raise ValueError(
-            f"unknown pipeline spec {spec!r} (use 'default', 'none', or "
-            f"a list of pass names)"
-        )
-    else:
-        names = tuple(spec)
-    return tuple(get_pass(name) for name in names)
+    if spec == "default":
+        return DEFAULT_PIPELINE
+    if spec == "none":
+        return ()
+    raise ValueError(
+        f"unknown pipeline spec {spec!r} (use 'default' or 'none')"
+    )
 
 
-def pipeline_signature(
-    spec: str | list[str] | tuple[str, ...] | None,
-) -> str:
+def pipeline_signature(spec: str) -> str:
     """Canonical provenance string for a pipeline spec.
 
     ``"none"`` for the empty pipeline, else the ordered pass names
-    joined with ``>``.  This is the token recorded by plane-scan plans,
-    chip-scan journals, and serving checkpoints so artifacts compiled
+    joined with ``>``.  This is the token recorded by serving entries,
+    worker provenance and chip-scan journals so artifacts compiled
     under different pipelines are never silently mixed.
     """
     passes = resolve_pipeline(spec)
@@ -153,7 +118,7 @@ class PassSnapshot:
 
 def run_pipeline(
     program: Program,
-    spec: str | list[str] | tuple[str, ...] | None = "default",
+    spec: str = "default",
     input_shape: tuple[int, ...] | None = None,
 ) -> Program:
     """Run a pass pipeline, verifying the program after every pass."""
@@ -165,7 +130,7 @@ def run_pipeline(
 
 def run_pipeline_snapshots(
     program: Program,
-    spec: str | list[str] | tuple[str, ...] | None = "default",
+    spec: str = "default",
     input_shape: tuple[int, ...] | None = None,
 ) -> list[PassSnapshot]:
     """Run a pipeline keeping the program after every stage.
@@ -181,10 +146,3 @@ def run_pipeline_snapshots(
         verify_program(program, input_shape)
         snapshots.append(PassSnapshot(p.name, program, p.notes(before, program)))
     return snapshots
-
-
-# Import concrete passes last so their @register_pass decorators run on
-# package import (mirrors the backend registry).
-from . import fold_bn  # noqa: E402,F401
-from . import hoist_scales  # noqa: E402,F401
-from . import liveness  # noqa: E402,F401

@@ -32,7 +32,7 @@ from ..ir import (
     ResidualOp,
     op_counts,
 )
-from . import Pass, register_pass
+from . import Pass
 
 
 def _fuse(conv: BinaryConvOp, bn: BatchNormAffine | None) -> FusedBinaryConvOp:
@@ -86,9 +86,10 @@ def _fold(program: Program) -> Program:
     return Program(tuple(nodes))
 
 
-@register_pass("fold-bn")
 class FoldBatchNorm(Pass):
     """Fold ``BatchNormAffine -> BinaryConvOp`` chains into fused nodes."""
+
+    name = "fold-bn"
 
     def run(self, program: Program) -> Program:
         return _fold(program)

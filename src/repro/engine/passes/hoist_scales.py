@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from ...binary.quantize import binarize_weights
 from ..ir import FusedBinaryConvOp, OpNode, Program, ResidualOp
-from . import Pass, register_pass
+from . import Pass
 
 
 def _hoist(program: Program) -> Program:
@@ -44,9 +44,10 @@ def _hoist(program: Program) -> Program:
     return Program(tuple(nodes))
 
 
-@register_pass("hoist-scales")
 class HoistScales(Pass):
     """Precompute ``sign(W)`` and per-filter ``mean|W|`` (Eq. 8)."""
+
+    name = "hoist-scales"
 
     def run(self, program: Program) -> Program:
         return _hoist(program)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..ir import FusedBinaryConvOp, OpNode, Program, ResidualOp
-from . import Pass, register_pass
+from . import Pass
 
 
 def _sweep(program: Program) -> Program:
@@ -43,9 +43,10 @@ def _sweep(program: Program) -> Program:
     return Program(tuple(nodes))
 
 
-@register_pass("liveness")
 class Liveness(Pass):
     """Annotate fused inputs that die in place."""
+
+    name = "liveness"
 
     def run(self, program: Program) -> Program:
         return _sweep(program)

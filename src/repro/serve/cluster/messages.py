@@ -58,7 +58,6 @@ class ModelSpec:
     image_size: int
     decision_bias: float = 0.0
     backend: str = "packed"
-    passes: object = "default"
     version: int = 1
 
 

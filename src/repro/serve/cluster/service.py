@@ -93,6 +93,10 @@ __all__ = ["ClusterService"]
 #: grace for a fresh worker to compile its engines and report ready
 #: before the supervisor gives up on it
 STARTUP_TIMEOUT_S = 60.0
+#: per-replica budget of a rollout step: drain the in-flight tasks,
+#: load the new weights and answer the canary probe (also bounds each
+#: reload of a rollback)
+DRAIN_TIMEOUT_S = 30.0
 #: failover budget per task: worker losses (crashes) or reported
 #: scoring errors a task survives by resubmission before it fails with
 #: :class:`~repro.serve.errors.WorkerCrashError` (a poison task must not
@@ -300,7 +304,7 @@ class ClusterService(_ServiceBase):
 
     def register(self, name: str, model, image_size: int,
                  decision_bias: float = 0.0, meta: dict | None = None,
-                 backend: str = "packed", passes="default") -> ModelEntry:
+                 backend: str = "packed") -> ModelEntry:
         """Compile + register a model; live workers load it in place.
 
         Before the fleet starts this is pure registry bookkeeping —
@@ -311,7 +315,6 @@ class ClusterService(_ServiceBase):
         entry = super().register(
             name, model, image_size=image_size,
             decision_bias=decision_bias, meta=meta, backend=backend,
-            passes=passes,
         )
         with self._cond:
             self._versions.setdefault(name, 1)
@@ -331,7 +334,7 @@ class ClusterService(_ServiceBase):
         return ModelSpec(
             name=entry.name, model=entry.model, image_size=entry.image_size,
             decision_bias=entry.decision_bias, backend=entry.backend,
-            passes=entry.passes, version=version,
+            version=version,
         )
 
     def _spec(self, name: str) -> ModelSpec:
@@ -921,24 +924,25 @@ class ClusterService(_ServiceBase):
         return self._load_results.pop(key)
 
     def rollout(self, name: str, model=None, path: str | None = None,
-                image_size: int | None = None, decision_bias: float = 0.0,
-                backend: str = "packed", passes="default",
-                canary_batch: np.ndarray | None = None,
-                drain_timeout_s: float = 30.0) -> ModelEntry:
+                image_size: int | None = None,
+                decision_bias: float = 0.0) -> ModelEntry:
         """Roll a new checkpoint across the fleet without dropping traffic.
 
         Transaction order:
 
         1. **Register** the new model (from a live ``model`` or a
-           checkpoint ``path``) in the router's registry.  This
-           compiles the reference engine; a corrupt checkpoint or
-           compile failure raises here, before any replica is touched.
+           checkpoint ``path``) in the router's registry, on the backend
+           the name is already served with (``"packed"`` for a new
+           name).  This compiles the reference engine; a corrupt
+           checkpoint or compile failure raises here, before any
+           replica is touched.
         2. Per replica, in slot order: **drain** (state DRAINING —
            visible in :meth:`replica_states` and health reasons; no
            new tasks, in-flight ones finish), **swap** via
-           ``LoadModelMsg``, **canary-probe** one batch pinned to the
-           swapped replica and compare bit-for-bit against the
-           reference engine, **readmit** (READY).  Siblings carry
+           ``LoadModelMsg``, **canary-probe** one seeded batch pinned to
+           the swapped replica and compare bit-for-bit against the
+           reference engine, **readmit** (READY).  Each step has
+           :data:`DRAIN_TIMEOUT_S` per replica.  Siblings carry
            traffic the whole time.
         3. A failed load or canary mismatch **rolls back**: the
            replica reloads the previous weights, the registry restores
@@ -959,13 +963,14 @@ class ClusterService(_ServiceBase):
                 self.registry.get(name) if name in self.registry else None
             )
             old_version = self._versions.get(name, 1)
+        backend = old_entry.backend if old_entry is not None else "packed"
         if model is None and path is None:
             raise ValueError("rollout needs model= or path=")
         try:
             if path is not None:
                 entry = self.registry.load_checkpoint(
                     name, path, model=model, image_size=image_size,
-                    backend=backend, passes=passes,
+                    backend=backend,
                 )
             else:
                 if image_size is None:
@@ -978,7 +983,6 @@ class ClusterService(_ServiceBase):
                 entry = self.registry.register(
                     name, model, image_size=image_size,
                     decision_bias=decision_bias, backend=backend,
-                    passes=passes,
                 )
         except Exception:
             self.metrics.add(rollouts_total=1, rollout_failures_total=1)
@@ -992,11 +996,7 @@ class ClusterService(_ServiceBase):
             )
         swapped: list[int] = []
         try:
-            canary = (
-                canary_batch if canary_batch is not None
-                else self._canary_batch(entry)
-            )
-            canary = np.ascontiguousarray(canary, dtype=np.float64)
+            canary = self._canary_batch(entry)
             # a model that compiles but cannot score the canary fails
             # here — inside the rollback scope, so the version bump
             # above is undone and no replica is touched
@@ -1011,7 +1011,7 @@ class ClusterService(_ServiceBase):
                 try:
                     self._swap_replica(
                         handle, slot, generation, spec, canary, reference,
-                        drain_timeout_s, swapped,
+                        swapped,
                     )
                 except Exception:
                     with self._cond:
@@ -1033,22 +1033,21 @@ class ClusterService(_ServiceBase):
         except Exception:
             self.metrics.add(rollouts_total=1, rollout_failures_total=1)
             self._roll_back(name, old_entry, old_version, old_spec,
-                            swapped, drain_timeout_s)
+                            swapped)
             raise
 
     def _swap_replica(self, handle: WorkerHandle, slot: int,
                       generation: int, spec: ModelSpec,
                       canary: np.ndarray, reference: np.ndarray,
-                      drain_timeout_s: float,
                       swapped: list[int]) -> None:
-        deadline = time.monotonic() + drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         with self._cond:
             while handle.inflight:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._cond.wait(timeout=remaining):
                     raise RolloutError(
                         f"replica {slot} did not drain within "
-                        f"{drain_timeout_s}s ({len(handle.inflight)} tasks "
+                        f"{DRAIN_TIMEOUT_S}s ({len(handle.inflight)} tasks "
                         f"in flight)"
                     )
                 if handle.generation != generation:
@@ -1108,7 +1107,7 @@ class ClusterService(_ServiceBase):
                 self._cond.notify_all()
 
     def _roll_back(self, name, old_entry, old_version, old_spec,
-                   swapped, drain_timeout_s) -> None:
+                   swapped) -> None:
         """Best-effort restore of the pre-rollout fleet and registry."""
         with self._cond:
             self._versions[name] = old_version
@@ -1116,7 +1115,7 @@ class ClusterService(_ServiceBase):
             self.registry.register(
                 name, old_entry.model, image_size=old_entry.image_size,
                 decision_bias=old_entry.decision_bias, meta=old_entry.meta,
-                backend=old_entry.backend, passes=old_entry.passes,
+                backend=old_entry.backend,
             )
         for slot in swapped:
             handle = self._handles[slot]
@@ -1130,7 +1129,7 @@ class ClusterService(_ServiceBase):
                         self._wait_load_locked(
                             slot, handle.generation, old_spec.name,
                             old_spec.version,
-                            time.monotonic() + drain_timeout_s,
+                            time.monotonic() + DRAIN_TIMEOUT_S,
                         )
                 # the slot whose canary failed was left DRAINING so it
                 # could not serve the parity-failing weights; readmit

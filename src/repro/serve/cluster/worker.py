@@ -61,7 +61,7 @@ class _Served:
 
 
 def _compile(spec) -> _Served:
-    engine = ProgramEngine(spec.model, spec.backend, spec.passes)
+    engine = ProgramEngine(spec.model, spec.backend)
     return _Served(
         spec=spec,
         engine=engine,

@@ -33,7 +33,6 @@ from threading import Lock
 from ..binary.inference import ProgramEngine
 from ..detect.bnn_detector import stages_for_image_size
 from ..engine.backends import get_backend
-from ..engine.lower import pipeline_signature
 from ..models.bnn_resnet import build_bnn_resnet
 from ..nn.module import Module
 from ..nn.serialization import CheckpointError, load_meta, load_model
@@ -75,11 +74,8 @@ class ModelEntry:
     image_size: int  #: square input side the engine expects
     decision_bias: float = 0.0  #: score threshold (see ``BNNDetector``)
     meta: dict[str, object] = field(default_factory=dict)
-    #: pass pipeline the engine was compiled with (``"default"``,
-    #: ``"none"`` or pass names) — what a recompile must repeat
-    passes: object = "default"
     #: pass-pipeline signature the engine was compiled under
-    #: (e.g. ``"fold-bn>hoist-scales>liveness"`` or ``"none"``)
+    #: (``"fold-bn>hoist-scales>liveness"``)
     pipeline: str = ""
 
 
@@ -98,17 +94,15 @@ class ModelRegistry:
         decision_bias: float = 0.0,
         meta: dict[str, object] | None = None,
         backend: str = "packed",
-        passes="default",
     ) -> ModelEntry:
         """Compile and register a live model under ``name``.
 
         ``backend`` names the engine backend (strict: see the module
-        docstring); ``passes`` selects the optimization pipeline.
-        Re-registering a name replaces the previous entry (latest
-        wins), which is how a rolling model update deploys; a model
-        that fails to compile replaces nothing.
+        docstring).  Re-registering a name replaces the previous entry
+        (latest wins), which is how a rolling model update deploys; a
+        model that fails to compile replaces nothing.
         """
-        engine = ProgramEngine(model, backend, passes)
+        engine = ProgramEngine(model, backend)
         entry = ModelEntry(
             name=name,
             model=model,
@@ -117,7 +111,6 @@ class ModelRegistry:
             image_size=int(image_size),
             decision_bias=float(decision_bias),
             meta=dict(meta or {}),
-            passes=passes,
             pipeline=engine.pipeline,
         )
         with self._lock:
@@ -131,7 +124,6 @@ class ModelRegistry:
         model: Module | None = None,
         image_size: int | None = None,
         backend: str = "packed",
-        passes="default",
     ) -> ModelEntry:
         """Load a ``.npz`` checkpoint and register it under ``name``.
 
@@ -174,21 +166,6 @@ class ModelRegistry:
                 UserWarning,
                 stacklevel=2,
             )
-        recorded_pipeline = meta.get("pipeline")
-        if recorded_pipeline is not None:
-            requested_pipeline = pipeline_signature(passes)
-            if str(recorded_pipeline) != requested_pipeline:
-                warnings.warn(
-                    f"checkpoint {os.fspath(path)!r} records pass pipeline "
-                    f"{str(recorded_pipeline)!r} but "
-                    f"{requested_pipeline!r} was requested; serving with "
-                    f"{requested_pipeline!r} (logits are bit-identical "
-                    f"across pipelines, but durable-scan journals bind to "
-                    f"the pipeline and will refuse to resume across this "
-                    f"change)",
-                    UserWarning,
-                    stacklevel=2,
-                )
         if image_size is None:
             if "image_size" not in meta:
                 raise KeyError(
@@ -202,7 +179,6 @@ class ModelRegistry:
             decision_bias=float(meta.get("decision_bias", 0.0)),
             meta=meta,
             backend=backend,
-            passes=passes,
         )
 
     def get(self, name: str) -> ModelEntry:

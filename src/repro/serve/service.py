@@ -225,12 +225,11 @@ class _ServiceBase:
 
     def register(self, name: str, model: Module, image_size: int,
                  decision_bias: float = 0.0, meta: dict | None = None,
-                 backend: str = "packed", passes="default") -> ModelEntry:
+                 backend: str = "packed") -> ModelEntry:
         """Compile and register a model (:meth:`ModelRegistry.register`)."""
         return self.registry.register(
             name, model, image_size=image_size,
             decision_bias=decision_bias, meta=meta, backend=backend,
-            passes=passes,
         )
 
     # -- scoring hooks (where the work runs) -----------------------------

@@ -359,3 +359,24 @@ class TestRollingRollout:
             assert not any("mixed versions" in r for r in report.reasons)
             after = svc.classify(ClipRequest(image=image), timeout=120)
             assert after.score == before.score
+
+    def test_rollout_keeps_the_entry_backend(self, model):
+        """New weights roll onto the backend the fleet already serves:
+        a ``float`` fleet stays ``float`` in the registry and on every
+        replica, never silently re-compiled as ``packed``."""
+        new_model = build_bnn_resnet((4, 8), scaling="xnor", seed=7)
+        with make_cluster(model, backend="float") as svc:
+            svc.classify(ClipRequest(image=np.zeros((16, 16))), timeout=120)
+            states = wait_all_ready(svc)
+            assert all(s is ReplicaState.READY
+                       for s in states.values()), states
+            svc.rollout("default", model=new_model)
+            entry = svc.registry.get("default")
+            replicas = svc.stats()["cluster"]["replicas"]
+
+        assert entry.backend == entry.engine.backend_name == "float"
+        assert len(replicas) == 2
+        for replica in replicas.values():
+            provenance = replica["provenance"]["default"]
+            assert provenance["backend"] == "float", replica
+            assert provenance["version"] == 2, replica

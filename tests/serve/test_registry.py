@@ -39,7 +39,7 @@ class TestCompileEngine:
         assert ProgramEngine(make_model()).backend_name == "packed"
         entry = ModelRegistry().register("m", make_model(), image_size=16)
         assert entry.backend == entry.engine.backend_name == "packed"
-        assert entry.passes == "default"
+        assert entry.pipeline == "fold-bn>hoist-scales>liveness"
 
     def test_float_on_request(self):
         entry = ModelRegistry().register(
@@ -166,10 +166,11 @@ class TestExplicitBackend:
     def test_register_threads_backend_through(self):
         registry = ModelRegistry()
         entry = registry.register(
-            "m", make_model(), image_size=16, backend="float", passes="none"
+            "m", make_model(), image_size=16, backend="float"
         )
         assert entry.backend == entry.engine.backend_name == "float"
-        assert entry.passes == "none" and entry.pipeline == "none"
+        assert entry.pipeline == entry.engine.pipeline == \
+            "fold-bn>hoist-scales>liveness"
 
 
 class TestFallbackReason:

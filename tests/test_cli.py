@@ -281,3 +281,52 @@ class TestScanCommand:
         # degraded-but-usable: the results were still written
         assert out.exists()
         assert "DEGRADED" in capsys.readouterr().out
+
+
+class TestEngineDescribe:
+    PASSES = ("fold-bn", "hoist-scales", "liveness")
+
+    @staticmethod
+    def blocks(out):
+        """The ``== <stage> ==`` headers, in order."""
+        return [line[3:-3] for line in out.splitlines()
+                if line.startswith("== ") and line.endswith(" ==")]
+
+    def test_seeded_model_runs_the_default_pipeline(self, capsys):
+        code = main(["engine", "describe", "--image-size", "16",
+                     "--base-width", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pipeline: fold-bn>hoist-scales>liveness" in out
+        assert self.blocks(out) == ["lowered", *self.PASSES]
+        assert "FusedBinaryConvOp" in out
+
+    def test_passes_none_shows_the_lowered_program_only(self, capsys):
+        code = main(["engine", "describe", "--image-size", "16",
+                     "--base-width", "4", "--passes", "none"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pipeline: none" in out
+        assert self.blocks(out) == ["lowered"]
+        assert "FusedBinaryConvOp" not in out
+
+    def test_describes_a_saved_checkpoint(self, capsys, tmp_path):
+        path = tmp_path / "ck.npz"
+        assert main([
+            "train", "--scale", "0.001", "--image-size", "16", "--seed", "7",
+            "--epochs", "1", "--finetune-epochs", "0", "--save", str(path),
+        ]) == 0
+        capsys.readouterr()
+        code = main(["engine", "describe", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"model:    {path}" in out
+        assert "input:    (1, 1, 16, 16)" in out
+        assert self.blocks(out) == ["lowered", *self.PASSES]
+
+    @pytest.mark.parametrize("spec", ["fold-bn", "fold-bn,liveness", "all"])
+    def test_bad_passes_value_exits_2(self, capsys, spec):
+        with pytest.raises(SystemExit) as info:
+            main(["engine", "describe", "--passes", spec])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
