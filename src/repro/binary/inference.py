@@ -2,14 +2,16 @@
 
 Every engine here is a thin shell over the :mod:`repro.engine` stack —
 a trained model is lowered **once** to the typed op-graph IR
-(:func:`repro.engine.lower.lower`), compiled by a named backend from
-the registry, and executed with per-op timing hooks:
+(:func:`repro.engine.lower.lower`), compiled by one of the two engine
+backends, and executed with per-op timing hooks:
 
 * :class:`ProgramEngine` — one compiled model.  ``backend="packed"``
   (the default) runs bit-packed XNOR/popcount kernels, the paper's
   deployment story (training simulates binarization in float,
   inference runs on binary arithmetic); ``backend="float"`` runs
   deployment float MACs over sign values, the bit-identical reference.
+  ``ProgramEngine`` is the one place the backend is chosen: every served
+  engine is ``ProgramEngine(model)``.
 * :class:`PlaneScanPlan` — the plane-compiled sliding-window scan: a
   prefix of the network (the stem, then whole residual stages, as
   :func:`repro.engine.lower.plane_prefix` finds them) runs once over
@@ -370,7 +372,7 @@ class ProgramEngine:
     affect the compiled engine.
 
     Compilation is strict: an unknown ``backend`` raises ``ValueError``
-    listing the registered backends, and a model containing a layer the
+    listing the backends that exist, and a model containing a layer the
     IR cannot represent raises :class:`~repro.engine.lower.LoweringError`
     naming the layer type.  The lowered program always runs the default
     pass pipeline (:data:`~repro.engine.passes.DEFAULT_PIPELINE`).

@@ -1,7 +1,8 @@
 """CI gate: streamed scan ≡ monolithic scan, re-scan ≡ from-scratch.
 
 Run as ``python -m repro.chip.parity``.  Four invariants, each checked
-bit-for-bit on every engine backend:
+bit-for-bit (the service check on the served ``packed`` engine, the
+other three on both engine backends):
 
 1. **Streaming parity** — :meth:`ChipScanner.scan` over a synthesized
    chip, with a tile budget small enough to force a multi-tile grid,
@@ -14,8 +15,8 @@ bit-for-bit on every engine backend:
    windows than the sweep holds.
 3. **Service parity** — :meth:`repro.serve.HotspotService.scan`, the
    service's one scan path, flags exactly the windows the monolithic
-   reference scores above 0, with the same scores (its tile count is
-   printed).
+   reference of its own engine scores above 0, with the same scores
+   (its tile count is printed).
 4. **Repeated-cell parity** — on a cell-library chip built to repeat
    window rasters (:func:`~repro.litho.fullchip.synthesize_cell_array`)
    the streamed scan still equals the monolithic one, and it scores
@@ -74,24 +75,26 @@ def _monolithic_scores(engine, layout, window, stride, image_size):
     return (logits[:, 1] - logits[:, 0]).reshape(n, n)
 
 
-def _service_parity(model, backend, layout, args, reference) -> bool:
-    """``HotspotService.scan`` hits equal the monolithic reference's."""
+def _service_parity(model, layout, args) -> bool:
+    """``HotspotService.scan`` hits equal its engine's monolithic ones."""
     from ..serve import HotspotService, ScanRequest
     from ..serve.service import window_origins
 
+    request = ScanRequest(layout, args.window, args.stride)
+    with HotspotService.from_model(model, args.image_size) as service:
+        entry = service.registry.get("default")
+        report = service.scan(request)
+        tiles = service._scan_job(request, entry).tiles
+    reference = _monolithic_scores(
+        entry.engine, layout, args.window, args.stride, args.image_size
+    )
     origins = window_origins(layout.size, args.window, args.stride)
     expected = [(x, y, score) for (x, y), score
                 in zip(origins, reference.ravel().tolist()) if score > 0]
-    request = ScanRequest(layout, args.window, args.stride)
-    with HotspotService.from_model(model, args.image_size,
-                                   backend=backend) as service:
-        report = service.scan(request)
-        tiles = service._scan_job(
-            request, service.registry.get("default")
-        ).tiles
     ok = (not report.degraded
           and [(h.x0, h.y0, h.score) for h in report.hits] == expected)
-    print(f"[{backend}] service scan parity: {'OK' if ok else 'MISMATCH'} "
+    print(f"[{entry.backend}] service scan parity: "
+          f"{'OK' if ok else 'MISMATCH'} "
           f"({len(tiles)} tiles, {len(expected)} hits)")
     return ok
 
@@ -264,7 +267,7 @@ def durability_gate(args) -> int:
     model = _gate_model(args.image_size, args.seed)
     failures = 0
     with tempfile.TemporaryDirectory(prefix="chip-chaos-") as tmp:
-        for backend in args.backends:
+        for backend in available_backends():
             failures += _chaos_backend(
                 backend, model, layout, args, budget, Path(tmp)
             )
@@ -280,8 +283,6 @@ def main(argv=None) -> int:
     parser.add_argument("--image-size", type=int, default=32)
     parser.add_argument("--edits", type=int, default=6)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backends", nargs="+",
-                        default=available_backends())
     parser.add_argument("--chaos", action="store_true",
                         help="run the durability (kill/resume, retry, "
                              "quarantine) gate instead of the parity checks")
@@ -309,8 +310,8 @@ def main(argv=None) -> int:
 
     model = _gate_model(args.image_size, args.seed)
 
-    failures = 0
-    for backend in args.backends:
+    failures = 0 if _service_parity(model, layout, args) else 1
+    for backend in available_backends():
         engine = ProgramEngine(model, backend)
         scanner = ChipScanner(engine, args.image_size)
 
@@ -328,8 +329,6 @@ def main(argv=None) -> int:
             f"<= budget {budget} B: {bounded})"
         )
         if not (streamed_ok and multi_tile and bounded):
-            failures += 1
-        if not _service_parity(model, backend, layout, args, reference):
             failures += 1
 
         rescanned = scanner.rescan(result, edits)

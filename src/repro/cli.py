@@ -94,10 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=".npz checkpoint from `repro train --save`")
     p_predict.add_argument("--limit", type=int, default=None,
                            help="classify at most this many test clips")
-    p_predict.add_argument("--backend", default="packed",
-                           help="engine backend to serve with (default "
-                                "packed; see repro.engine.backends, e.g. "
-                                "float); strict: unknown names fail")
     p_predict.add_argument("--timeout-s", type=float, default=None,
                            help="per-call deadline in seconds; exceeded "
                                 "deadlines fail typed instead of hanging")
@@ -129,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="peak tile raster budget in MiB (default 64); "
                              "the scan never rasterizes more than this at "
                              "once")
-    p_scan.add_argument("--backend", default="packed",
-                        help="engine backend to serve with (default "
-                             "packed; e.g. float); strict: unknown names "
-                             "fail")
     p_scan.add_argument("--bias", type=float, default=None,
                         help="hotspot decision bias (default: the "
                              "checkpoint's)")
@@ -295,8 +287,8 @@ def _cmd_train(args) -> int:
             "scaling": args.scaling,
             "stem_stride": 2 if args.image_size >= 64 else 1,
             "decision_bias": detector.decision_bias,
-            # the backend this model compiled to; loading under a
-            # different one warns (reproducible-serving record)
+            # the backend this model compiled to (provenance only:
+            # every checkpoint serves on packed)
             "backend": detector.backend_name,
         })
         print(f"checkpoint written to {written}")
@@ -369,14 +361,12 @@ def _cmd_predict(args) -> int:
         return 2
     registry = ModelRegistry()
     try:
-        entry = registry.load_checkpoint(
-            "checkpoint", args.checkpoint, backend=args.backend,
-        )
+        entry = registry.load_checkpoint("checkpoint", args.checkpoint)
     except CheckpointError as exc:
         print(f"refusing to serve a bad checkpoint: {exc}")
         return 2
     except (ValueError, TypeError) as exc:
-        print(f"cannot serve requested backend: {exc}")
+        print(f"cannot serve checkpoint: {exc}")
         return 2
     if entry.image_size != args.image_size:
         print(f"note: checkpoint was trained at image size "
@@ -473,14 +463,12 @@ def _cmd_scan(args) -> int:
         return 2
     registry = ModelRegistry()
     try:
-        entry = registry.load_checkpoint(
-            "checkpoint", args.checkpoint, backend=args.backend,
-        )
+        entry = registry.load_checkpoint("checkpoint", args.checkpoint)
     except CheckpointError as exc:
         print(f"refusing to serve a bad checkpoint: {exc}")
         return 2
     except (ValueError, TypeError) as exc:
-        print(f"cannot serve requested backend: {exc}")
+        print(f"cannot serve checkpoint: {exc}")
         return 2
     window = args.window or 32 * entry.image_size
     stride = args.stride or max(1, window // 2)

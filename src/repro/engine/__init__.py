@@ -10,17 +10,17 @@ The engine package splits inference into four stages:
 3. :mod:`~repro.engine.passes` — graph-rewrite passes over the IR
    (``run_pipeline``): batch-norm folding into fused threshold convs,
    compile-time scale hoisting, buffer-liveness marking;
-4. :mod:`~repro.engine.backends` — named compilers from IR to kernels
-   (``float``, ``packed``; registry: ``get_backend`` /
-   ``available_backends``);
+4. :mod:`~repro.engine.backends` — the two compilers from IR to kernels
+   (``packed``, which every served engine runs, and its ``float``
+   parity reference; ``get_backend`` / ``available_backends``);
 5. :mod:`~repro.engine.executor` — runs compiled kernels with
    activation-buffer reuse and optional per-op timing hooks.
 
-:mod:`~repro.engine.parity` is the correctness gate: every registered
-backend pair must produce bit-identical logits on seeded models.
+:mod:`~repro.engine.parity` is the correctness gate: the two backends
+must produce bit-identical logits on seeded models.
 """
 
-from .backends import Backend, available_backends, get_backend, register_backend
+from .backends import Backend, available_backends, get_backend
 from .executor import Executor, Kernel, OpTimings
 from .ir import (
     BatchNormAffine,
@@ -77,7 +77,6 @@ __all__ = [
     "output_shape",
     "pipeline_signature",
     "plane_prefix",
-    "register_backend",
     "run_pipeline",
     "run_pipeline_snapshots",
     "verify_program",

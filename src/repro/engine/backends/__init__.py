@@ -1,4 +1,4 @@
-"""Backend registry: named compilers from IR programs to kernels.
+"""Engine backends: the two compilers from IR programs to kernels.
 
 A backend's job is tiny by design: provide the kernel for the binary
 convolution (:class:`~repro.engine.ir.BinaryConvOp`) — the op where an
@@ -9,10 +9,12 @@ backend, which is half of how cross-backend bit-identity is achieved
 (the other half is the exact-integer dot-product contract on the binary
 convolution — see ``repro.engine.parity``).
 
-Adding a backend is one module: subclass :class:`Backend`, implement
-``compile_binary_conv``, decorate with :func:`register_backend`, and
-import it below.  The parity harness then picks it up automatically and
-gates it against every existing backend.
+There are exactly two: ``packed``, the XNOR/popcount substrate every
+served engine compiles to, and ``float``, its exact-integer float-MAC
+reference; the parity gates hold the two bit-identical.  Adding a
+backend is one module (subclass :class:`Backend`, set ``name``,
+implement ``compile_binary_conv``) plus one entry in ``_BACKENDS``
+below; the parity harness then gates it against every existing one.
 """
 
 from __future__ import annotations
@@ -24,40 +26,9 @@ from ..executor import Executor, Kernel, OpTimings
 
 __all__ = [
     "Backend",
-    "register_backend",
     "get_backend",
     "available_backends",
 ]
-
-_REGISTRY: dict[str, type["Backend"]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator adding a :class:`Backend` to the registry."""
-
-    def decorate(cls: type["Backend"]) -> type["Backend"]:
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str) -> "Backend":
-    """Instantiate a backend by name; unknown names list what exists."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
-        ) from None
-    return cls()
 
 
 class Backend:
@@ -256,7 +227,27 @@ def _dense_kernel(node: ir.DenseOp) -> Kernel:
     return Kernel(node, lambda x: np.einsum("nk,kc->nc", x, weight) + bias)
 
 
-# Import concrete backends last so their @register_backend decorators
-# run on package import (each module is one self-contained backend).
-from . import float as float_backend  # noqa: E402,F401
-from . import packed as packed_backend  # noqa: E402,F401
+# The concrete backends subclass Backend, so they are imported after it.
+from .float import FloatBackend  # noqa: E402
+from .packed import PackedBackend  # noqa: E402
+
+_BACKENDS: dict[str, type[Backend]] = {
+    cls.name: cls for cls in (FloatBackend, PackedBackend)
+}
+
+
+def available_backends() -> list[str]:
+    """Backend names, sorted."""
+    return sorted(_BACKENDS)
+
+
+def get_backend(name: str) -> Backend:
+    """Instantiate a backend by name; unknown names list what exists."""
+    try:
+        cls = _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r} "
+            f"(available: {', '.join(available_backends())})"
+        ) from None
+    return cls()

@@ -27,14 +27,15 @@ from ...nn import functional as F
 from ...nn.layers.activations import sign
 from .. import ir
 from ..executor import Kernel
-from . import Backend, register_backend
+from . import Backend
 
 __all__ = ["FloatBackend"]
 
 
-@register_backend("float")
 class FloatBackend(Backend):
     """Compile binary convolutions to exact-integer float-MAC kernels."""
+
+    name = "float"
 
     def compile_binary_conv(self, node: ir.BinaryConvOp,
                             hoisted=None) -> Kernel:

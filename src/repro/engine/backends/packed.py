@@ -33,14 +33,15 @@ from ...binary import bitpack, quantize
 from ...nn.layers.activations import sign
 from .. import ir
 from ..executor import Kernel
-from . import Backend, register_backend
+from . import Backend
 
 __all__ = ["PackedBackend"]
 
 
-@register_backend("packed")
 class PackedBackend(Backend):
     """Compile binary convolutions to bit-packed popcount kernels."""
+
+    name = "packed"
 
     #: channelwise scaling's int8 columns and per-channel partial dots
     #: need about 2.8; the channel-summed kernels about 1.7

@@ -1,6 +1,6 @@
 """Cross-backend parity harness: the correctness gate for backends.
 
-Every registered backend must produce **bit-identical** logits on the
+Both backends must produce **bit-identical** logits on the
 same lowered program — not merely close.  This is achievable because
 the binary ops' channel-summed dot products are exact integers on every
 substrate (popcount identities and float sums of ±1 products both
@@ -15,7 +15,7 @@ the CI quick gate::
 
     PYTHONPATH=src python -m repro.engine.parity --image-size 16
 
-which exercises every registered backend pair on seeded models across
+which exercises the backend pair on seeded models across
 all scaling modes (including a ``stem_stride=1`` single-channel 3x3
 stem, the table16 fast-path shape) and exits non-zero on any mismatch.
 The same run checks the plane scan (:func:`plan_depth_failures`): on

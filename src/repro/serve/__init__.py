@@ -6,7 +6,9 @@ It turns the bit-packed :class:`~repro.binary.inference.ProgramEngine`
 into a synchronous-API service with production plumbing:
 
 * :class:`ModelRegistry` — named models, checkpoint loading, strict
-  compilation to one named engine backend (``packed`` by default);
+  compilation of each to ``ProgramEngine(model)``, the bit-packed
+  engine every service serves (``float`` is a parity reference inside
+  :mod:`repro.engine`, never served);
 * :class:`MicroBatcher` — coalesces concurrent single-clip requests
   into engine batches (``max_batch`` / ``max_wait_ms``);
 * :class:`WorkerPool` — shards the tiles of full-layout sliding-window

@@ -9,12 +9,12 @@ small ``(n, 2)`` arrays and are cheap enough to pickle back.
 
 :class:`ModelSpec` is how models cross the process boundary: the live
 :class:`~repro.nn.module.Module` tree (plain Python + numpy, pickles
-cleanly) plus the compile knobs.  Workers compile their *own* engine
-from it — compiled engines hold locks and caches that neither pickle
-nor should be shared — and report the resulting provenance (backend,
-pass-pipeline signature, version) back to the router, which
-aggregates it per replica in ``stats()`` and flags mixed-backend or
-mixed-version fleets as DEGRADED in ``health()``.
+cleanly) plus its rollout version.  Workers compile their *own*
+engine from it — compiled engines hold locks and caches that neither
+pickle nor should be shared — and report the resulting provenance
+(backend, pass-pipeline signature, version) back to the router, which
+aggregates it per replica in ``stats()`` and flags mixed-version
+fleets as DEGRADED in ``health()``.
 """
 
 from __future__ import annotations
@@ -43,21 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One model as shipped to workers: weights + compile knobs.
+    """One model as shipped to workers: weights + rollout version.
 
     Built from the router's :class:`~repro.serve.registry.ModelEntry`,
-    so a worker compiles exactly what the router's reference engine
-    was compiled from.  ``version`` increments on every rolling rollout
-    so provenance can tell which checkpoint generation a replica is
-    serving; a fleet serving mixed versions (mid-rollout, or after an
-    aborted one) is visibly DEGRADED, never silent.
+    so a worker compiles exactly the ``ProgramEngine(model)`` the
+    router's reference engine is.  ``version`` increments on every
+    rolling rollout so provenance can tell which checkpoint generation
+    a replica is serving; a fleet serving mixed versions (mid-rollout,
+    or after an aborted one) is visibly DEGRADED, never silent.
     """
 
     name: str
     model: object  #: :class:`~repro.nn.module.Module` tree (picklable)
-    image_size: int
-    decision_bias: float = 0.0
-    backend: str = "packed"
     version: int = 1
 
 

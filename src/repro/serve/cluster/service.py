@@ -303,8 +303,8 @@ class ClusterService(_ServiceBase):
     # -- model management ------------------------------------------------
 
     def register(self, name: str, model, image_size: int,
-                 decision_bias: float = 0.0, meta: dict | None = None,
-                 backend: str = "packed") -> ModelEntry:
+                 decision_bias: float = 0.0,
+                 meta: dict | None = None) -> ModelEntry:
         """Compile + register a model; live workers load it in place.
 
         Before the fleet starts this is pure registry bookkeeping —
@@ -314,7 +314,7 @@ class ClusterService(_ServiceBase):
         """
         entry = super().register(
             name, model, image_size=image_size,
-            decision_bias=decision_bias, meta=meta, backend=backend,
+            decision_bias=decision_bias, meta=meta,
         )
         with self._cond:
             self._versions.setdefault(name, 1)
@@ -330,12 +330,8 @@ class ClusterService(_ServiceBase):
 
     @staticmethod
     def _make_spec(entry: ModelEntry, version: int) -> ModelSpec:
-        """The worker-bound spec of ``entry``, compiled as it was."""
-        return ModelSpec(
-            name=entry.name, model=entry.model, image_size=entry.image_size,
-            decision_bias=entry.decision_bias, backend=entry.backend,
-            version=version,
-        )
+        """The worker-bound spec of ``entry`` at ``version``."""
+        return ModelSpec(name=entry.name, model=entry.model, version=version)
 
     def _spec(self, name: str) -> ModelSpec:
         """Build the worker-bound spec of a registered model (locked)."""
@@ -923,19 +919,18 @@ class ClusterService(_ServiceBase):
                 return None  # the replica died mid-load
         return self._load_results.pop(key)
 
-    def rollout(self, name: str, model=None, path: str | None = None,
-                image_size: int | None = None,
-                decision_bias: float = 0.0) -> ModelEntry:
-        """Roll a new checkpoint across the fleet without dropping traffic.
+    def rollout(self, name: str, model) -> ModelEntry:
+        """Roll new weights for a registered model across the fleet
+        without dropping traffic.
 
-        Transaction order:
+        Only the weights change: the entry keeps its image size,
+        decision bias and metadata.  To roll out a checkpoint, load it
+        into a model first.  Transaction order:
 
-        1. **Register** the new model (from a live ``model`` or a
-           checkpoint ``path``) in the router's registry, on the backend
-           the name is already served with (``"packed"`` for a new
-           name).  This compiles the reference engine; a corrupt
-           checkpoint or compile failure raises here, before any
-           replica is touched.
+        1. **Register** ``model`` under ``name`` in the router's
+           registry.  This compiles the reference engine; an
+           unregistered ``name`` (``KeyError``) or a compile failure
+           raises here, before any replica is touched.
         2. Per replica, in slot order: **drain** (state DRAINING —
            visible in :meth:`replica_states` and health reasons; no
            new tasks, in-flight ones finish), **swap** via
@@ -959,41 +954,20 @@ class ClusterService(_ServiceBase):
         """
         with self._cond:
             self._ensure_fleet_locked()
-            old_entry = (
-                self.registry.get(name) if name in self.registry else None
-            )
             old_version = self._versions.get(name, 1)
-        backend = old_entry.backend if old_entry is not None else "packed"
-        if model is None and path is None:
-            raise ValueError("rollout needs model= or path=")
         try:
-            if path is not None:
-                entry = self.registry.load_checkpoint(
-                    name, path, model=model, image_size=image_size,
-                    backend=backend,
-                )
-            else:
-                if image_size is None:
-                    image_size = (
-                        old_entry.image_size if old_entry is not None
-                        else None
-                    )
-                if image_size is None:
-                    raise ValueError("rollout of a new name needs image_size=")
-                entry = self.registry.register(
-                    name, model, image_size=image_size,
-                    decision_bias=decision_bias, backend=backend,
-                )
+            old_entry = self.registry.get(name)
+            entry = self.registry.register(
+                name, model, image_size=old_entry.image_size,
+                decision_bias=old_entry.decision_bias, meta=old_entry.meta,
+            )
         except Exception:
             self.metrics.add(rollouts_total=1, rollout_failures_total=1)
             raise
-        new_version = old_version + 1
         with self._cond:
-            self._versions[name] = new_version
+            self._versions[name] = old_version + 1
             spec = self._spec(name)
-            old_spec = None if old_entry is None else self._make_spec(
-                old_entry, old_version
-            )
+            old_spec = self._make_spec(old_entry, old_version)
         swapped: list[int] = []
         try:
             canary = self._canary_batch(entry)
@@ -1111,16 +1085,14 @@ class ClusterService(_ServiceBase):
         """Best-effort restore of the pre-rollout fleet and registry."""
         with self._cond:
             self._versions[name] = old_version
-        if old_entry is not None:
-            self.registry.register(
-                name, old_entry.model, image_size=old_entry.image_size,
-                decision_bias=old_entry.decision_bias, meta=old_entry.meta,
-                backend=old_entry.backend,
-            )
+        self.registry.register(
+            name, old_entry.model, image_size=old_entry.image_size,
+            decision_bias=old_entry.decision_bias, meta=old_entry.meta,
+        )
         for slot in swapped:
             handle = self._handles[slot]
             with self._cond:
-                if handle.alive and old_spec is not None:
+                if handle.alive:
                     try:
                         handle.task_queue.put(LoadModelMsg(old_spec))
                     except Exception:
@@ -1147,31 +1119,25 @@ class ClusterService(_ServiceBase):
         with self._cond:
             return {h.slot: h.state for h in self._handles}
 
-    def _fleet_provenance_locked(self) -> dict[str, dict[str, set]]:
-        """model -> {"backends": set, "versions": set} over live replicas."""
-        agg: dict[str, dict[str, set]] = {}
+    def _fleet_versions_locked(self) -> dict[str, set]:
+        """model -> set of versions served by live replicas."""
+        agg: dict[str, set] = {}
         for handle in self._handles:
             if handle.state not in (
                 ReplicaState.READY, ReplicaState.DRAINING
             ):
                 continue
             for model, prov in handle.provenance.items():
-                rec = agg.setdefault(
-                    model, {"backends": set(), "versions": set()}
-                )
-                rec["backends"].add(str(prov.get("backend", "?")))
-                rec["versions"].add(prov.get("version"))
+                agg.setdefault(model, set()).add(prov.get("version"))
         return agg
 
     def _health_reasons(self) -> tuple[str, ...]:
         """Fleet conditions that degrade health.
 
         Down or quarantined slots, replicas draining for a rollout,
-        and — the fleet integrity check — models served with **mixed
-        backends or mixed versions** across replicas (a half-finished
-        or half-rolled fleet must announce itself; predictions are
-        bit-identical across built-in backends, but performance and
-        reproducibility metadata are not).
+        and — the fleet integrity check — models served at **mixed
+        versions** across replicas (a half-rolled fleet must announce
+        itself).
         """
         reasons = []
         with self._cond:
@@ -1188,18 +1154,13 @@ class ClusterService(_ServiceBase):
                         reasons.append(
                             f"replica {handle.slot} draining (rollout)"
                         )
-            for model, rec in self._fleet_provenance_locked().items():
-                if len(rec["backends"]) > 1:
-                    reasons.append(
-                        f"model {model!r}: mixed-backend fleet "
-                        f"({', '.join(sorted(rec['backends']))})"
-                    )
-                if len(rec["versions"]) > 1:
-                    versions = ", ".join(str(v) for v in sorted(
-                        rec["versions"], key=lambda v: (v is None, v)
+            for model, versions in self._fleet_versions_locked().items():
+                if len(versions) > 1:
+                    listed = ", ".join(str(v) for v in sorted(
+                        versions, key=lambda v: (v is None, v)
                     ))
                     reasons.append(f"model {model!r}: mixed versions across "
-                                   f"replicas ({versions})")
+                                   f"replicas ({listed})")
         return tuple(reasons)
 
     def _extend_stats(self, snapshot: dict[str, object]) -> None:
@@ -1207,7 +1168,7 @@ class ClusterService(_ServiceBase):
         for name, record in snapshot["models"].items():
             record["version"] = self._versions.get(name, 1)
         with self._cond:
-            agg = self._fleet_provenance_locked()
+            agg = self._fleet_versions_locked()
             snapshot["cluster"] = {
                 "processes": self.processes,
                 "started": self._started,
@@ -1232,14 +1193,8 @@ class ClusterService(_ServiceBase):
                     for handle in self._handles
                 },
                 "fleet": {
-                    model: {
-                        "backends": sorted(rec["backends"]),
-                        "versions": sorted(
-                            str(v) for v in rec["versions"]
-                        ),
-                        "mixed_backend": len(rec["backends"]) > 1,
-                    }
-                    for model, rec in agg.items()
+                    model: {"versions": sorted(str(v) for v in versions)}
+                    for model, versions in agg.items()
                 },
             }
 

@@ -61,7 +61,7 @@ class _Served:
 
 
 def _compile(spec) -> _Served:
-    engine = ProgramEngine(spec.model, spec.backend)
+    engine = ProgramEngine(spec.model)
     return _Served(
         spec=spec,
         engine=engine,

@@ -3,36 +3,29 @@
 The registry is the service's model store.  Models arrive either as
 live :class:`~repro.nn.module.Module` trees (``register``) or as
 ``.npz`` checkpoints written by ``repro train --save``
-(``load_checkpoint``).  Each entry is compiled to a
-:class:`~repro.binary.inference.ProgramEngine` by one named engine
-backend (:mod:`repro.engine.backends`) — ``"packed"``, the bit-packed
-XNOR/popcount engine, unless another is requested.  Compilation is
-strict: an unknown backend name raises ``ValueError`` listing what
-exists, and a model the IR cannot lower raises
-:class:`~repro.engine.lower.LoweringError` naming the layer type.
-Either way nothing is registered, so a failed re-registration leaves
-the previous entry serving.
+(``load_checkpoint``).  Each entry is compiled to
+``ProgramEngine(model)``: the bit-packed XNOR/popcount engine, the one
+substrate the service serves (the ``float`` backend is a parity
+reference inside :mod:`repro.engine`).  Compilation is strict: a model
+the IR cannot lower raises :class:`~repro.engine.lower.LoweringError`
+naming the layer type, and nothing is registered, so a failed
+re-registration leaves the previous entry serving.
 
 Checkpoints written with metadata (``save_model(..., meta=...)``) are
 self-describing: :func:`model_from_meta` rebuilds the paper's residual
 architecture from the recorded knobs, so ``load_checkpoint`` needs no
-out-of-band architecture information.  Checkpoints also record the
-backend they were trained/saved for; loading one under a different
-backend warns (predictions stay bit-identical across built-in backends,
-but timing-sensitive serving runs stop being reproducible from the
-checkpoint alone).
+out-of-band architecture information.  The ``backend`` a checkpoint
+records is provenance only: every checkpoint serves on ``packed``.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from threading import Lock
 
 from ..binary.inference import ProgramEngine
 from ..detect.bnn_detector import stages_for_image_size
-from ..engine.backends import get_backend
 from ..models.bnn_resnet import build_bnn_resnet
 from ..nn.module import Module
 from ..nn.serialization import CheckpointError, load_meta, load_model
@@ -70,7 +63,7 @@ class ModelEntry:
     name: str
     model: Module
     engine: ProgramEngine
-    backend: str  #: engine backend name (``"packed"``, ``"float"``, ...)
+    backend: str  #: engine backend name (always ``"packed"``)
     image_size: int  #: square input side the engine expects
     decision_bias: float = 0.0  #: score threshold (see ``BNNDetector``)
     meta: dict[str, object] = field(default_factory=dict)
@@ -93,21 +86,19 @@ class ModelRegistry:
         image_size: int,
         decision_bias: float = 0.0,
         meta: dict[str, object] | None = None,
-        backend: str = "packed",
     ) -> ModelEntry:
         """Compile and register a live model under ``name``.
 
-        ``backend`` names the engine backend (strict: see the module
-        docstring).  Re-registering a name replaces the previous entry
-        (latest wins), which is how a rolling model update deploys; a
-        model that fails to compile replaces nothing.
+        Re-registering a name replaces the previous entry (latest
+        wins), which is how a rolling model update deploys; a model
+        that fails to compile replaces nothing.
         """
-        engine = ProgramEngine(model, backend)
+        engine = ProgramEngine(model)
         entry = ModelEntry(
             name=name,
             model=model,
             engine=engine,
-            backend=backend,
+            backend=engine.backend_name,
             image_size=int(image_size),
             decision_bias=float(decision_bias),
             meta=dict(meta or {}),
@@ -123,19 +114,12 @@ class ModelRegistry:
         path: str | os.PathLike,
         model: Module | None = None,
         image_size: int | None = None,
-        backend: str = "packed",
     ) -> ModelEntry:
         """Load a ``.npz`` checkpoint and register it under ``name``.
 
         With ``model=None`` the architecture is rebuilt from the
         checkpoint's metadata record (written by ``repro train --save``);
         an explicit ``model`` skips that and just receives the weights.
-
-        When the checkpoint records the backend it was saved for and the
-        requested one differs, a ``UserWarning`` is emitted — the
-        predictions of the built-in backends are bit-identical, but a
-        serving run is only reproducible from the checkpoint alone when
-        the backend matches.
 
         A corrupt, truncated, or checksum-failing checkpoint raises
         :class:`~repro.nn.serialization.CheckpointError` *before*
@@ -152,20 +136,6 @@ class ModelRegistry:
             raise CheckpointError(
                 f"cannot register model {name!r}: {exc}"
             ) from exc
-        # fail before the mismatch warning below can claim we are
-        # "serving with" a backend that does not exist
-        get_backend(backend)
-        recorded = meta.get("backend")
-        if recorded is not None and str(recorded) != backend:
-            warnings.warn(
-                f"checkpoint {os.fspath(path)!r} records backend "
-                f"{str(recorded)!r} but {backend!r} was requested; "
-                f"serving with {backend!r} (predictions are "
-                f"bit-identical across built-in backends, but the run "
-                f"is not reproducible from the checkpoint alone)",
-                UserWarning,
-                stacklevel=2,
-            )
         if image_size is None:
             if "image_size" not in meta:
                 raise KeyError(
@@ -178,7 +148,6 @@ class ModelRegistry:
             image_size=image_size,
             decision_bias=float(meta.get("decision_bias", 0.0)),
             meta=meta,
-            backend=backend,
         )
 
     def get(self, name: str) -> ModelEntry:

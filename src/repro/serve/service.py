@@ -209,27 +209,24 @@ class _ServiceBase:
 
     @classmethod
     def from_model(cls, model: Module, image_size: int, name: str = "default",
-                   decision_bias: float = 0.0, backend: str = "packed",
-                   **kwargs):
+                   decision_bias: float = 0.0, **kwargs):
         """Convenience: wrap one live model in a ready-to-serve service.
 
-        ``backend`` names the engine backend (strict: unknown names and
-        unlowerable models raise).
+        An unlowerable model raises; nothing is served.
         """
         service = cls(default_model=name, **kwargs)
         service.register(
-            name, model, image_size=image_size,
-            decision_bias=decision_bias, backend=backend,
+            name, model, image_size=image_size, decision_bias=decision_bias,
         )
         return service
 
     def register(self, name: str, model: Module, image_size: int,
-                 decision_bias: float = 0.0, meta: dict | None = None,
-                 backend: str = "packed") -> ModelEntry:
+                 decision_bias: float = 0.0,
+                 meta: dict | None = None) -> ModelEntry:
         """Compile and register a model (:meth:`ModelRegistry.register`)."""
         return self.registry.register(
             name, model, image_size=image_size,
-            decision_bias=decision_bias, meta=meta, backend=backend,
+            decision_bias=decision_bias, meta=meta,
         )
 
     # -- scoring hooks (where the work runs) -----------------------------

@@ -91,7 +91,7 @@ class Prediction:
     label: int  #: 1 = hotspot, 0 = clean
     score: float  #: hotspot logit minus non-hotspot logit
     model: str  #: registry name of the model that served the request
-    backend: str  #: ``"packed"`` (XNOR/popcount) or ``"float"``
+    backend: str  #: engine backend that scored it (``"packed"``)
     latency_ms: float  #: service-side wall time, enqueue to response
 
 

@@ -255,15 +255,14 @@ class TestRescanScoresDirtySet:
 
 class TestServedDedup:
     def test_parallel_and_durable_scans_match_serial(
-        self, model, backend, engine, layout, plane, tmp_path
+        self, model, engine, layout, plane, tmp_path
     ):
+        """The served (packed) scans equal a serial scan on each backend."""
         serial = ChipScanner(engine, IMAGE).scan(
             layout, WINDOW, STRIDE, BUDGET
         )
         distinct = len(set(window_bytes(plane, serial.heatmap.steps)))
-        with HotspotService.from_model(
-            model, IMAGE, backend=backend, workers=2
-        ) as svc:
+        with HotspotService.from_model(model, IMAGE, workers=2) as svc:
             served = svc.scan_chip(
                 ChipScanRequest(layout, WINDOW, STRIDE, tile_budget=BUDGET)
             )

@@ -16,7 +16,6 @@ import pytest
 import repro.serve.service as service_module
 from repro.binary.inference import ProgramEngine
 from repro.chip import origin_steps, plan_tiles
-from repro.engine import available_backends
 from repro.litho.geometry import Clip, Rect
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.serve import (
@@ -269,12 +268,10 @@ class TestProvenanceAndHealth:
         replicas = stats["cluster"]["replicas"]
         for replica in replicas.values():
             prov = replica["provenance"]["default"]
-            assert prov["backend"] in available_backends()
+            assert prov["backend"] == "packed"
             assert set(prov) == {"backend", "pipeline", "version"}
             assert prov["version"] == 1
-        fleet = stats["cluster"]["fleet"]["default"]
-        assert fleet["mixed_backend"] is False
-        assert len(fleet["backends"]) == 1
+        assert stats["cluster"]["fleet"]["default"] == {"versions": ["1"]}
 
     def test_health_ready_on_clean_fleet(self, model):
         with ClusterService.from_model(
@@ -285,20 +282,21 @@ class TestProvenanceAndHealth:
             assert report.state is HealthState.READY
             assert report.reasons == ()
 
-    def test_mixed_backend_fleet_is_degraded(self, cluster):
-        # simulate a rollout caught midway from packed to float: one
-        # replica already reports the new backend (a fallback no longer
-        # exists, so mid-rollout is the only way a fleet gets mixed)
+    def test_mixed_version_fleet_is_degraded(self, cluster):
+        # simulate a rollout caught midway: one replica already reports
+        # the new version while its sibling still serves the old one
         handle = cluster._handles[0]
         original = {k: dict(v) for k, v in handle.provenance.items()}
         try:
             handle.provenance["default"] = dict(
-                handle.provenance["default"], backend="float"
+                handle.provenance["default"], version=2
             )
             report = cluster.health()
             assert report.state is HealthState.DEGRADED
-            assert any("mixed" in r and "backend" in r
+            assert any("mixed versions" in r and "(1, 2)" in r
                        for r in report.reasons)
+            fleet = cluster.stats()["cluster"]["fleet"]["default"]
+            assert fleet == {"versions": ["1", "2"]}
         finally:
             handle.provenance = original
         assert cluster.health().state is HealthState.READY

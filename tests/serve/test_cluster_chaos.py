@@ -360,23 +360,44 @@ class TestRollingRollout:
             after = svc.classify(ClipRequest(image=image), timeout=120)
             assert after.score == before.score
 
-    def test_rollout_keeps_the_entry_backend(self, model):
-        """New weights roll onto the backend the fleet already serves:
-        a ``float`` fleet stays ``float`` in the registry and on every
-        replica, never silently re-compiled as ``packed``."""
+    def test_rollout_keeps_the_entry_bias_and_meta(self, model):
+        """Rolling new weights changes only the weights: the entry's
+        image size, decision bias and metadata survive, so a rollout
+        never silently moves the hotspot threshold."""
         new_model = build_bnn_resnet((4, 8), scaling="xnor", seed=7)
-        with make_cluster(model, backend="float") as svc:
+        with make_cluster(model) as svc:
+            svc.register("default", model, image_size=16,
+                         decision_bias=-0.5, meta={"note": "x"})
             svc.classify(ClipRequest(image=np.zeros((16, 16))), timeout=120)
             states = wait_all_ready(svc)
             assert all(s is ReplicaState.READY
                        for s in states.values()), states
             svc.rollout("default", model=new_model)
             entry = svc.registry.get("default")
-            replicas = svc.stats()["cluster"]["replicas"]
+            stats = svc.stats()
 
-        assert entry.backend == entry.engine.backend_name == "float"
-        assert len(replicas) == 2
-        for replica in replicas.values():
+        assert entry.model is new_model
+        assert entry.image_size == 16
+        assert entry.decision_bias == -0.5
+        assert entry.meta == {"note": "x"}
+        assert stats["models"]["default"]["version"] == 2
+        assert stats["models"]["default"]["backend"] == "packed"
+        for replica in stats["cluster"]["replicas"].values():
             provenance = replica["provenance"]["default"]
-            assert provenance["backend"] == "float", replica
+            assert provenance["backend"] == "packed", replica
             assert provenance["version"] == 2, replica
+
+    def test_rollout_of_an_unregistered_name_touches_no_replica(self, model):
+        new_model = build_bnn_resnet((4, 8), scaling="xnor", seed=7)
+        with make_cluster(model) as svc:
+            before = svc.classify(ClipRequest(image=np.zeros((16, 16))),
+                                  timeout=120)
+            with pytest.raises(KeyError, match="no model 'absent'"):
+                svc.rollout("absent", model=new_model)
+            stats = svc.stats()
+            after = svc.classify(ClipRequest(image=np.zeros((16, 16))),
+                                 timeout=120)
+        assert stats["rollouts_total"] == stats["rollout_failures_total"] == 1
+        assert "absent" not in stats["models"]
+        assert stats["models"]["default"]["version"] == 1
+        assert after.score == before.score

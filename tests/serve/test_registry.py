@@ -1,16 +1,25 @@
 """Tests for the model registry and checkpoint round-trips."""
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.binary.inference import ProgramEngine
+from repro.engine import backends
 from repro.engine.lower import LoweringError
 from repro.features.downsample import to_network_input
 from repro.models.bnn_resnet import build_bnn_resnet
 from repro.nn import Dense, Module, Sequential, load_meta, save_model
-from repro.serve import ModelRegistry, model_from_meta
+from repro.serve import (
+    ClusterService,
+    HotspotService,
+    ModelRegistry,
+    model_from_meta,
+)
+from repro.serve.cluster.messages import ModelSpec
 
 
 def make_model(seed=0, image_size=16, base_width=4, scaling="xnor"):
@@ -40,12 +49,6 @@ class TestCompileEngine:
         entry = ModelRegistry().register("m", make_model(), image_size=16)
         assert entry.backend == entry.engine.backend_name == "packed"
         assert entry.pipeline == "fold-bn>hoist-scales>liveness"
-
-    def test_float_on_request(self):
-        entry = ModelRegistry().register(
-            "m", make_model(), image_size=16, backend="float"
-        )
-        assert entry.backend == entry.engine.backend_name == "float"
 
     @pytest.mark.parametrize("backend", ["packed", "float"])
     def test_unsupported_layer_is_refused(self, backend):
@@ -154,23 +157,31 @@ class TestExplicitBackend:
         for name in ("turbo", "compiled"):
             with pytest.raises(ValueError, match="available: float, packed"):
                 ProgramEngine(make_model(), name)
-            with pytest.raises(ValueError, match="available: float, packed"):
-                ModelRegistry().register(
-                    "m", make_model(), image_size=16, backend=name
-                )
 
     def test_explicit_packed_is_strict_on_unloweredable(self):
         with pytest.raises(TypeError):
             ProgramEngine(unlowerable_model(), "packed")
 
-    def test_register_threads_backend_through(self):
-        registry = ModelRegistry()
-        entry = registry.register(
-            "m", make_model(), image_size=16, backend="float"
-        )
-        assert entry.backend == entry.engine.backend_name == "float"
-        assert entry.pipeline == entry.engine.pipeline == \
-            "fold-bn>hoist-scales>liveness"
+    def test_backend_table_is_fixed(self):
+        assert backends.available_backends() == ["float", "packed"]
+        for name in backends.available_backends():
+            assert backends.get_backend(name).name == name
+        assert not hasattr(backends, "register_backend")
+        assert not hasattr(backends, "_REGISTRY")
+
+    def test_no_serving_entry_point_picks_a_backend(self):
+        """The backend is chosen in ``ProgramEngine`` alone."""
+        for entry_point in (
+            ModelRegistry.register, ModelRegistry.load_checkpoint,
+            HotspotService.from_model, HotspotService.register,
+            ClusterService.register,
+        ):
+            params = inspect.signature(entry_point).parameters
+            assert "backend" not in params, entry_point
+        assert list(inspect.signature(ClusterService.rollout).parameters) \
+            == ["self", "name", "model"]
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == \
+            ["name", "model", "version"]
 
 
 class TestFallbackReason:
@@ -185,29 +196,20 @@ class TestFallbackReason:
         assert info.value.layer_type == "Unsupported"
         assert "m" not in registry and len(registry) == 0
 
-    @pytest.mark.parametrize("model, backend, error", [
-        (unlowerable_model, "packed", LoweringError),
-        (make_model, "turbo", ValueError),
-    ], ids=["unlowerable", "unknown-backend"])
-    def test_failed_reregister_keeps_previous_entry(self, model, backend,
-                                                    error):
+    @pytest.mark.parametrize("model, error", [
+        (unlowerable_model, LoweringError),
+    ], ids=["unlowerable"])
+    def test_failed_reregister_keeps_previous_entry(self, model, error):
         registry = ModelRegistry()
         previous = registry.register("m", make_model(seed=1), image_size=16)
         with pytest.raises(error):
-            registry.register("m", model(), image_size=16, backend=backend)
+            registry.register("m", model(), image_size=16)
         assert registry.get("m") is previous
         images = make_images(seed=9)
         np.testing.assert_array_equal(
             registry.get("m").engine.predict_logits(images),
             ProgramEngine(make_model(seed=1)).predict_logits(images),
         )
-
-    def test_no_reason_when_float_requested(self):
-        entry = ModelRegistry().register(
-            "m", make_model(), image_size=16, backend="float"
-        )
-        assert entry.backend == entry.engine.backend_name == "float"
-        assert not hasattr(entry, "fallback_reason")
 
     def test_no_reason_on_successful_packed(self):
         entry = ModelRegistry().register("m", make_model(), image_size=16)
@@ -232,30 +234,24 @@ class TestBackendMeta:
             entry = registry.load_checkpoint("m", path)
         assert entry.backend == "packed"
 
-    def test_mismatched_backend_warns(self, tmp_path):
-        path = self._save(tmp_path, backend="packed")
+    def test_recorded_backend_is_provenance_only(self, tmp_path):
+        """Whatever backend a checkpoint records — one that exists or
+        one that no longer does — it loads silently and serves packed,
+        bit-identically."""
         registry = ModelRegistry()
-        with pytest.warns(UserWarning, match="records backend 'packed'"):
-            entry = registry.load_checkpoint("m", path, backend="float")
-        assert entry.backend == "float"
-        # a checkpoint recording a backend that no longer exists still
-        # loads, with the same warning, and serves packed bit-identically
-        old = self._save(tmp_path, backend="compiled", name="old")
-        with pytest.warns(UserWarning, match="records backend 'compiled'"):
-            entry = registry.load_checkpoint("old", old)
-        assert entry.backend == "packed"
-        packed = registry.load_checkpoint("m", path)
+        packed = registry.load_checkpoint("m", self._save(tmp_path))
         images = make_images(seed=8)
-        np.testing.assert_array_equal(
-            entry.engine.predict_logits(images),
-            packed.engine.predict_logits(images),
-        )
-
-    def test_explicit_backend_mismatch_warns(self, tmp_path):
-        path = self._save(tmp_path, backend="float")
-        registry = ModelRegistry()
-        with pytest.warns(UserWarning, match="'packed' was requested"):
-            registry.load_checkpoint("m", path, backend="packed")
+        for recorded in ("float", "compiled"):
+            path = self._save(tmp_path, backend=recorded, name=recorded)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entry = registry.load_checkpoint(recorded, path)
+            assert entry.meta["backend"] == recorded
+            assert entry.backend == entry.engine.backend_name == "packed"
+            np.testing.assert_array_equal(
+                entry.engine.predict_logits(images),
+                packed.engine.predict_logits(images),
+            )
 
     def test_legacy_checkpoint_without_record_is_silent(self, tmp_path):
         model = make_model(seed=3)
@@ -265,5 +261,5 @@ class TestBackendMeta:
         registry = ModelRegistry()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            entry = registry.load_checkpoint("m", path, backend="float")
-        assert entry.backend == "float"
+            entry = registry.load_checkpoint("m", path)
+        assert entry.backend == "packed"

@@ -455,12 +455,6 @@ class TestStatsAndLifecycle:
         with pytest.raises(RuntimeError):
             service.classify(make_images(1)[0])
 
-    def test_float_backend_served_on_request(self, model):
-        with HotspotService.from_model(model, 16,
-                                       backend="float") as service:
-            prediction = service.classify(make_images(1)[0])
-        assert prediction.backend == "float"
-
     def test_stats_exposes_robustness_counters(self, service):
         service.classify(make_images(1)[0])
         stats = service.stats()
@@ -658,14 +652,6 @@ class TestBackendObservability:
         assert record["backend"] == "packed"
         assert "fallback_reason" not in record
         assert service.health().state is HealthState.READY
-
-    def test_explicit_backend_threads_to_service(self, model):
-        with HotspotService.from_model(model, 16,
-                                       backend="float") as service:
-            prediction = service.classify(make_images(1, seed=23)[0])
-            assert prediction.backend == "float"
-            assert service.health().state is HealthState.READY
-            assert service.stats()["models"]["default"]["backend"] == "float"
 
     def test_unlowerable_model_is_refused_previous_keeps_serving(
         self, service

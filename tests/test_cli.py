@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,8 @@ class TestParser:
         assert args.command == "predict"
         assert args.checkpoint == "ck.npz"
         assert args.limit == 8
-        assert args.backend == "packed"
-        with pytest.raises(SystemExit):  # --backend is the only engine flag
+        assert not hasattr(args, "backend")  # every checkpoint serves packed
+        with pytest.raises(SystemExit):
             build_parser().parse_args(["predict", "ck.npz", "--float"])
 
     def test_scan_defaults(self):
@@ -49,6 +51,15 @@ class TestParser:
         assert args.journal is None
         assert args.resume is False
         assert args.max_retries is None
+
+    def test_scan_backend_flag_is_gone(self, capsys):
+        """The services serve one engine: ``scan`` picks no backend."""
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(
+                ["scan", "synth:8192", "ck.npz", "--backend", "packed"]
+            )
+        assert info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_scan_durable_flags(self):
         args = build_parser().parse_args([
@@ -104,10 +115,12 @@ class TestCommands:
         assert (tmp_path / "ck.npz").exists()
         capsys.readouterr()
 
-        code = main([
-            "predict", str(path), "--scale", "0.001", "--seed", "7",
-            "--limit", "12",
-        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the recorded backend is silent
+            code = main([
+                "predict", str(path), "--scale", "0.001", "--seed", "7",
+                "--limit", "12",
+            ])
         assert code == 0
         out = capsys.readouterr().out
         assert "Backend" in out and "packed" in out
@@ -115,22 +128,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("backend", ["float", "turbo"])
     def test_predict_backend(self, capsys, tmp_path, backend):
-        path = tmp_path / "ck.npz"
-        main([
-            "train", "--scale", "0.001", "--image-size", "16", "--seed", "7",
-            "--epochs", "1", "--finetune-epochs", "0", "--save", str(path),
-        ])
-        capsys.readouterr()
-        argv = ["predict", str(path), "--scale", "0.001", "--seed", "7",
-                "--limit", "6", "--backend", backend]
-        if backend == "float":
-            # the checkpoint records 'packed'; serving float says so
-            with pytest.warns(UserWarning, match="records backend"):
-                assert main(argv) == 0
-            assert "float" in capsys.readouterr().out
-        else:  # strict: an unknown name fails with exit 2
-            assert main(argv) == 2
-            assert "available: float, packed" in capsys.readouterr().out
+        """Any ``--backend`` is refused before a checkpoint is read."""
+        with pytest.raises(SystemExit) as info:
+            main(["predict", str(tmp_path / "ck.npz"), "--backend", backend])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_predict_missing_checkpoint(self, capsys, tmp_path):
         assert main(["predict", str(tmp_path / "absent.npz"),
