@@ -84,7 +84,6 @@ def _service_parity(model, layout, args) -> bool:
     with HotspotService.from_model(model, args.image_size) as service:
         entry = service.registry.get("default")
         report = service.scan(request)
-        tiles = service._scan_job(request, entry).tiles
     reference = _monolithic_scores(
         entry.engine, layout, args.window, args.stride, args.image_size
     )
@@ -95,7 +94,7 @@ def _service_parity(model, layout, args) -> bool:
           and [(h.x0, h.y0, h.score) for h in report.hits] == expected)
     print(f"[{entry.backend}] service scan parity: "
           f"{'OK' if ok else 'MISMATCH'} "
-          f"({len(tiles)} tiles, {len(expected)} hits)")
+          f"({report.tiles_total} tiles, {len(expected)} hits)")
     return ok
 
 

@@ -9,14 +9,31 @@ Exposes the main entry points of the library without writing a script::
     python -m repro roc --scale 0.02       # detector trade-off curve
 
 All subcommands print paper-style tables to stdout and accept the same
-scale/image-size knobs as the benchmark harness.
+scale/image-size knobs as the benchmark harness.  Exit codes come from
+one table, ``_EXIT_CODES``: a typed error maps to 2 (bad input), 3 (not
+served), 4 (training diverged) or 130 (preempted, resumable).
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
+import sys
 
 import numpy as np
+
+from .chip import JournalError, ScanPreemptedError
+from .engine.lower import LoweringError
+from .litho import PATTERN_FAMILIES
+from .nn.serialization import CheckpointError, checkpoint_path
+from .serve import (
+    ChipScanRequest,
+    HotspotService,
+    ModelEntry,
+    ModelRegistry,
+    ServeError,
+)
+from .train import DivergenceError, PreemptedError
 
 __all__ = ["build_parser", "main"]
 
@@ -76,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_litho = sub.add_parser("litho", help="simulate one synthetic pattern")
     p_litho.add_argument("--pattern", default="grating",
-                         help="pattern family (see repro.litho.PATTERN_FAMILIES)")
+                         choices=sorted(PATTERN_FAMILIES),
+                         help="pattern family (default grating)")
     p_litho.add_argument("--seed", type=int, default=0)
     p_litho.add_argument("--opc", action="store_true",
                          help="also report the rule-based-OPC'd mask")
@@ -241,12 +259,9 @@ def _cmd_table3(args) -> int:
 def _cmd_train(args) -> int:
     from .bench import format_table
     from .detect import BNNDetector
-    from .nn.serialization import CheckpointError
-    from .train import DivergenceError, PreemptedError
 
     if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir")
-        return 2
+        raise ValueError("--resume requires --checkpoint-dir")
     benchmark = _load(args)
     detector = BNNDetector(
         base_width=args.base_width, scaling=args.scaling,
@@ -255,26 +270,9 @@ def _cmd_train(args) -> int:
         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
         keep=args.keep, handle_signals=args.checkpoint_dir is not None,
     )
-    try:
-        metrics = detector.fit_evaluate(
-            benchmark.train, benchmark.test, np.random.default_rng(0)
-        )
-    except PreemptedError as exc:
-        print(f"training preempted: {exc}")
-        if exc.checkpoint is not None:
-            print("rerun with --resume to continue bit-identically")
-        return 130
-    except DivergenceError as exc:
-        print(f"training diverged beyond recovery: {exc}")
-        return 4
-    except CheckpointError as exc:
-        print(f"cannot resume from a bad checkpoint: {exc}")
-        return 2
-    except ValueError as exc:
-        # checkpoint-dir misuse (dirty directory without --resume,
-        # mismatched phase schedule) and kindred config errors
-        print(f"cannot train: {exc}")
-        return 2
+    metrics = detector.fit_evaluate(
+        benchmark.train, benchmark.test, np.random.default_rng(0)
+    )
     print(format_table([metrics.row()], title="BNN detector"))
     if args.save:
         from .nn import save_model
@@ -296,16 +294,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_litho(args) -> int:
-    from .litho import PATTERN_FAMILIES, LithographySimulator
+    from .litho import LithographySimulator
     from .litho.opc import rule_based_opc
     from .litho.raster import rasterize
     from .litho.epe import analyze_contours
     from .litho.resist import nominal_corner
 
-    if args.pattern not in PATTERN_FAMILIES:
-        print(f"unknown pattern {args.pattern!r}; choose from "
-              f"{sorted(PATTERN_FAMILIES)}")
-        return 2
     rng = np.random.default_rng(args.seed)
     clip = PATTERN_FAMILIES[args.pattern](rng)
     simulator = LithographySimulator()
@@ -350,24 +344,21 @@ def _cmd_roc(args) -> int:
     return 0
 
 
+def _load_entry(path, registry: ModelRegistry) -> ModelEntry:
+    """Load a ``train --save`` checkpoint into ``registry`` as model
+    ``"checkpoint"``: the one loader of ``predict``, ``scan`` and
+    ``engine describe``."""
+    if not checkpoint_path(path).exists():
+        raise ValueError(f"checkpoint not found: {checkpoint_path(path)}")
+    return registry.load_checkpoint("checkpoint", path)
+
+
 def _cmd_predict(args) -> int:
     from .bench import format_table
     from .detect.metrics import ConfusionMatrix
-    from .nn.serialization import CheckpointError, checkpoint_path
-    from .serve import DeadlineExceeded, HotspotService, ModelRegistry
 
-    if not checkpoint_path(args.checkpoint).exists():
-        print(f"checkpoint not found: {checkpoint_path(args.checkpoint)}")
-        return 2
     registry = ModelRegistry()
-    try:
-        entry = registry.load_checkpoint("checkpoint", args.checkpoint)
-    except CheckpointError as exc:
-        print(f"refusing to serve a bad checkpoint: {exc}")
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"cannot serve checkpoint: {exc}")
-        return 2
+    entry = _load_entry(args.checkpoint, registry)
     if entry.image_size != args.image_size:
         print(f"note: checkpoint was trained at image size "
               f"{entry.image_size}, overriding --image-size {args.image_size}")
@@ -382,13 +373,8 @@ def _cmd_predict(args) -> int:
         queue_depth=args.queue_depth, overflow=args.overflow,
         default_timeout_s=args.timeout_s,
     ) as service:
-        try:
-            predictions = service.classify_many(
-                list(np.squeeze(images, axis=1)
-                     if images.ndim == 4 else images))
-        except DeadlineExceeded as exc:
-            print(f"deadline exceeded: {exc}")
-            return 3
+        predictions = service.classify_many(
+            list(np.squeeze(images, axis=1) if images.ndim == 4 else images))
         stats = service.stats()
     predicted = np.array([p.label for p in predictions])
     confusion = ConfusionMatrix.from_predictions(predicted, labels)
@@ -406,10 +392,9 @@ def _cmd_predict(args) -> int:
 
 
 def _load_scan_layout(source: str):
-    """Resolve the ``scan`` subcommand's layout source.
-
-    Returns ``(layout, error_message)``; exactly one is ``None``.
-    """
+    """Resolve the ``scan`` subcommand's layout source; an unusable
+    source raises ``ValueError``."""
+    import re
     from pathlib import Path
 
     from .litho.io import load_clips_json, load_clips_text
@@ -417,94 +402,48 @@ def _load_scan_layout(source: str):
     if source.startswith("synth:"):
         from .litho.fullchip import synthesize_chip
 
-        parts = source.split(":")
-        try:
-            size = int(parts[1])
-            seed = int(parts[2]) if len(parts) > 2 else 0
-            return synthesize_chip(size, seed=seed), None
-        except (IndexError, ValueError) as exc:
-            return None, (f"bad synth spec {source!r} "
-                          f"(want synth:<size_nm>[:seed]): {exc}")
+        spec = re.fullmatch(r"synth:(\d+)(?::(\d+))?", source)
+        if spec is None:
+            raise ValueError(f"bad synth spec {source!r} "
+                             f"(want synth:<size_nm>[:seed])")
+        return synthesize_chip(int(spec[1]), seed=int(spec[2] or 0))
     path = Path(source)
     if not path.exists():
-        return None, f"layout file not found: {path}"
+        raise ValueError(f"layout file not found: {path}")
+    loader = load_clips_json if path.suffix == ".json" else load_clips_text
     try:
-        loader = load_clips_json if path.suffix == ".json" else load_clips_text
         clips = loader(path)
     except (OSError, ValueError, KeyError) as exc:
-        return None, f"cannot load layout {path}: {exc}"
+        raise ValueError(f"cannot load layout {path}: {exc}") from exc
     if not clips:
-        return None, f"no clips in {path}"
+        raise ValueError(f"no clips in {path}")
     if len(clips) > 1:
         print(f"note: {path} holds {len(clips)} clips; scanning the first")
-    return clips[0], None
+    return clips[0]
 
 
 def _cmd_scan(args) -> int:
     from .bench import format_table
-    from .chip import JournalError, ScanPreemptedError
-    from .nn.serialization import CheckpointError, checkpoint_path
-    from .serve import (
-        ChipScanRequest,
-        DeadlineExceeded,
-        HotspotService,
-        ModelRegistry,
-    )
 
     if args.resume and not args.journal:
-        print("--resume needs --journal PATH (nothing to resume from)")
-        return 2
-    layout, error = _load_scan_layout(args.layout)
-    if error:
-        print(error)
-        return 2
-    if not checkpoint_path(args.checkpoint).exists():
-        print(f"checkpoint not found: {checkpoint_path(args.checkpoint)}")
-        return 2
+        raise ValueError("--resume needs --journal PATH (nothing to resume "
+                         "from)")
+    layout = _load_scan_layout(args.layout)
     registry = ModelRegistry()
-    try:
-        entry = registry.load_checkpoint("checkpoint", args.checkpoint)
-    except CheckpointError as exc:
-        print(f"refusing to serve a bad checkpoint: {exc}")
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"cannot serve checkpoint: {exc}")
-        return 2
+    entry = _load_entry(args.checkpoint, registry)
     window = args.window or 32 * entry.image_size
     stride = args.stride or max(1, window // 2)
-    budget = int(args.tile_budget_mib * 2**20)
-    try:
-        request = ChipScanRequest(
-            layout, window, stride, tile_budget=budget,
-            journal=args.journal or "", resume=args.resume,
-            max_retries=args.max_retries,
-        )
-    except ValueError as exc:
-        print(f"bad scan geometry: {exc}")
-        return 2
+    request = ChipScanRequest(
+        layout, window, stride,
+        tile_budget=int(args.tile_budget_mib * 2**20),
+        journal=args.journal or "", resume=args.resume,
+        max_retries=args.max_retries,
+    )
     with HotspotService(
         registry, default_model="checkpoint",
         default_timeout_s=args.timeout_s,
     ) as service:
-        try:
-            report = service.scan_chip(
-                request, handle_signals=bool(args.journal)
-            )
-        except DeadlineExceeded as exc:
-            print(f"deadline exceeded: {exc}")
-            return 3
-        except ScanPreemptedError as exc:
-            print(f"scan preempted: {exc}")
-            print(f"resume with: repro scan {args.layout} {args.checkpoint} "
-                  f"--journal {args.journal} --resume")
-            return 130
-        except JournalError as exc:
-            print(f"cannot use journal: {exc}")
-            return 2
-        except ValueError as exc:
-            # window/stride/scale misalignment and kindred geometry errors
-            print(f"cannot scan: {exc}")
-            return 2
+        report = service.scan_chip(request, handle_signals=bool(args.journal))
     bias = args.bias if args.bias is not None else entry.decision_bias
     summary = report.heatmap.summary(bias)
     row = {
@@ -555,40 +494,13 @@ def _cmd_scan(args) -> int:
     return 4 if report.degraded else 0
 
 
-def _cmd_engine(args) -> int:
-    # only `describe` exists today; the subparser enforces it
-    return _cmd_engine_describe(args)
-
-
 def _cmd_engine_describe(args) -> int:
     from .engine import ir
-    from .engine.lower import (
-        LoweringError,
-        lower,
-        pipeline_signature,
-        run_pipeline_snapshots,
-    )
+    from .engine.lower import lower, pipeline_signature, run_pipeline_snapshots
 
     if args.checkpoint:
-        from .nn.serialization import (
-            CheckpointError,
-            checkpoint_path,
-            load_meta,
-            load_model,
-        )
-        from .serve.registry import model_from_meta
-
-        if not checkpoint_path(args.checkpoint).exists():
-            print(f"checkpoint not found: {checkpoint_path(args.checkpoint)}")
-            return 2
-        try:
-            meta = load_meta(args.checkpoint)
-            model = model_from_meta(meta)
-            load_model(model, args.checkpoint)
-        except (CheckpointError, KeyError) as exc:
-            print(f"cannot describe a bad checkpoint: {exc}")
-            return 2
-        image_size = int(meta["image_size"])
+        entry = _load_entry(args.checkpoint, ModelRegistry())
+        model, image_size = entry.model, entry.image_size
         source = str(args.checkpoint)
     else:
         from .engine.parity import seeded_model
@@ -603,15 +515,9 @@ def _cmd_engine_describe(args) -> int:
                   f"{args.scaling}, stem stride {stem_stride})")
 
     input_shape = (args.batch, 1, image_size, image_size)
-    try:
-        program = lower(model)
-        snapshots = run_pipeline_snapshots(
-            program, args.passes, input_shape=input_shape
-        )
-    except (LoweringError, ValueError) as exc:
-        print(f"cannot describe: {exc}")
-        return 2
-
+    snapshots = run_pipeline_snapshots(
+        lower(model), args.passes, input_shape=input_shape
+    )
     print(f"model:    {source}")
     print(f"pipeline: {pipeline_signature(args.passes)}")
     print(f"input:    {input_shape}")
@@ -648,11 +554,41 @@ _COMMANDS = {
     "roc": _cmd_roc,
     "predict": _cmd_predict,
     "scan": _cmd_scan,
-    "engine": _cmd_engine,
+    "engine": _cmd_engine_describe,  # `describe` is its only subcommand
 }
+
+#: The CLI's one error policy: ``(error type, exit code, message
+#: prefix)``, first ``isinstance`` match wins.  ``main`` prints
+#: ``<prefix>: <error>`` and returns the code; an unlisted exception is
+#: a bug and propagates with its traceback.  ``{command}`` is the
+#: subcommand that failed.  A degraded scan's exit 4 is a return value.
+_EXIT_CODES: tuple[tuple[type[Exception], int, str], ...] = (
+    (CheckpointError, 2, "bad checkpoint"),
+    (JournalError, 2, "cannot use journal"),
+    (LoweringError, 2, "cannot compile"),
+    (ServeError, 3, "not served"),
+    (DivergenceError, 4, "training diverged beyond recovery"),
+    (PreemptedError, 130, "training preempted"),
+    (ScanPreemptedError, 130, "scan preempted"),
+    (ValueError, 2, "cannot {command}"),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (see ``_EXIT_CODES``)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(row[0] for row in _EXIT_CODES) as exc:
+        code, prefix = next((code, prefix) for error, code, prefix
+                            in _EXIT_CODES if isinstance(exc, error))
+        command = getattr(args, "engine_command", args.command)
+        print(f"{prefix.format(command=command)}: {exc}")
+        # a preempted run that left a checkpoint or journal resumes
+        if code == 130 and (getattr(exc, "checkpoint", None)
+                            or getattr(exc, "journal", None)):
+            rerun = argv if "--resume" in argv else [*argv, "--resume"]
+            print("rerun with --resume to continue bit-identically: "
+                  + shlex.join(["repro", *rerun]))
+        return code

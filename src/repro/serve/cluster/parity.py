@@ -106,10 +106,10 @@ def chaos_gate(args) -> int:
 
     # 1. unfaulted fleet parity: classify + scan, bit-identical
     with _cluster(model, args) as svc:
-        tasks = len(svc._scan_job(req, svc.registry.get("default")).tiles)
         preds = svc.classify_many(clip_reqs(), timeout=args.timeout)
         classify_ok = [p.score for p in preds] == ref_scores
         report = svc.scan(req, timeout=args.timeout)
+        tasks = report.tiles_total
         scan_ok = not report.degraded and _hit_key(report) == ref_scan_key
     print(f"[cluster] fleet parity: "
           f"{'OK' if classify_ok and scan_ok else 'MISMATCH'} "

@@ -36,12 +36,14 @@ __all__ = ["ModelEntry", "ModelRegistry", "model_from_meta"]
 def model_from_meta(meta: dict[str, object]) -> Module:
     """Rebuild the BNN architecture recorded in checkpoint metadata.
 
-    Required key: ``image_size``.  Optional (with training defaults):
-    ``base_width``, ``scaling``, ``stem_stride``.  Weights are loaded
-    separately; the seed only fixes the throwaway initialisation.
+    Required key: ``image_size``; without it the checkpoint has no
+    architecture record and :class:`CheckpointError` is raised.
+    Optional (with training defaults): ``base_width``, ``scaling``,
+    ``stem_stride``.  Weights are loaded separately; the seed only fixes
+    the throwaway initialisation.
     """
     if "image_size" not in meta:
-        raise KeyError(
+        raise CheckpointError(
             "checkpoint metadata lacks 'image_size'; pass an explicit "
             "model= to load_checkpoint() for legacy checkpoints"
         )
@@ -121,7 +123,8 @@ class ModelRegistry:
         checkpoint's metadata record (written by ``repro train --save``);
         an explicit ``model`` skips that and just receives the weights.
 
-        A corrupt, truncated, or checksum-failing checkpoint raises
+        A corrupt, truncated, or checksum-failing checkpoint, or one
+        without an architecture record (no ``image_size``), raises
         :class:`~repro.nn.serialization.CheckpointError` *before*
         anything is registered — a bad model file must never replace a
         live entry (re-registering a name is how rolling updates
@@ -138,8 +141,9 @@ class ModelRegistry:
             ) from exc
         if image_size is None:
             if "image_size" not in meta:
-                raise KeyError(
-                    "image_size not in checkpoint metadata; pass image_size="
+                raise CheckpointError(
+                    f"cannot register model {name!r}: image_size not in "
+                    "checkpoint metadata; pass image_size="
                 )
             image_size = int(meta["image_size"])
         return self.register(

@@ -401,9 +401,8 @@ class _ServiceBase:
         origins = window_origins(
             request.layout.size, request.window, request.stride
         )
-        scores, retried_shards = self._score_tiles(
-            entry, self._scan_job(request, entry), timeout
-        )
+        job = self._scan_job(request, entry)
+        scores, retried_shards = self._score_tiles(entry, job, timeout)
         scores = scores.ravel()
         hits = tuple(
             ScanHit(x, y, x + request.window, y + request.window, score)
@@ -430,6 +429,7 @@ class _ServiceBase:
             latency_ms=latency_ms,
             degraded=bool(failed_ranges),
             failed_ranges=failed_ranges,
+            tiles_total=len(job.tiles),
         )
 
     # -- observability ---------------------------------------------------

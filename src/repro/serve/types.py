@@ -271,6 +271,7 @@ class ScanReport:
     latency_ms: float = 0.0
     degraded: bool = False
     failed_ranges: tuple[tuple[int, int], ...] = ()
+    tiles_total: int = 0  #: tiles the sweep was planned as
 
     def __post_init__(self) -> None:
         if self.degraded != bool(self.failed_ranges):

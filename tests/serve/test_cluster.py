@@ -163,6 +163,8 @@ class TestTileScan:
         assert [(h.x0, h.y0, h.score) for h in got.hits] == \
             [(h.x0, h.y0, h.score) for h in want.hits]
         assert got.windows_scanned == want.windows_scanned
+        # both services report the tile count of the sweep they planned
+        assert got.tiles_total == want.tiles_total == len(tiles)
 
     def test_failed_tile_reports_exactly_its_row_runs(self, model, reference,
                                                       monkeypatch):

@@ -12,7 +12,14 @@ from repro.engine import backends
 from repro.engine.lower import LoweringError
 from repro.features.downsample import to_network_input
 from repro.models.bnn_resnet import build_bnn_resnet
-from repro.nn import Dense, Module, Sequential, load_meta, save_model
+from repro.nn import (
+    CheckpointError,
+    Dense,
+    Module,
+    Sequential,
+    load_meta,
+    save_model,
+)
 from repro.serve import (
     ClusterService,
     HotspotService,
@@ -124,14 +131,14 @@ class TestCheckpointRoundTrip:
         assert meta["decision_bias"] == -0.5
 
     def test_model_from_meta_requires_image_size(self):
-        with pytest.raises(KeyError, match="image_size"):
+        with pytest.raises(CheckpointError, match="image_size"):
             model_from_meta({"base_width": 8})
 
     def test_legacy_checkpoint_needs_explicit_model(self, tmp_path):
         model = make_model(seed=3)
         path = save_model(model, tmp_path / "legacy.npz")  # no meta
         registry = ModelRegistry()
-        with pytest.raises(KeyError):
+        with pytest.raises(CheckpointError, match="image_size"):
             registry.load_checkpoint("m", path)
         entry = registry.load_checkpoint(
             "m", path, model=make_model(seed=4), image_size=16

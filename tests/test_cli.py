@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _EXIT_CODES, build_parser, main
+from repro.nn import save_model
+from repro.serve.registry import model_from_meta
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +89,10 @@ class TestCommands:
         assert "after rule-based OPC" in capsys.readouterr().out
 
     def test_litho_unknown_pattern(self, capsys):
-        assert main(["litho", "--pattern", "nonsense"]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["litho", "--pattern", "nonsense"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_table2(self, capsys):
         code = main(["table2", "--scale", "0.001", "--image-size", "16",
@@ -332,3 +340,183 @@ class TestEngineDescribe:
             main(["engine", "describe", "--passes", spec])
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def served_checkpoint(tmp_path_factory):
+    """An untrained but self-describing 16 px checkpoint (no training)."""
+    meta = {"image_size": 16, "base_width": 4}
+    return save_model(model_from_meta(meta),
+                      tmp_path_factory.mktemp("served") / "ck.npz",
+                      meta=meta)
+
+
+def only_line(capsys) -> str:
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+class TestExitCodes:
+    """One test per ``_EXIT_CODES`` row; each raises the typed error."""
+
+    PREDICT = ["--scale", "0.001", "--image-size", "16", "--seed", "7"]
+    TRAIN = ["train", "--scale", "0.001", "--image-size", "16", "--seed",
+             "7", "--epochs", "1", "--finetune-epochs", "0"]
+
+    @pytest.mark.parametrize("command", [
+        ["predict", "{ck}", "--scale", "0.001"],
+        ["scan", "synth:2048:3", "{ck}"],
+        ["engine", "describe", "{ck}"],
+    ])
+    def test_checkpoint_without_image_size_exits_2(self, capsys, tmp_path,
+                                                    command):
+        """No architecture record is a bad checkpoint for every command."""
+        meta = {"image_size": 16, "base_width": 4}
+        path = save_model(model_from_meta(meta), tmp_path / "ck.npz",
+                          meta={"base_width": 4})
+        argv = [arg.format(ck=path) for arg in command]
+        assert main(argv) == 2
+        line = only_line(capsys)
+        assert line.startswith("bad checkpoint: ") and "image_size" in line
+
+    def test_truncated_checkpoint_exits_2(self, capsys, tmp_path,
+                                          served_checkpoint):
+        path = tmp_path / "ck.npz"
+        payload = served_checkpoint.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
+        assert main(["predict", str(path), *self.PREDICT]) == 2
+        assert only_line(capsys).startswith("bad checkpoint: ")
+
+    def test_lowering_error_exits_2(self, capsys, monkeypatch):
+        import importlib
+
+        from repro.engine.lower import LoweringError
+
+        # ``repro.engine.lower`` the attribute is the function
+        lower_module = importlib.import_module("repro.engine.lower")
+
+        def refuse(model):
+            raise LoweringError("no lowering for layer Mystery", "Mystery")
+
+        monkeypatch.setattr(lower_module, "lower", refuse)
+        code = main(["engine", "describe", "--image-size", "16",
+                     "--base-width", "4"])
+        assert code == 2
+        assert only_line(capsys) == ("cannot compile: no lowering for "
+                                     "layer Mystery")
+
+    def test_overflow_shed_exits_3(self, capsys, served_checkpoint):
+        """A full queue under ``--overflow shed`` is not a traceback."""
+        code = main(["predict", str(served_checkpoint), *self.PREDICT,
+                     "--queue-depth", "1", "--overflow", "shed"])
+        assert code == 3
+        line = only_line(capsys)
+        assert line.startswith("not served: admission queue full")
+
+    def test_deadline_exceeded_exits_3(self, capsys, served_checkpoint,
+                                       monkeypatch):
+        from repro.serve import DeadlineExceeded, HotspotService
+
+        def late(self, request, **kwargs):
+            raise DeadlineExceeded("scan deadline of 0.5s exceeded",
+                                   timeout_s=0.5, stage="tile")
+
+        monkeypatch.setattr(HotspotService, "scan_chip", late)
+        code = main(["scan", "synth:2048:3", str(served_checkpoint),
+                     "--timeout-s", "0.5"])
+        assert code == 3
+        assert only_line(capsys) == ("not served: scan deadline of 0.5s "
+                                     "exceeded")
+
+    def test_divergence_exits_4(self, capsys, monkeypatch):
+        from repro.detect import BNNDetector
+        from repro.train import DivergenceError
+
+        def diverge(self, *args, **kwargs):
+            raise DivergenceError("loss went NaN 3 times in epoch 1",
+                                  retries=3)
+
+        monkeypatch.setattr(BNNDetector, "fit_evaluate", diverge)
+        assert main(self.TRAIN) == 4
+        assert only_line(capsys) == ("training diverged beyond recovery: "
+                                     "loss went NaN 3 times in epoch 1")
+
+    def test_preempted_training_exits_130_with_resume_hint(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.detect import BNNDetector
+        from repro.train import PreemptedError
+
+        def preempt(self, *args, **kwargs):
+            raise PreemptedError("SIGTERM at epoch 1, step 2",
+                                 checkpoint=tmp_path / "run" / "ck-1.npz")
+
+        monkeypatch.setattr(BNNDetector, "fit_evaluate", preempt)
+        argv = [*self.TRAIN, "--checkpoint-dir", str(tmp_path / "run")]
+        assert main(argv) == 130
+        assert capsys.readouterr().out.splitlines() == [
+            "training preempted: SIGTERM at epoch 1, step 2",
+            "rerun with --resume to continue bit-identically: repro "
+            + " ".join(argv) + " --resume",
+        ]
+
+    def test_preempted_training_without_checkpoint_has_no_hint(
+            self, capsys, monkeypatch):
+        from repro.detect import BNNDetector
+        from repro.train import PreemptedError
+
+        def preempt(self, *args, **kwargs):
+            raise PreemptedError("interrupted; no checkpoint directory, "
+                                 "run lost", checkpoint=None)
+
+        monkeypatch.setattr(BNNDetector, "fit_evaluate", preempt)
+        assert main(self.TRAIN) == 130
+        assert "--resume" not in only_line(capsys)
+
+    def test_preempted_scan_exits_130_with_resume_hint(
+            self, capsys, tmp_path, served_checkpoint, monkeypatch):
+        from repro.chip import ScanPreemptedError
+        from repro.serve import HotspotService
+
+        journal = tmp_path / "scan.journal"
+
+        def preempt(self, request, **kwargs):
+            raise ScanPreemptedError("stopped after 3 of 9 tiles",
+                                     journal=journal, completed=3, total=9)
+
+        monkeypatch.setattr(HotspotService, "scan_chip", preempt)
+        argv = ["scan", "synth:2048:3", str(served_checkpoint),
+                "--journal", str(journal), "--resume"]
+        assert main(argv) == 130
+        assert capsys.readouterr().out.splitlines() == [
+            "scan preempted: stopped after 3 of 9 tiles",
+            # --resume is already on the command line: not doubled
+            "rerun with --resume to continue bit-identically: repro "
+            + " ".join(argv),
+        ]
+
+    def test_unlisted_error_propagates(self, monkeypatch):
+        """A bug is a traceback, never an exit code."""
+        from repro.litho import LithographySimulator
+
+        def broken(self, clip):
+            raise RuntimeError("simulator bug")
+
+        monkeypatch.setattr(LithographySimulator, "analyze", broken)
+        with pytest.raises(RuntimeError, match="simulator bug"):
+            main(["litho"])
+
+    def test_readme_table_matches(self):
+        """The README's exit-code table is ``_EXIT_CODES``, row by row."""
+        text = README.read_text()
+        header = "| code | typed error | message prefix | meaning |"
+        assert header in text
+        rows = []
+        for line in text[text.index(header):].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            code, error, prefix = (cell.strip().strip("`") for cell
+                                   in line.strip("|").split("|")[:3])
+            rows.append((int(code), error, prefix))
+        assert rows == [(code, error.__name__, prefix)
+                        for error, code, prefix in _EXIT_CODES]
